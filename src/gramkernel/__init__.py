@@ -45,9 +45,9 @@ from .exactscalar import (
 )
 from .families import (
     ALL_FAMILIES,
-    CoeffMatrix,
     FAMILIES,
     Family,
+    GradedMatrix,
     HERMITE_EVEN,
     HERMITE_ODD,
     LAGUERRE,
@@ -59,9 +59,8 @@ from .families import (
     norm_vector,
     printed_legendre_norm,
 )
-from .kernelbuild import KernelMatrix, build_kernel, closed_form_kernel, kernel_eval
+from .kernelbuild import build_kernel, closed_form_kernel, kernel_eval
 from .oracle import (
-    GramMatrix,
     SingularMatrixError,
     bareiss_inverse,
     gram_from_moments,
@@ -76,7 +75,6 @@ __all__ = [
     "ApproxPolynomial",
     "COS_PI",
     "CheckResult",
-    "CoeffMatrix",
     "ConditionReport",
     "ConditionRow",
     "DEFAULT_PRECISION_BITS",
@@ -84,10 +82,9 @@ __all__ = [
     "FAMILIES",
     "Family",
     "GradeMismatchError",
-    "GramMatrix",
+    "GradedMatrix",
     "HERMITE_EVEN",
     "HERMITE_ODD",
-    "KernelMatrix",
     "LAGUERRE",
     "LEGENDRE_EVEN",
     "LEGENDRE_ODD",

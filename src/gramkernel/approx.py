@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Callable, Mapping
 
 from mpmath import mp, mpf
 
@@ -28,28 +29,93 @@ from .exactscalar import (
 )
 from .families import (
     Family,
+    GradedMatrix,
     LAGUERRE,
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
-    monomial_moment,
+    moment_cores,
 )
-from .kernelbuild import KernelMatrix
 from .oracle import gram_from_moments
+
+
+def _sin_integrals(k_max: int) -> dict[int, PiLaurent]:
+    """I_k = integral_{-1}^{1} y**k sin(pi y) dy for odd k <= k_max.
+
+    By parts twice: I_1 = 2/pi and I_k = 2/pi - k(k-1)/pi**2 * I_{k-2}.
+    """
+    out = {1: PiLaurent.pi_power(-1, 2)}
+    for k in range(3, k_max + 1, 2):
+        out[k] = PiLaurent.pi_power(-1, 2) + out[k - 2] * PiLaurent.pi_power(
+            -2, -Fraction(k * (k - 1))
+        )
+    return out
+
+
+def _cos_integrals(m_max: int) -> dict[int, PiLaurent]:
+    """J_m = integral_{-1}^{1} y**m cos(pi y) dy for even m <= m_max.
+
+    The sine boundary terms vanish at +/-1, leaving J_0 = 0 and
+    J_m = -(m/pi) * I_{m-1}.
+    """
+    sin_i = _sin_integrals(m_max - 1 if m_max >= 1 else 0)
+    out = {0: PiLaurent()}
+    for m in range(2, m_max + 1, 2):
+        out[m] = sin_i[m - 1] * PiLaurent.pi_power(-1, -Fraction(m))
+    return out
 
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """A function to be approximated, tied to the family whose parity and
-    weight it matches, with its exact squared weighted L2 integral."""
+    """A function to be approximated: the one record of everything the
+    package knows about it.
+
+    * ``natural_family`` -- the basis whose parity and weight it matches;
+    * ``squared_integral`` -- its exact squared weighted L2 norm;
+    * ``moments(k_max)`` -- the exact weighted moments
+      ``integral f(y) y**k w(y) dy`` of the family's basis powers
+      ``k <= k_max``, keyed by ``k``;
+    * ``taylor_term(k)`` -- the exact Maclaurin coefficient of the k-th
+      (0-based) basis element;
+    * ``value(x)`` -- f(x) at mpmath's working precision;
+    * ``comparator_extra_terms`` -- Taylor terms the tabulated comparator
+      keeps beyond ``size`` (see :func:`taylor_comparator`);
+    * ``rational`` -- True when its exact moments, Taylor terms and error
+      variances are pure rationals, which the CLI then also prints exactly.
+    """
 
     name: str
     natural_family: Family
     squared_integral: PiLaurent
+    moments: Callable[[int], Mapping[int, PiLaurent]]
+    taylor_term: Callable[[int], PiLaurent]
+    value: Callable[[mpf], mpf]
+    comparator_extra_terms: int = 0
+    rational: bool = False
 
 
-SIN_PI = TargetFunction("sin-pi", LEGENDRE_ODD, PiLaurent(1))
-COS_PI = TargetFunction("cos-pi", LEGENDRE_EVEN, PiLaurent(1))
-EXP_NEG = TargetFunction("exp-neg", LAGUERRE, PiLaurent(Fraction(1, 3)))
+SIN_PI = TargetFunction(
+    "sin-pi", LEGENDRE_ODD, PiLaurent(1),
+    moments=_sin_integrals,
+    taylor_term=lambda k: PiLaurent.pi_power(2 * k + 1, Fraction((-1) ** k, factorial(2 * k + 1))),
+    value=lambda x: mp.sin(mp.pi * x),
+)
+COS_PI = TargetFunction(
+    "cos-pi", LEGENDRE_EVEN, PiLaurent(1),
+    moments=_cos_integrals,
+    taylor_term=lambda k: PiLaurent.pi_power(2 * k, Fraction((-1) ** k, factorial(2 * k))),
+    value=lambda x: mp.cos(mp.pi * x),
+    comparator_extra_terms=1,
+)
+EXP_NEG = TargetFunction(
+    "exp-neg", LAGUERRE, PiLaurent(Fraction(1, 3)),
+    # integral_0^inf y**k e^-y * e^-y dy = k! / 2**(k+1)
+    moments=lambda k_max: {
+        k: PiLaurent(Fraction(factorial(k), 2 ** (k + 1))) for k in range(k_max + 1)
+    },
+    taylor_term=lambda k: PiLaurent(Fraction((-1) ** k, factorial(k))),
+    value=lambda x: mp.exp(-x),
+    rational=True,
+)
 
 TARGETS = {t.name: t for t in (SIN_PI, COS_PI, EXP_NEG)}
 
@@ -68,11 +134,7 @@ def target_value(target: TargetFunction, x, precision_bits: int = DEFAULT_PRECIS
     _check_precision(precision_bits)
     with mp.workprec(precision_bits):
         xv = mpf(x) if not isinstance(x, Fraction) else mpf(x.numerator) / x.denominator
-        if target.name == "sin-pi":
-            return mp.sin(mp.pi * xv)
-        if target.name == "cos-pi":
-            return mp.cos(mp.pi * xv)
-        return mp.exp(-xv)
+        return target.value(xv)
 
 
 @dataclass(frozen=True)
@@ -105,49 +167,13 @@ class ApproxPolynomial:
         return len(self.coefficients)
 
 
-def _sin_integrals(k_max: int) -> dict[int, PiLaurent]:
-    """I_k = integral_{-1}^{1} y**k sin(pi y) dy for odd k <= k_max.
-
-    By parts twice: I_1 = 2/pi and I_k = 2/pi - k(k-1)/pi**2 * I_{k-2}.
-    """
-    out = {1: PiLaurent.pi_power(-1, 2)}
-    for k in range(3, k_max + 1, 2):
-        out[k] = PiLaurent.pi_power(-1, 2) + out[k - 2] * PiLaurent.pi_power(
-            -2, -Fraction(k * (k - 1))
-        )
-    return out
-
-
-def _cos_integrals(m_max: int) -> dict[int, PiLaurent]:
-    """J_m = integral_{-1}^{1} y**m cos(pi y) dy for even m <= m_max.
-
-    The sine boundary terms vanish at +/-1, leaving J_0 = 0 and
-    J_m = -(m/pi) * I_{m-1}.
-    """
-    sin_i = _sin_integrals(m_max - 1 if m_max >= 1 else 0)
-    out = {0: PiLaurent()}
-    for m in range(2, m_max + 1, 2):
-        out[m] = sin_i[m - 1] * PiLaurent.pi_power(-1, -Fraction(m))
-    return out
-
-
 def function_moments(target: TargetFunction, n: int) -> MomentVector:
     """Exact moments m_i of the target against its natural family, i = 1..n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     fam = target.natural_family
-    if target.name == "exp-neg":
-        # integral_0^inf y**k e^-y * e^-y dy = k! / 2**(k+1)
-        entries = tuple(
-            PiLaurent(Fraction(factorial(k), 2 ** (k + 1))) for k in range(n)
-        )
-    elif target.name == "sin-pi":
-        ints = _sin_integrals(fam.basis_power(n))
-        entries = tuple(ints[fam.basis_power(i)] for i in range(1, n + 1))
-    else:
-        ints = _cos_integrals(fam.basis_power(n))
-        entries = tuple(ints[fam.basis_power(i)] for i in range(1, n + 1))
-    return MomentVector(fam, entries)
+    ints = target.moments(fam.basis_power(n))
+    return MomentVector(fam, tuple(ints[fam.basis_power(i)] for i in range(1, n + 1)))
 
 
 def monomial_moment_vector(family: Family, n: int, power: int) -> MomentVector:
@@ -159,17 +185,11 @@ def monomial_moment_vector(family: Family, n: int, power: int) -> MomentVector:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    grade = 1 if family.measure == "hermite" else 0
-    entries = []
-    for i in range(1, n + 1):
-        m = monomial_moment(family, family.basis_power(i) + power)
-        if m.coefficient != 0 and m.sqrtpi_power != grade:
-            raise AssertionError("moment grade drifted from the family grade")
-        entries.append(PiLaurent(m.coefficient))
-    return MomentVector(family, tuple(entries), grade)
+    cores = moment_cores(family, n, power)
+    return MomentVector(family, tuple(PiLaurent(c) for c in cores), family.moment_grade)
 
 
-def project(kernel: KernelMatrix, moments: MomentVector) -> ApproxPolynomial:
+def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
     """Kernel estimate c = B m, the weighted least-squares projection."""
     if kernel.family != moments.family:
         raise ValueError(
@@ -199,22 +219,12 @@ def _check_target_family(target: TargetFunction, family: Family) -> None:
 def taylor_polynomial(target: TargetFunction, family: Family, n: int) -> ApproxPolynomial:
     """Maclaurin truncation to the first n basis powers of the family.
 
-    exp-neg: sum (-1)**k x**k / k!.  sin-pi: sum (-1)**k pi**(2k+1)
-    x**(2k+1) / (2k+1)!.  cos-pi: sum (-1)**k pi**(2k) x**(2k) / (2k)!.
-    All with k = 0..n-1; coefficients are exact pi-Laurent values.
+    Coefficient k is the target's exact ``taylor_term(k)``, k = 0..n-1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_target_family(target, family)
-    coeffs = []
-    for k in range(n):
-        if target.name == "exp-neg":
-            coeffs.append(PiLaurent(Fraction((-1) ** k, factorial(k))))
-        elif target.name == "sin-pi":
-            coeffs.append(PiLaurent.pi_power(2 * k + 1, Fraction((-1) ** k, factorial(2 * k + 1))))
-        else:
-            coeffs.append(PiLaurent.pi_power(2 * k, Fraction((-1) ** k, factorial(2 * k))))
-    return ApproxPolynomial(family, tuple(coeffs), "taylor")
+    return ApproxPolynomial(family, tuple(target.taylor_term(k) for k in range(n)), "taylor")
 
 
 def taylor_comparator(target: TargetFunction, size: int) -> ApproxPolynomial:
@@ -227,9 +237,9 @@ def taylor_comparator(target: TargetFunction, size: int) -> ApproxPolynomial:
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    fam = target.natural_family
-    terms = size + 1 if target.name == "cos-pi" else size
-    return taylor_polynomial(target, fam, terms)
+    return taylor_polynomial(
+        target, target.natural_family, size + target.comparator_extra_terms
+    )
 
 
 def error_variance(

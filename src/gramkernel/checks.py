@@ -8,13 +8,14 @@ CLI ``verify`` subcommand runs all of them over every family and size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .approx import monomial_moment_vector, project
-from .families import ALL_FAMILIES, Family, coeff_matrix, norm_vector
-from .kernelbuild import KernelMatrix, build_kernel
+from .exactscalar import ScaledRational
+from .families import ALL_FAMILIES, Family, GradedMatrix, coeff_matrix, norm_vector
+from .kernelbuild import build_kernel
 from .oracle import gram_from_moments, invert_exact, leading_principal_minors
 
 
@@ -25,6 +26,37 @@ class CheckResult:
     size: int
     passed: bool
     detail: str = ""
+
+
+@dataclass(frozen=True)
+class Artefacts:
+    """Everything the checks compare for one (family, n), each built once.
+
+    ``inverse`` and ``det_gram`` are the Bareiss inverse and determinant of
+    ``gram``; ``kernel_minors`` are the leading principal minors of
+    ``kernel``.
+    """
+
+    family: Family
+    n: int
+    kernel: GradedMatrix
+    gram: GradedMatrix
+    inverse: GradedMatrix
+    det_gram: ScaledRational
+    coeffs: GradedMatrix
+    norms: tuple[ScaledRational, ...]
+    kernel_minors: tuple[Fraction, ...]
+
+
+def build_artefacts(family: Family, n: int) -> Artefacts:
+    kernel = build_kernel(family, n)
+    gram = gram_from_moments(family, n)
+    inverse, det_gram = invert_exact(gram)
+    return Artefacts(
+        family, n, kernel, gram, inverse, det_gram,
+        coeff_matrix(family, n), norm_vector(family, n),
+        leading_principal_minors(kernel.entries),
+    )
 
 
 def _identity(n: int) -> list[list[Fraction]]:
@@ -39,119 +71,96 @@ def _matmul(a, b) -> list[list[Fraction]]:
     ]
 
 
-def check_oracle_equivalence(
-    family: Family, n: int, corrupt: bool = False
-) -> CheckResult:
+def check_oracle_equivalence(a: Artefacts) -> CheckResult:
     """Closed-form kernel == exact Bareiss inverse of the moment Gram."""
-    kernel = build_kernel(family, n)
-    if corrupt:
-        rows = [list(r) for r in kernel.entries]
-        rows[0][0] += Fraction(1, 7)
-        kernel = KernelMatrix(family, n, tuple(tuple(r) for r in rows), kernel.sqrtpi_power)
-    gram = gram_from_moments(family, n)
-    inverse, _ = invert_exact(gram)
-    ok = kernel.entries == inverse.entries and kernel.sqrtpi_power == inverse.sqrtpi_power
-    detail = "" if ok else "kernel differs from the exact Gram inverse"
-    return CheckResult("oracle-equivalence", family.name, n, ok, detail)
-
-
-def check_gram_kernel_identity(family: Family, n: int) -> CheckResult:
-    """G * B == I exactly (the sqrt(pi) grades cancel)."""
-    gram = gram_from_moments(family, n)
-    kernel = build_kernel(family, n)
     ok = (
-        gram.sqrtpi_power + kernel.sqrtpi_power == 0
-        and _matmul(gram.entries, kernel.entries) == _identity(n)
+        a.kernel.entries == a.inverse.entries
+        and a.kernel.sqrtpi_power == a.inverse.sqrtpi_power
     )
-    return CheckResult("gram-kernel-identity", family.name, n, ok)
+    detail = "" if ok else "kernel differs from the exact Gram inverse"
+    return CheckResult("oracle-equivalence", a.family.name, a.n, ok, detail)
 
 
-def check_orthogonality(family: Family, n: int) -> CheckResult:
+def check_gram_kernel_identity(a: Artefacts) -> CheckResult:
+    """G * B == I exactly (the sqrt(pi) grades cancel)."""
+    ok = (
+        a.gram.sqrtpi_power + a.kernel.sqrtpi_power == 0
+        and _matmul(a.gram.entries, a.kernel.entries) == _identity(a.n)
+    )
+    return CheckResult("gram-kernel-identity", a.family.name, a.n, ok)
+
+
+def check_orthogonality(a: Artefacts) -> CheckResult:
     """A * G * A^T is exactly diagonal with the true norms on the diagonal."""
-    a = coeff_matrix(family, n)
-    gram = gram_from_moments(family, n)
-    norms = norm_vector(family, n)
-    prod = _matmul(_matmul(a.entries, gram.entries), list(zip(*a.entries)))
+    coeffs = a.coeffs.entries
+    prod = _matmul(_matmul(coeffs, a.gram.entries), list(zip(*coeffs)))
     ok = True
-    for i in range(n):
-        for j in range(n):
-            want = norms[i].coefficient if i == j else Fraction(0)
+    for i in range(a.n):
+        for j in range(a.n):
+            want = a.norms[i].coefficient if i == j else Fraction(0)
             if prod[i][j] != want:
                 ok = False
     if ok:
-        ok = all(v.sqrtpi_power == gram.sqrtpi_power for v in norms)
-    return CheckResult("orthogonality", family.name, n, ok)
+        ok = all(v.sqrtpi_power == a.gram.sqrtpi_power for v in a.norms)
+    return CheckResult("orthogonality", a.family.name, a.n, ok)
 
 
-def check_determinant_identity(family: Family, n: int) -> CheckResult:
+def check_determinant_identity(a: Artefacts) -> CheckResult:
     """prod(lambda_i) == det(A)**2 * det(G), exactly, grade included."""
-    a = coeff_matrix(family, n)
-    norms = norm_vector(family, n)
-    _, det_g = invert_exact(gram_from_moments(family, n))
     det_a = Fraction(1)
-    for i in range(n):
-        det_a *= a.entries[i][i]  # triangular
+    for i in range(a.n):
+        det_a *= a.coeffs.entries[i][i]  # triangular
     prod_coeff = Fraction(1)
     prod_grade = 0
-    for v in norms:
+    for v in a.norms:
         prod_coeff *= v.coefficient
         prod_grade += v.sqrtpi_power
     ok = (
-        prod_coeff == det_a**2 * det_g.coefficient
-        and prod_grade == det_g.sqrtpi_power
+        prod_coeff == det_a**2 * a.det_gram.coefficient
+        and prod_grade == a.det_gram.sqrtpi_power
     )
-    return CheckResult("determinant-identity", family.name, n, ok)
+    return CheckResult("determinant-identity", a.family.name, a.n, ok)
 
 
-def check_kernel_shape(family: Family, n: int) -> CheckResult:
+def check_kernel_shape(a: Artefacts) -> CheckResult:
     """Kernel symmetry plus exact positive definiteness (all minors > 0)."""
-    kernel = build_kernel(family, n)
-    sym = all(
-        kernel.entries[i][j] == kernel.entries[j][i]
-        for i in range(n)
-        for j in range(i)
-    )
-    minors = leading_principal_minors(kernel.entries)
-    ok = sym and all(m > 0 for m in minors)
-    return CheckResult("kernel-symmetry-pd", family.name, n, ok)
+    entries = a.kernel.entries
+    sym = all(entries[i][j] == entries[j][i] for i in range(a.n) for j in range(i))
+    ok = sym and all(m > 0 for m in a.kernel_minors)
+    return CheckResult("kernel-symmetry-pd", a.family.name, a.n, ok)
 
 
-def check_gram_hankel(family: Family, n: int) -> CheckResult:
+def check_gram_hankel(a: Artefacts) -> CheckResult:
     """Gram entries are constant along anti-diagonals."""
-    gram = gram_from_moments(family, n)
+    entries = a.gram.entries
     ok = all(
-        gram.entries[i][j] == gram.entries[i - 1][j + 1]
-        for i in range(1, n)
-        for j in range(n - 1)
+        entries[i][j] == entries[i - 1][j + 1]
+        for i in range(1, a.n)
+        for j in range(a.n - 1)
     )
-    return CheckResult("gram-hankel", family.name, n, ok)
+    return CheckResult("gram-hankel", a.family.name, a.n, ok)
 
 
-def check_det_product(family: Family, n: int) -> CheckResult:
+def check_det_product(a: Artefacts) -> CheckResult:
     """det(G) * det(B) == 1 with grades cancelling."""
-    gram = gram_from_moments(family, n)
-    kernel = build_kernel(family, n)
-    _, det_g = invert_exact(gram)
-    det_b = leading_principal_minors(kernel.entries)[-1]
     ok = (
-        det_g.coefficient * det_b == 1
-        and det_g.sqrtpi_power + kernel.sqrtpi_power * n == 0
+        a.det_gram.coefficient * a.kernel_minors[-1] == 1
+        and a.det_gram.sqrtpi_power + a.kernel.sqrtpi_power * a.n == 0
     )
-    return CheckResult("det-product", family.name, n, ok)
+    return CheckResult("det-product", a.family.name, a.n, ok)
 
 
-def check_reproducing(family: Family, n: int) -> CheckResult:
+def check_reproducing(a: Artefacts) -> CheckResult:
     """Projecting each in-span monomial returns exactly that monomial."""
-    kernel = build_kernel(family, n)
     ok = True
-    for k in range(1, n + 1):
-        moments = monomial_moment_vector(family, n, family.basis_power(k))
-        estimate = project(kernel, moments)
+    for k in range(1, a.n + 1):
+        moments = monomial_moment_vector(a.family, a.n, a.family.basis_power(k))
+        estimate = project(a.kernel, moments)
         for i, c in enumerate(estimate.coefficients, start=1):
             want = Fraction(1 if i == k else 0)
             if not c.is_rational() or c.constant_value() != want:
                 ok = False
-    return CheckResult("reproducing-property", family.name, n, ok)
+    return CheckResult("reproducing-property", a.family.name, a.n, ok)
 
 
 _CHECKS = (
@@ -166,6 +175,12 @@ _CHECKS = (
 )
 
 
+def _corrupted(kernel: GradedMatrix) -> GradedMatrix:
+    rows = [list(r) for r in kernel.entries]
+    rows[0][0] += Fraction(1, 7)
+    return replace(kernel, entries=tuple(tuple(r) for r in rows))
+
+
 def run_checks(
     max_size: int,
     families: Sequence[Family] = ALL_FAMILIES,
@@ -173,18 +188,21 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run every check for every family and size 1..max_size.
 
-    ``inject_corruption`` perturbs one kernel entry inside the
-    oracle-equivalence check; the resulting failures are the negative
-    control proving the harness can fail.
+    The artefacts of one (family, n) are built once, shared by all checks
+    and dropped before the next size.  ``inject_corruption`` perturbs one
+    kernel entry in the artefacts the oracle-equivalence check alone sees;
+    the resulting failures are the negative control proving the harness
+    can fail.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     results = []
     for family in families:
         for n in range(1, max_size + 1):
+            arts = build_artefacts(family, n)
             for check in _CHECKS:
-                if check is check_oracle_equivalence:
-                    results.append(check(family, n, corrupt=inject_corruption))
+                if check is check_oracle_equivalence and inject_corruption:
+                    results.append(check(replace(arts, kernel=_corrupted(arts.kernel))))
                 else:
-                    results.append(check(family, n))
+                    results.append(check(arts))
     return results

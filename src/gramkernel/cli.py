@@ -4,7 +4,8 @@ plot data, and the self-verification report, as text, CSV, or JSON.
 Exact rationals are serialized as ``p/q`` strings; pi-dependent exact values
 as canonical ``q*pi^m`` sums; decimals are rendered from the exact values at
 ``--precision-bits`` (default 256) and never feed back into any exact field.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failed, 2 usage or I/O error (such as an
+``--out`` path that cannot be written).
 """
 
 from __future__ import annotations
@@ -66,133 +67,101 @@ def _precision(text: str) -> int:
     return value
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
+def _emit(args, payload: dict | None, header: list[str], rows: list[list[str]],
+          lines: list[str] | None) -> None:
+    """Write one command's result as JSON, CSV or text, to ``--out`` or stdout."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
 def cmd_kernel(args) -> int:
     family = family_by_name(args.family)
     kernel = build_kernel(family, args.size)
+    grade = kernel.sqrtpi_power
     cells = [[str(x) for x in row] for row in kernel.entries]
-    if args.format == "json":
-        payload = {
-            "family": family.name,
-            "size": kernel.n,
-            "grade": kernel.sqrtpi_power,
-            "data": cells,
-        }
-        _emit(args, _json_text(payload))
-    elif args.format == "csv":
-        header = [f"c{j + 1}" for j in range(kernel.n)] + ["grade"]
-        rows = [cells[i] + [str(kernel.sqrtpi_power)] for i in range(kernel.n)]
-        _emit(args, _csv_text(header, rows))
-    else:
-        lines = [f"family={family.name} size={kernel.n} grade={kernel.sqrtpi_power}"]
-        width = max(len(c) for row in cells for c in row)
-        lines += ["  ".join(c.rjust(width) for c in row) for row in cells]
-        _emit(args, "\n".join(lines) + "\n")
+    width = max(len(c) for row in cells for c in row)
+    _emit(
+        args,
+        {"family": family.name, "size": kernel.n, "grade": grade, "data": cells},
+        [f"c{j + 1}" for j in range(kernel.n)] + ["grade"],
+        [row + [str(grade)] for row in cells],
+        [f"family={family.name} size={kernel.n} grade={grade}"]
+        + ["  ".join(c.rjust(width) for c in row) for row in cells],
+    )
     return 0
 
 
 def cmd_cond(args) -> int:
     family = family_by_name(args.family)
     report = condition_table(family, args.max_size, SIG_DIGITS)
-    if args.format == "json":
-        payload = {
+    rows = [(r.size, str(r.kappa_exact), r.kappa_decimal) for r in report.rows]
+    _emit(
+        args,
+        {
             "family": family.name,
-            "sizes": [r.size for r in report.rows],
+            "sizes": [size for size, _, _ in rows],
             "grade": 0,
             "data": [
-                {
-                    "size": r.size,
-                    "kappa_exact": str(r.kappa_exact),
-                    "kappa_decimal": r.kappa_decimal,
-                }
-                for r in report.rows
+                {"size": size, "kappa_exact": exact, "kappa_decimal": dec}
+                for size, exact, dec in rows
             ],
-        }
-        _emit(args, _json_text(payload))
-    elif args.format == "csv":
-        rows = [[str(r.size), str(r.kappa_exact), r.kappa_decimal] for r in report.rows]
-        _emit(args, _csv_text(["size", "kappa_exact", "kappa_decimal"], rows))
-    else:
-        lines = [f"family={family.name}", "size  kappa"]
-        lines += [f"{r.size:>4}  {r.kappa_decimal}  (= {r.kappa_exact})" for r in report.rows]
-        _emit(args, "\n".join(lines) + "\n")
+        },
+        ["size", "kappa_exact", "kappa_decimal"],
+        [[str(size), exact, dec] for size, exact, dec in rows],
+        [f"family={family.name}", "size  kappa"]
+        + [f"{size:>4}  {dec}  (= {exact})" for size, exact, dec in rows],
+    )
     return 0
-
-
-def _variance_rows(target, max_size: int, precision_bits: int):
-    rows = []
-    for size in range(1, max_size + 1):
-        kernel = build_kernel(target.natural_family, size)
-        estimate = project(kernel, function_moments(target, size))
-        taylor = taylor_comparator(target, size)
-        est_exact, est_num = error_variance(target, estimate, precision_bits)
-        tay_exact, tay_num = error_variance(target, taylor, precision_bits)
-        rows.append((size, tay_exact, tay_num, est_exact, est_num))
-    return rows
 
 
 def cmd_variance(args) -> int:
     target = target_by_name(args.target)
-    rows = _variance_rows(target, args.max_size, args.precision_bits)
-    exact_cols = target.name == "exp-neg"  # pure rationals, worth emitting
-    if args.format == "json":
-        data = []
-        for size, tay_e, tay_n, est_e, est_n in rows:
-            entry = {
-                "size": size,
-                "taylor": mpf_decimal_str(tay_n, SIG_DIGITS),
-                "estimate": mpf_decimal_str(est_n, SIG_DIGITS),
-            }
-            if exact_cols:
-                entry["taylor_exact"] = exact_str(tay_e)
-                entry["estimate_exact"] = exact_str(est_e)
-            data.append(entry)
-        payload = {
+    columns = ["taylor", "estimate"]
+    if target.rational:  # pure rationals, worth emitting exactly too
+        columns += ["taylor_exact", "estimate_exact"]
+    table = []
+    for size in range(1, args.max_size + 1):
+        kernel = build_kernel(target.natural_family, size)
+        estimate = project(kernel, function_moments(target, size))
+        taylor = taylor_comparator(target, size)
+        est_e, est_n = error_variance(target, estimate, args.precision_bits)
+        tay_e, tay_n = error_variance(target, taylor, args.precision_bits)
+        cells = [mpf_decimal_str(tay_n, SIG_DIGITS), mpf_decimal_str(est_n, SIG_DIGITS)]
+        if target.rational:
+            cells += [exact_str(tay_e), exact_str(est_e)]
+        table.append((size, cells))
+    lines = [f"target={target.name}", "size  taylor_variance  estimate_variance"]
+    for size, cells in table:
+        extra = f"  (exact {cells[2]}, {cells[3]})" if target.rational else ""
+        lines.append(f"{size:>4}  {cells[0]}  {cells[1]}{extra}")
+    _emit(
+        args,
+        {
             "target": target.name,
-            "sizes": [r[0] for r in rows],
+            "sizes": [size for size, _ in table],
             "grade": 0,
-            "data": data,
-        }
-        _emit(args, _json_text(payload))
-    elif args.format == "csv":
-        header = ["size", "taylor", "estimate"]
-        if exact_cols:
-            header += ["taylor_exact", "estimate_exact"]
-        out_rows = []
-        for size, tay_e, tay_n, est_e, est_n in rows:
-            row = [str(size), mpf_decimal_str(tay_n, SIG_DIGITS), mpf_decimal_str(est_n, SIG_DIGITS)]
-            if exact_cols:
-                row += [exact_str(tay_e), exact_str(est_e)]
-            out_rows.append(row)
-        _emit(args, _csv_text(header, out_rows))
-    else:
-        lines = [f"target={target.name}", "size  taylor_variance  estimate_variance"]
-        for size, tay_e, tay_n, est_e, est_n in rows:
-            extra = f"  (exact {exact_str(tay_e)}, {exact_str(est_e)})" if exact_cols else ""
-            lines.append(
-                f"{size:>4}  {mpf_decimal_str(tay_n, SIG_DIGITS)}  "
-                f"{mpf_decimal_str(est_n, SIG_DIGITS)}{extra}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+            "data": [{"size": size, **dict(zip(columns, cells))} for size, cells in table],
+        },
+        ["size"] + columns,
+        [[str(size)] + cells for size, cells in table],
+        lines,
+    )
     return 0
 
 
@@ -204,39 +173,23 @@ def cmd_project(args) -> int:
     taylor = taylor_comparator(target, args.size)
 
     by_power: dict[int, list[str | None]] = {}
-    for idx, coeff in enumerate(estimate.coefficients):
-        by_power.setdefault(family.basis_power(idx + 1), [None, None])[0] = exact_str(coeff)
-    for idx, coeff in enumerate(taylor.coefficients):
-        by_power.setdefault(family.basis_power(idx + 1), [None, None])[1] = exact_str(coeff)
-    powers = sorted(by_power)
-
-    if args.format == "json":
-        payload = {
+    for slot, poly in enumerate((estimate, taylor)):
+        for idx, coeff in enumerate(poly.coefficients):
+            by_power.setdefault(family.basis_power(idx + 1), [None, None])[slot] = exact_str(coeff)
+    table = [(p, *by_power[p]) for p in sorted(by_power)]
+    _emit(
+        args,
+        {
             "target": target.name,
             "size": args.size,
             "grade": 0,
-            "data": [
-                {
-                    "power": p,
-                    "estimate": by_power[p][0],
-                    "taylor": by_power[p][1],
-                }
-                for p in powers
-            ],
-        }
-        _emit(args, _json_text(payload))
-    elif args.format == "csv":
-        rows = [
-            [str(p), by_power[p][0] or "", by_power[p][1] or ""] for p in powers
-        ]
-        _emit(args, _csv_text(["power", "estimate", "taylor"], rows))
-    else:
-        lines = [f"target={target.name} size={args.size}"]
-        for p in powers:
-            est, tay = by_power[p]
-            lines.append(f"x^{p}: estimate={est if est is not None else '-'}"
-                         f"  taylor={tay if tay is not None else '-'}")
-        _emit(args, "\n".join(lines) + "\n")
+            "data": [{"power": p, "estimate": est, "taylor": tay} for p, est, tay in table],
+        },
+        ["power", "estimate", "taylor"],
+        [[str(p), est or "", tay or ""] for p, est, tay in table],
+        [f"target={target.name} size={args.size}"]
+        + [f"x^{p}: estimate={est or '-'}  taylor={tay or '-'}" for p, est, tay in table],
+    )
     return 0
 
 
@@ -266,43 +219,34 @@ def cmd_plotdata(args) -> int:
                 mpf_decimal_str(tx, SIG_DIGITS),
             ]
         )
-    _emit(args, _csv_text(["x", "f", "estimate", "taylor"], rows))
+    _emit(args, None, ["x", "f", "estimate", "taylor"], rows, None)
     return 0
 
 
 def cmd_verify(args) -> int:
     results = run_checks(args.max_size, inject_corruption=args.inject_corruption)
-    failed = [r for r in results if not r.passed]
-    if args.format == "json":
-        payload = {
+    n_failed = sum(not r.passed for r in results)
+    status = ["pass" if r.passed else "FAIL" for r in results]
+    _emit(
+        args,
+        {
             "max_size": args.max_size,
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
+            "passed": len(results) - n_failed,
+            "failed": n_failed,
             "data": [
-                {
-                    "check": r.name,
-                    "family": r.family,
-                    "size": r.size,
-                    "passed": r.passed,
-                }
+                {"check": r.name, "family": r.family, "size": r.size, "passed": r.passed}
                 for r in results
             ],
-        }
-        _emit(args, _json_text(payload))
-    elif args.format == "csv":
-        rows = [[r.name, r.family, str(r.size), "pass" if r.passed else "FAIL"] for r in results]
-        _emit(args, _csv_text(["check", "family", "size", "result"], rows))
-    else:
-        lines = []
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            lines.append(f"{status}  {r.name}  family={r.family}  size={r.size}")
-        lines.append(
-            f"{len(results) - len(failed)} passed, {len(failed)} failed "
+        },
+        ["check", "family", "size", "result"],
+        [[r.name, r.family, str(r.size), st] for r, st in zip(results, status)],
+        [f"{st}  {r.name}  family={r.family}  size={r.size}" for r, st in zip(results, status)]
+        + [
+            f"{len(results) - n_failed} passed, {n_failed} failed "
             f"(families x sizes 1..{args.max_size})"
-        )
-        _emit(args, "\n".join(lines) + "\n")
-    return 1 if failed else 0
+        ],
+    )
+    return 1 if n_failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--samples", type=int, default=512)
     p_plot.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
     p_plot.add_argument("--out", metavar="PATH", default=None)
-    p_plot.set_defaults(func=cmd_plotdata)
+    p_plot.set_defaults(func=cmd_plotdata, format="csv")
 
     p_verify = sub.add_parser("verify", help="run the exact self-verification suites")
     p_verify.add_argument("--max-size", type=_positive_int, required=True)

@@ -29,7 +29,9 @@ class Family:
 
     The 1-based basis element ``i`` is ``x**(stride*(i-1)+offset)``:
     stride 1/offset 0 for Laguerre, stride 2 with offset 0 (even) or 1
-    (odd) on the symmetric domains.
+    (odd) on the symmetric domains.  ``moment_grade`` is the sqrt(pi) power
+    every nonzero weighted moment carries (1 for Hermite, else 0); the Gram
+    matrix and the norms share it and the kernel carries its negative.
     """
 
     name: str
@@ -38,6 +40,7 @@ class Family:
     offset: int
     domain: str
     weight: str
+    moment_grade: int = 0
 
     def basis_power(self, i: int) -> int:
         """Monomial power of the 1-based basis element ``i``."""
@@ -47,8 +50,8 @@ class Family:
 LAGUERRE = Family("laguerre", "laguerre", 1, 0, "(0, inf)", "exp(-x)")
 LEGENDRE_EVEN = Family("legendre-even", "legendre", 2, 0, "(-1, 1)", "1")
 LEGENDRE_ODD = Family("legendre-odd", "legendre", 2, 1, "(-1, 1)", "1")
-HERMITE_EVEN = Family("hermite-even", "hermite", 2, 0, "(-inf, inf)", "exp(-x^2)")
-HERMITE_ODD = Family("hermite-odd", "hermite", 2, 1, "(-inf, inf)", "exp(-x^2)")
+HERMITE_EVEN = Family("hermite-even", "hermite", 2, 0, "(-inf, inf)", "exp(-x^2)", 1)
+HERMITE_ODD = Family("hermite-odd", "hermite", 2, 1, "(-inf, inf)", "exp(-x^2)", 1)
 
 ALL_FAMILIES = (LAGUERRE, LEGENDRE_EVEN, LEGENDRE_ODD, HERMITE_EVEN, HERMITE_ODD)
 FAMILIES = {f.name: f for f in ALL_FAMILIES}
@@ -76,21 +79,19 @@ def double_factorial(m: int) -> int:
 
 
 @dataclass(frozen=True)
-class CoeffMatrix:
-    """Lower-triangular expansion coefficients of the orthogonal polynomials.
+class GradedMatrix:
+    """An exact n x n matrix over a family's basis, with one sqrt(pi) grade.
 
-    Row ``i`` (1-based) lists the coefficients of the family's i-th
-    orthogonal polynomial on the basis powers, ascending; entries above the
-    diagonal are zero and the diagonal never vanishes.
+    ``entries`` holds the rational core; every entry is that rational times
+    ``sqrt(pi)**sqrtpi_power``.  The same type carries the coefficient
+    matrix A (grade 0), the moment Gram matrix G (the family's moment grade)
+    and the kernel B = G**-1 (its negative).
     """
 
     family: Family
     n: int
     entries: tuple[tuple[Fraction, ...], ...]
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij  # 0-based
-        return self.entries[i][j]
+    sqrtpi_power: int = 0
 
 
 def _coeff_entry(family: Family, i: int, j: int) -> Fraction:
@@ -112,8 +113,13 @@ def _coeff_entry(family: Family, i: int, j: int) -> Fraction:
     )
 
 
-def coeff_matrix(family: Family, n: int) -> CoeffMatrix:
-    """Exact expansion matrix for the first ``n`` polynomials of the family."""
+def coeff_matrix(family: Family, n: int) -> GradedMatrix:
+    """Exact expansion matrix for the first ``n`` polynomials of the family.
+
+    Row ``i`` lists the coefficients of the family's i-th orthogonal
+    polynomial on the basis powers, ascending; entries above the diagonal
+    are zero and the diagonal never vanishes.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rows = tuple(
@@ -123,7 +129,7 @@ def coeff_matrix(family: Family, n: int) -> CoeffMatrix:
         )
         for i in range(1, n + 1)
     )
-    return CoeffMatrix(family, n, rows)
+    return GradedMatrix(family, n, rows)
 
 
 def norm_vector(family: Family, n: int) -> tuple[ScaledRational, ...]:
@@ -179,3 +185,18 @@ def monomial_moment(family: Family, k: int) -> ScaledRational:
     if k % 2 == 1:
         return ScaledRational(Fraction(0))
     return ScaledRational(Fraction(double_factorial(k - 1), 2 ** (k // 2)), 1)
+
+
+def moment_cores(family: Family, n: int, power: int) -> tuple[Fraction, ...]:
+    """Rational cores of the moments of ``x**(p_i + power)``, i = 1..n.
+
+    Every nonzero moment carries the family's ``moment_grade``, which the
+    caller attaches once to the whole matrix or vector.
+    """
+    out = []
+    for i in range(1, n + 1):
+        m = monomial_moment(family, family.basis_power(i) + power)
+        if m.coefficient != 0 and m.sqrtpi_power != family.moment_grade:
+            raise AssertionError("moment grade drifted from the family grade")
+        out.append(m.coefficient)
+    return tuple(out)

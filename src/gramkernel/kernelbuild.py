@@ -14,43 +14,24 @@ placement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .exactscalar import ScaledRational, gamma_ratio
-from .families import Family, coeff_matrix, norm_vector
+from .families import Family, GradedMatrix, coeff_matrix, norm_vector
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Symmetric positive-definite matrix of kernel coefficients b_ij.
+def build_kernel(family: Family, n: int) -> GradedMatrix:
+    """Kernel matrix B = G**-1 from the orthogonal-expansion sum, exact.
 
-    ``entries`` holds the rational core; ``sqrtpi_power`` is the single
-    global sqrt(pi) grade every entry shares (0 for Legendre/Laguerre, -1
-    for Hermite).  The kernel polynomial is
-    ``K(x, y) = sum_ij b_ij x**p_i y**p_j`` with ``p_i`` the family's basis
-    powers.
+    B is symmetric positive definite with grade ``-family.moment_grade``;
+    the kernel polynomial is ``K(x, y) = sum_ij b_ij x**p_i y**p_j`` with
+    ``p_i`` the family's basis powers.
     """
-
-    family: Family
-    n: int
-    entries: tuple[tuple[Fraction, ...], ...]
-    sqrtpi_power: int = 0
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij  # 0-based
-        return self.entries[i][j]
-
-
-def build_kernel(family: Family, n: int) -> KernelMatrix:
-    """Kernel matrix B = G**-1 from the orthogonal-expansion sum, exact."""
     if n < 1:
         raise ValueError("n must be >= 1")
     a = coeff_matrix(family, n)
-    norms = norm_vector(family, n)
-    grade = norms[0].sqrtpi_power  # uniform across the family
-    lam = [v.coefficient for v in norms]
+    lam = [v.coefficient for v in norm_vector(family, n)]
     rows = []
     for i in range(n):
         row = []
@@ -63,10 +44,10 @@ def build_kernel(family: Family, n: int) -> KernelMatrix:
                 )
             )
         rows.append(tuple(row))
-    return KernelMatrix(family, n, tuple(rows), -grade)
+    return GradedMatrix(family, n, tuple(rows), -family.moment_grade)
 
 
-def kernel_eval(kernel: KernelMatrix, x: Fraction, y: Fraction) -> ScaledRational:
+def kernel_eval(kernel: GradedMatrix, x: Fraction, y: Fraction) -> ScaledRational:
     """Exact K(x, y) = sum_ij b_ij x**p_i y**p_j."""
     x = Fraction(x)
     y = Fraction(y)
@@ -160,7 +141,7 @@ def _closed_form_hermite(family: Family, n: int) -> tuple[tuple[Fraction, ...], 
 
 def closed_form_kernel(
     family: Family, n: int, *, legendre_printed: bool = False
-) -> KernelMatrix:
+) -> GradedMatrix:
     """Per-family closed-form b_ij, as a cross-check of :func:`build_kernel`.
 
     The Laguerre and Hermite closed forms match the generic construction as
@@ -172,9 +153,9 @@ def closed_form_kernel(
     if n < 1:
         raise ValueError("n must be >= 1")
     if family.measure == "laguerre":
-        entries, grade = _closed_form_laguerre(n), 0
+        entries = _closed_form_laguerre(n)
     elif family.measure == "legendre":
-        entries, grade = _closed_form_legendre(family, n, legendre_printed), 0
+        entries = _closed_form_legendre(family, n, legendre_printed)
     else:
-        entries, grade = _closed_form_hermite(family, n), -1
-    return KernelMatrix(family, n, entries, grade)
+        entries = _closed_form_hermite(family, n)
+    return GradedMatrix(family, n, entries, -family.moment_grade)

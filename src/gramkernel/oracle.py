@@ -9,12 +9,10 @@ cross-validation rather than a shared code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactscalar import ScaledRational
-from .families import Family, monomial_moment
-from .kernelbuild import KernelMatrix
+from .families import Family, GradedMatrix, moment_cores
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -23,39 +21,16 @@ class SingularMatrixError(ArithmeticError):
     """A zero pivot appeared; the input cannot be a valid Gram matrix."""
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Moment Gram matrix of a family's monomial basis.
+def gram_from_moments(family: Family, n: int) -> GradedMatrix:
+    """Entry (i, j) = moment of x**(p_i + p_j) under the family weight.
 
-    Hankel-structured (entry (i, j) depends only on i + j) and positive
-    definite.  ``sqrtpi_power`` is the global grade: +1 for Hermite, else 0.
+    Hankel-structured (entry (i, j) depends only on i + j), positive
+    definite, and of the family's moment grade.
     """
-
-    family: Family
-    n: int
-    entries: Matrix
-    sqrtpi_power: int = 0
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij  # 0-based
-        return self.entries[i][j]
-
-
-def gram_from_moments(family: Family, n: int) -> GramMatrix:
-    """Entry (i, j) = moment of x**(p_i + p_j) under the family weight."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    grade = 1 if family.measure == "hermite" else 0
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            m = monomial_moment(family, family.basis_power(i) + family.basis_power(j))
-            if m.coefficient != 0 and m.sqrtpi_power != grade:
-                raise AssertionError("moment grade drifted from the family grade")
-            row.append(m.coefficient)
-        rows.append(tuple(row))
-    return GramMatrix(family, n, tuple(rows), grade)
+    rows = tuple(moment_cores(family, n, family.basis_power(i)) for i in range(1, n + 1))
+    return GradedMatrix(family, n, rows, family.moment_grade)
 
 
 def _forward_eliminate(rows: list[list[Fraction]], width: int) -> list[Fraction]:
@@ -118,7 +93,7 @@ def bareiss_inverse(entries: Matrix) -> tuple[Matrix, Fraction]:
     return inverse, det
 
 
-def invert_exact(gram: GramMatrix) -> tuple[KernelMatrix, ScaledRational]:
+def invert_exact(gram: GradedMatrix) -> tuple[GradedMatrix, ScaledRational]:
     """Exact inverse of a Gram matrix, with grade and determinant.
 
     The sqrt(pi) grade factors out of the elimination entirely: the rational
@@ -126,6 +101,6 @@ def invert_exact(gram: GramMatrix) -> tuple[KernelMatrix, ScaledRational]:
     determinant carries n times the grade.
     """
     inverse, det = bareiss_inverse(gram.entries)
-    kernel = KernelMatrix(gram.family, gram.n, inverse, -gram.sqrtpi_power)
+    kernel = GradedMatrix(gram.family, gram.n, inverse, -gram.sqrtpi_power)
     determinant = ScaledRational(det, gram.n * gram.sqrtpi_power)
     return kernel, determinant

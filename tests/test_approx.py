@@ -18,6 +18,7 @@ from gramkernel.approx import (
     SIN_PI,
     TARGETS,
     ApproxPolynomial,
+    TargetFunction,
     error_variance,
     eval_polynomial,
     function_moments,
@@ -33,6 +34,16 @@ from gramkernel.families import ALL_FAMILIES, LAGUERRE, LEGENDRE_EVEN, LEGENDRE_
 from gramkernel.kernelbuild import build_kernel
 
 ALL_TARGETS = (SIN_PI, COS_PI, EXP_NEG)
+
+# f(x) = x on (-1, 1), a target outside TARGETS: integral x * y**k dy = 2/(k+2)
+# for odd k, and |f|^2 = 2/3.  It lies in the legendre-odd span at every size.
+IDENTITY = TargetFunction(
+    "x", LEGENDRE_ODD, PiLaurent(Fraction(2, 3)),
+    moments=lambda k_max: {k: PiLaurent(Fraction(2, k + 2)) for k in range(1, k_max + 1, 2)},
+    taylor_term=lambda k: PiLaurent(1 if k == 0 else 0),
+    value=lambda x: x,
+    rational=True,
+)
 
 
 def kernel_estimate(target, n):
@@ -353,3 +364,16 @@ class TestTargets:
         assert target_value(EXP_NEG, 0) == 1
         assert abs(target_value(SIN_PI, mpf(1) / 2) - 1) < mpf("1e-70")
         assert abs(target_value(COS_PI, 1) + 1) < mpf("1e-70")
+
+
+class TestTargetRecord:
+    def test_new_target_is_one_record(self):
+        assert IDENTITY.name not in TARGETS
+        for n in range(1, 7):
+            estimate = kernel_estimate(IDENTITY, n)
+            assert estimate.coefficients == tuple(PiLaurent(int(k == 0)) for k in range(n))
+            var, num = error_variance(IDENTITY, estimate)
+            assert var == PiLaurent(0) and num == 0
+            tay_var, _ = error_variance(IDENTITY, taylor_comparator(IDENTITY, n))
+            assert tay_var == PiLaurent(0)
+        assert target_value(IDENTITY, Fraction(1, 4)) == mpf(1) / 4

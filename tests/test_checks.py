@@ -1,0 +1,33 @@
+"""run_checks: one set of artefacts per (family, n), and the negative control."""
+
+from gramkernel import checks
+from gramkernel.families import HERMITE_ODD, LAGUERRE
+
+ARTEFACT_BUILDERS = (
+    "build_kernel",
+    "gram_from_moments",
+    "invert_exact",
+    "coeff_matrix",
+    "norm_vector",
+    "leading_principal_minors",
+)
+
+
+def test_artefacts_built_once_per_family_and_size(monkeypatch):
+    calls = dict.fromkeys(ARTEFACT_BUILDERS, 0)
+    for name in ARTEFACT_BUILDERS:
+        def counted(*args, _fn=getattr(checks, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(checks, name, counted)
+    results = checks.run_checks(3, families=(LAGUERRE, HERMITE_ODD))
+    assert len(results) == 2 * 3 * 8
+    assert all(r.passed for r in results)
+    assert calls == dict.fromkeys(ARTEFACT_BUILDERS, 2 * 3)
+
+
+def test_corruption_reaches_only_the_oracle_equivalence_check():
+    results = checks.run_checks(3, inject_corruption=True)
+    assert {r.name for r in results if not r.passed} == {"oracle-equivalence"}
+    assert all(not r.passed for r in results if r.name == "oracle-equivalence")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +245,16 @@ class TestOutputBehaviour:
             ["cond", "--family", "laguerre", "--max-size", "2", "--precision-bits", "64"],
         ) == 2
 
+    def test_out_unwritable_is_io_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cond", "--family", "laguerre", "--max-size", "3",
+                  "--out", "/nonexistent/x"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write /nonexistent/x: ")
+        assert captured.err.count("\n") == 1
+
     def test_out_writes_file(self, tmp_path, capsys):
         path = tmp_path / "kernel.json"
         code, out = run_cli(capsys, ["kernel", "--family", "laguerre", "--size", "2",
@@ -251,3 +262,33 @@ class TestOutputBehaviour:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["data"] == [["2", "-1"], ["-1", "1"]]
+
+
+SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
+SNAPSHOT_ARGV = {
+    "kernel_hermite-odd_3": ["kernel", "--family", "hermite-odd", "--size", "3"],
+    "cond_legendre-odd_4": ["cond", "--family", "legendre-odd", "--max-size", "4"],
+    "variance_exp-neg_4": ["variance", "--target", "exp-neg", "--max-size", "4"],
+    "variance_sin-pi_3": ["variance", "--target", "sin-pi", "--max-size", "3"],
+    "project_cos-pi_2": ["project", "--target", "cos-pi", "--size", "2"],
+    "verify_2": ["verify", "--max-size", "2"],
+}
+SNAPSHOTS = [
+    (f"{name}.{fmt}", argv + ["--format", fmt])
+    for name, argv in SNAPSHOT_ARGV.items()
+    for fmt in ("text", "csv", "json")
+] + [
+    ("plotdata_exp-neg_3.csv", ["plotdata", "--target", "exp-neg", "--size", "3",
+                                "--xmin", "0", "--xmax", "2", "--samples", "5"]),
+    ("plotdata_sin-pi_2.csv", ["plotdata", "--target", "sin-pi", "--size", "2",
+                               "--xmin=-3/4", "--xmax=3/4", "--samples", "7"]),
+]
+
+
+@pytest.mark.parametrize("filename, argv", SNAPSHOTS, ids=[f for f, _ in SNAPSHOTS])
+def test_output_matches_snapshot_byte_for_byte(capsys, filename, argv):
+    """Every layout, pinned: tests/snapshots/<case>.<format> holds the exact
+    stdout, so any change to a text, CSV or JSON layout shows here."""
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert out == (SNAPSHOT_DIR / filename).read_bytes().decode("utf-8")
