@@ -24,6 +24,7 @@ from .approx import (
     target_by_name,
     taylor_comparator,
     taylor_polynomial,
+    variance_rows,
 )
 from .checks import CheckResult, run_checks
 from .conditioning import (
@@ -59,7 +60,7 @@ from .families import (
     norm_vector,
     printed_legendre_norm,
 )
-from .kernelbuild import build_kernel, closed_form_kernel, kernel_eval
+from .kernelbuild import build_kernel, closed_form_kernel, kernel_eval, kernel_sweep
 from .oracle import (
     SingularMatrixError,
     bareiss_inverse,
@@ -112,6 +113,7 @@ __all__ = [
     "inf_norm",
     "invert_exact",
     "kernel_eval",
+    "kernel_sweep",
     "leading_principal_minors",
     "monomial_moment",
     "monomial_moment_vector",
@@ -123,4 +125,5 @@ __all__ = [
     "taylor_comparator",
     "taylor_polynomial",
     "to_bigfloat",
+    "variance_rows",
 ]

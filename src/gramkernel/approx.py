@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from mpmath import mp, mpf
 
@@ -33,7 +33,9 @@ from .families import (
     LAGUERRE,
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
+    coeff_matrix,
     moment_cores,
+    norm_vector,
 )
 from .oracle import gram_from_moments
 
@@ -242,6 +244,31 @@ def taylor_comparator(target: TargetFunction, size: int) -> ApproxPolynomial:
     )
 
 
+def _prefix_variances(
+    target: TargetFunction,
+    coefficients: tuple[PiLaurent, ...],
+    moments: MomentVector,
+    gram: GradedMatrix,
+) -> Iterator[PiLaurent]:
+    """Error variance of every prefix ``p_1..p_k`` of ``coefficients``.
+
+    Adding term k to ``|f|^2 - 2 p.m + p^T G p`` adds
+    ``p_k (2 sum_{l<k} p_l g_kl + p_k g_kk - 2 m_k)``, so each prefix costs
+    O(k) over the one before.  ``moments`` and ``gram`` must be at least as
+    long as ``coefficients``.
+    """
+    if gram.sqrtpi_power != 0:
+        raise AssertionError("built-in targets live on grade-0 Gram matrices")
+    var = target.squared_integral
+    for k, p_k in enumerate(coefficients):
+        row = gram.entries[k]
+        cross = PiLaurent()
+        for l in range(k):
+            cross = cross + coefficients[l] * row[l]
+        var = var + p_k * (cross * 2 + p_k * row[k] - moments.entries[k] * 2)
+        yield var
+
+
 def error_variance(
     target: TargetFunction,
     poly: ApproxPolynomial,
@@ -250,8 +277,8 @@ def error_variance(
     """Weighted squared L2 error of ``poly`` against the target, exact.
 
     Returns the exact pi-Laurent value together with its numeric rendering.
-    For kernel estimates the general formula collapses to
-    ``|f|^2 - m^T B m``, but the general form is evaluated for every kind.
+    The general form ``|f|^2 - 2 p.m + p^T G p`` is evaluated for every
+    kind of polynomial, as the last of its prefix variances.
     """
     if poly.family != target.natural_family:
         raise ValueError(
@@ -260,16 +287,42 @@ def error_variance(
     n = len(poly)
     moments = function_moments(target, n)
     gram = gram_from_moments(target.natural_family, n)
-    if gram.sqrtpi_power != 0:
-        raise AssertionError("built-in targets live on grade-0 Gram matrices")
-    var = target.squared_integral
-    for k in range(n):
-        var = var + poly.coefficients[k] * moments.entries[k] * Fraction(-2)
-    for k in range(n):
-        row = gram.entries[k]
-        for l in range(n):
-            var = var + poly.coefficients[k] * poly.coefficients[l] * row[l]
+    for var in _prefix_variances(target, poly.coefficients, moments, gram):
+        pass
     return var, eval_pilaurent(var, precision_bits)
+
+
+def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[PiLaurent, PiLaurent]]:
+    """Exact (Taylor, kernel estimate) error variances for sizes 1..max_size.
+
+    Entry ``n - 1`` is the pair for size n.  The Taylor column is the
+    prefix variance of :func:`taylor_comparator`; the estimate column
+    follows Bessel's identity ``var_n = var_{n-1} - (a_n . m)**2 / lambda_n``
+    from the orthogonal-polynomial rows ``a_n`` and norms ``lambda_n``,
+    which equals the general form at ``c = B_n m``.  Moments, Gram matrix
+    and coefficient matrix are each built once, at the largest size.
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    fam = target.natural_family
+    taylor = taylor_comparator(target, max_size).coefficients
+    n = len(taylor)
+    moments = function_moments(target, n)
+    gram = gram_from_moments(fam, n)
+    extra = target.comparator_extra_terms
+    tay = list(_prefix_variances(target, taylor, moments, gram))[extra:]
+
+    a = coeff_matrix(fam, max_size).entries
+    lam = [v.coefficient for v in norm_vector(fam, max_size)]
+    est = []
+    var = target.squared_integral
+    for k in range(max_size):
+        proj = PiLaurent()
+        for i in range(k + 1):
+            proj = proj + moments.entries[i] * a[k][i]
+        var = var - proj * proj * (1 / lam[k])
+        est.append(var)
+    return list(zip(tay, est))
 
 
 def eval_polynomial(

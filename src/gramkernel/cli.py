@@ -19,12 +19,12 @@ from fractions import Fraction
 
 from .approx import (
     eval_polynomial,
-    error_variance,
     function_moments,
     project,
     target_by_name,
     target_value,
     taylor_comparator,
+    variance_rows,
     TARGETS,
 )
 from .checks import run_checks
@@ -34,6 +34,7 @@ from .exactscalar import (
     MIN_PRECISION_BITS,
     PiLaurent,
     decimal_str,
+    eval_pilaurent,
     mpf_decimal_str,
 )
 from .families import FAMILIES, family_by_name
@@ -84,10 +85,28 @@ def _emit(args, payload: dict | None, header: list[str], rows: list[list[str]],
         sys.stdout.write(text)
         return
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_atomically(args.out, text)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Write a temp file beside ``path``, then rename it over ``path``.
+
+    Readers see the old file or the whole new one, never a partial one; on
+    failure the temp file is removed and the error propagates.
+    """
+    import os  # only --out needs it
+
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def cmd_kernel(args) -> int:
@@ -136,15 +155,12 @@ def cmd_variance(args) -> int:
     if target.rational:  # pure rationals, worth emitting exactly too
         columns += ["taylor_exact", "estimate_exact"]
     table = []
-    for size in range(1, args.max_size + 1):
-        kernel = build_kernel(target.natural_family, size)
-        estimate = project(kernel, function_moments(target, size))
-        taylor = taylor_comparator(target, size)
-        est_e, est_n = error_variance(target, estimate, args.precision_bits)
-        tay_e, tay_n = error_variance(target, taylor, args.precision_bits)
-        cells = [mpf_decimal_str(tay_n, SIG_DIGITS), mpf_decimal_str(est_n, SIG_DIGITS)]
+    for size, pair in enumerate(variance_rows(target, args.max_size), start=1):
+        cells = [
+            mpf_decimal_str(eval_pilaurent(v, args.precision_bits), SIG_DIGITS) for v in pair
+        ]
         if target.rational:
-            cells += [exact_str(tay_e), exact_str(est_e)]
+            cells += [exact_str(v) for v in pair]
         table.append((size, cells))
     lines = [f"target={target.name}", "size  taylor_variance  estimate_variance"]
     for size, cells in table:

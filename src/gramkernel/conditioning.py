@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .exactscalar import decimal_str
-from .families import Family
-from .kernelbuild import build_kernel
+from .families import Family, GradedMatrix
+from .kernelbuild import build_kernel, kernel_sweep
 from .oracle import gram_from_moments
 
 
@@ -39,22 +39,30 @@ def inf_norm(entries: Iterable[Iterable[Fraction]]) -> Fraction:
     return max(norms)
 
 
-def condition_number(family: Family, n: int) -> Fraction:
-    """kappa_inf of the size-n monomial Gram matrix, as an exact rational."""
-    gram = gram_from_moments(family, n)
-    kernel = build_kernel(family, n)
+def _kappa(gram: GradedMatrix, kernel: GradedMatrix) -> Fraction:
+    """kappa_inf of the kernel's size, from the leading block of ``gram``."""
     if gram.sqrtpi_power + kernel.sqrtpi_power != 0:
         raise AssertionError("sqrt(pi) grades failed to cancel in kappa")
-    return inf_norm(gram.entries) * inf_norm(kernel.entries)
+    n = kernel.n
+    return inf_norm(row[:n] for row in gram.entries[:n]) * inf_norm(kernel.entries)
+
+
+def condition_number(family: Family, n: int) -> Fraction:
+    """kappa_inf of the size-n monomial Gram matrix, as an exact rational."""
+    return _kappa(gram_from_moments(family, n), build_kernel(family, n))
 
 
 def condition_table(family: Family, max_size: int, sig_digits: int = 17) -> ConditionReport:
-    """Rows (size, exact kappa, decimal kappa) for sizes 1..max_size."""
+    """Rows (size, exact kappa, decimal kappa) for sizes 1..max_size.
+
+    One kernel sweep and one size-``max_size`` Gram matrix serve every row:
+    the size-n Gram matrix is the leading n x n block of the largest.
+    """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    rows = tuple(
-        ConditionRow(n, kappa, decimal_str(kappa, sig_digits))
-        for n in range(1, max_size + 1)
-        for kappa in (condition_number(family, n),)
-    )
-    return ConditionReport(family, rows)
+    gram = gram_from_moments(family, max_size)
+    rows = []
+    for kernel in kernel_sweep(family, max_size):
+        kappa = _kappa(gram, kernel)
+        rows.append(ConditionRow(kernel.n, kappa, decimal_str(kappa, sig_digits)))
+    return ConditionReport(family, tuple(rows))

@@ -28,6 +28,7 @@ from gramkernel.approx import (
     target_value,
     taylor_comparator,
     taylor_polynomial,
+    variance_rows,
 )
 from gramkernel.exactscalar import PiLaurent, eval_pilaurent
 from gramkernel.families import ALL_FAMILIES, LAGUERRE, LEGENDRE_EVEN, LEGENDRE_ODD
@@ -364,6 +365,23 @@ class TestTargets:
         assert target_value(EXP_NEG, 0) == 1
         assert abs(target_value(SIN_PI, mpf(1) / 2) - 1) < mpf("1e-70")
         assert abs(target_value(COS_PI, 1) + 1) < mpf("1e-70")
+
+
+class TestVarianceRows:
+    """variance_rows (Bessel's identity, prefix Taylor form) against the
+    general quadratic form evaluated from scratch at every size."""
+
+    @pytest.mark.parametrize("target", ALL_TARGETS + (IDENTITY,), ids=lambda t: t.name)
+    def test_rows_equal_error_variance_at_every_size(self, target):
+        rows = variance_rows(target, 14)
+        assert len(rows) == 14
+        for n, (taylor_var, estimate_var) in enumerate(rows, start=1):
+            assert taylor_var == error_variance(target, taylor_comparator(target, n))[0]
+            assert estimate_var == error_variance(target, kernel_estimate(target, n))[0]
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            variance_rows(EXP_NEG, 0)
 
 
 class TestTargetRecord:

@@ -263,6 +263,30 @@ class TestOutputBehaviour:
         assert out == ""
         assert json.loads(path.read_text())["data"] == [["2", "-1"], ["-1", "1"]]
 
+    def test_out_leaves_no_temp_file(self, tmp_path, capsys):
+        path = tmp_path / "cond.csv"
+        path.write_text("old contents\n")
+        code, out = run_cli(capsys, ["cond", "--family", "laguerre", "--max-size", "2",
+                                     "--format", "csv", "--out", str(path)])
+        assert code == 0 and out == ""
+        assert path.read_text().startswith("size,kappa_exact,kappa_decimal\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cond.csv"]
+
+    def test_out_failed_rename_leaves_no_file(self, tmp_path, capsys):
+        """The temp file is written, then the rename onto a directory fails:
+        exit 2, one error line, and nothing left beside the target."""
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cond", "--family", "laguerre", "--max-size", "2", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
+
 
 SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
 SNAPSHOT_ARGV = {
@@ -277,6 +301,17 @@ SNAPSHOTS = [
     (f"{name}.{fmt}", argv + ["--format", fmt])
     for name, argv in SNAPSHOT_ARGV.items()
     for fmt in ("text", "csv", "json")
+] + [
+    # benchmark sizes; trig sizes stay <= 10, where the printed digits are right
+    (f"{name}.{fmt}", argv + ["--format", fmt])
+    for name, argv in {
+        "cond_laguerre_32": ["cond", "--family", "laguerre", "--max-size", "32"],
+        "cond_hermite-even_26": ["cond", "--family", "hermite-even", "--max-size", "26"],
+        "variance_exp-neg_16": ["variance", "--target", "exp-neg", "--max-size", "16"],
+        "variance_sin-pi_10": ["variance", "--target", "sin-pi", "--max-size", "10"],
+        "variance_cos-pi_10": ["variance", "--target", "cos-pi", "--max-size", "10"],
+    }.items()
+    for fmt in ("text", "json")
 ] + [
     ("plotdata_exp-neg_3.csv", ["plotdata", "--target", "exp-neg", "--size", "3",
                                 "--xmin", "0", "--xmax", "2", "--samples", "5"]),

@@ -88,6 +88,14 @@ class TestConditionTable:
         with pytest.raises(ValueError):
             condition_table(LAGUERRE, 0)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_rows_equal_one_size_condition_numbers(self, family):
+        """The sweep's rows against the from-scratch build of each size."""
+        report = condition_table(family, 12)
+        assert [r.size for r in report.rows] == list(range(1, 13))
+        for row in report.rows:
+            assert row.kappa_exact == condition_number(family, row.size)
+
     def test_decimal_rendering_width(self):
         # at least 17 significant digits available on demand
         report = condition_table(HERMITE_ODD, 8, sig_digits=17)

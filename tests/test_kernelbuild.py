@@ -16,7 +16,12 @@ from gramkernel.families import (
     coeff_matrix,
     norm_vector,
 )
-from gramkernel.kernelbuild import build_kernel, closed_form_kernel, kernel_eval
+from gramkernel.kernelbuild import (
+    build_kernel,
+    closed_form_kernel,
+    kernel_eval,
+    kernel_sweep,
+)
 from gramkernel.oracle import gram_from_moments, invert_exact, leading_principal_minors
 
 
@@ -94,6 +99,35 @@ def test_christoffel_darboux_form(family):
             py = sum(a[k][i] * y ** family.basis_power(i + 1) for i in range(n))
             csum += px * py / lam[k].coefficient
         assert direct == ScaledRational(csum, kernel.sqrtpi_power)
+
+
+class TestKernelSweep:
+    """kernel_sweep grows B by one rank-one term per size; every element must
+    be the kernel of its size, against both independent constructions."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_every_size_matches_closed_form_and_oracle(self, family):
+        sizes = []
+        for kernel in kernel_sweep(family, 12):
+            n = kernel.n
+            sizes.append(n)
+            closed = closed_form_kernel(family, n)
+            inverse, _ = invert_exact(gram_from_moments(family, n))
+            assert kernel.family == family
+            assert kernel.entries == closed.entries == inverse.entries
+            assert kernel.sqrtpi_power == closed.sqrtpi_power == inverse.sqrtpi_power
+        assert sizes == list(range(1, 13))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize("n", (1, 2, 7))
+    def test_build_kernel_is_last_element(self, family, n):
+        *_, last = kernel_sweep(family, n)
+        assert build_kernel(family, n) == last
+
+    @pytest.mark.parametrize("max_n", (0, -3))
+    def test_rejects_empty(self, max_n):
+        with pytest.raises(ValueError):
+            kernel_sweep(LAGUERRE, max_n)
 
 
 class TestKernelEval:
