@@ -131,12 +131,18 @@ def target_by_name(name: str) -> TargetFunction:
         ) from None
 
 
-def target_value(target: TargetFunction, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
-    """Numeric f(x) at the requested precision (for plot data)."""
+def _to_mpf(x) -> mpf:
+    """x at mpmath's working precision; a Fraction is divided out there."""
+    return mpf(x) if not isinstance(x, Fraction) else mpf(x.numerator) / x.denominator
+
+
+def target_value(
+    target: TargetFunction, xs, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> list[mpf]:
+    """Numeric f(x) at the requested precision, for every x in ``xs``."""
     _check_precision(precision_bits)
     with mp.workprec(precision_bits):
-        xv = mpf(x) if not isinstance(x, Fraction) else mpf(x.numerator) / x.denominator
-        return target.value(xv)
+        return [target.value(_to_mpf(x)) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -326,21 +332,27 @@ def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[PiLaurent
 
 
 def eval_polynomial(
-    poly: ApproxPolynomial, x, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> mpf:
-    """Horner evaluation at working precision.
+    poly: ApproxPolynomial, xs, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> list[mpf]:
+    """Horner evaluation at working precision, for every x in ``xs``.
 
     The polynomial is ``x**offset * sum_k c_k (x**stride)**k``, so Horner
-    runs in ``t = x**stride`` after the exact coefficients are rounded once.
+    runs in ``t = x**stride``.  The exact coefficients are rounded once, at
+    ``precision_bits + 16``, for all of ``xs``; each value is then rounded
+    to ``precision_bits``.
     """
     _check_precision(precision_bits)
+    stride, offset = poly.family.stride, poly.family.offset
+    cs = [eval_pilaurent(c, precision_bits + 16) for c in reversed(poly.coefficients)]
+    accs = []
     with mp.workprec(precision_bits + 16):
-        xv = mpf(x) if not isinstance(x, Fraction) else mpf(x.numerator) / x.denominator
-        cs = [eval_pilaurent(c, precision_bits + 16) for c in poly.coefficients]
-        t = xv**poly.family.stride
-        acc = mpf(0)
-        for c in reversed(cs):
-            acc = acc * t + c
-        acc *= xv**poly.family.offset
+        for x in xs:
+            xv = _to_mpf(x)
+            t = xv**stride
+            acc = mpf(0)
+            for c in cs:
+                acc = acc * t + c
+            acc *= xv**offset
+            accs.append(acc)
     with mp.workprec(precision_bits):
-        return +acc
+        return [+acc for acc in accs]

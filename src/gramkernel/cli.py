@@ -4,8 +4,9 @@ plot data, and the self-verification report, as text, CSV, or JSON.
 Exact rationals are serialized as ``p/q`` strings; pi-dependent exact values
 as canonical ``q*pi^m`` sums; decimals are rendered from the exact values at
 ``--precision-bits`` (default 256) and never feed back into any exact field.
+``plotdata --samples`` takes 2 to 65536 points (65536 take about 15 s).
 Exit codes: 0 success, 1 verification failed, 2 usage or I/O error (such as an
-``--out`` path that cannot be written).
+``--out`` path that cannot be written or a ``--samples`` count out of bounds).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .families import FAMILIES, family_by_name
 from .kernelbuild import build_kernel
 
 SIG_DIGITS = 17
+MIN_SAMPLES, MAX_SAMPLES = 2, 65536
 
 
 def exact_str(value: PiLaurent | Fraction) -> str:
@@ -56,6 +58,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    value = int(text)
+    if not MIN_SAMPLES <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"samples must be between {MIN_SAMPLES} and {MAX_SAMPLES}, got {text}"
+        )
     return value
 
 
@@ -220,21 +231,17 @@ def cmd_plotdata(args) -> int:
     estimate = project(kernel, function_moments(target, args.size))
     taylor = taylor_comparator(target, args.size)
 
-    rows = []
     step = (xmax - xmin) / (args.samples - 1)
-    for i in range(args.samples):
-        x = xmin + i * step
-        fx = target_value(target, x, args.precision_bits)
-        ex = eval_polynomial(estimate, x, args.precision_bits)
-        tx = eval_polynomial(taylor, x, args.precision_bits)
-        rows.append(
-            [
-                decimal_str(x, SIG_DIGITS),
-                mpf_decimal_str(fx, SIG_DIGITS),
-                mpf_decimal_str(ex, SIG_DIGITS),
-                mpf_decimal_str(tx, SIG_DIGITS),
-            ]
-        )
+    xs = [xmin + i * step for i in range(args.samples)]
+    columns = (
+        target_value(target, xs, args.precision_bits),
+        eval_polynomial(estimate, xs, args.precision_bits),
+        eval_polynomial(taylor, xs, args.precision_bits),
+    )
+    rows = [
+        [decimal_str(x, SIG_DIGITS)] + [mpf_decimal_str(v, SIG_DIGITS) for v in values]
+        for x, *values in zip(xs, *columns)
+    ]
     _emit(args, None, ["x", "f", "estimate", "taylor"], rows, None)
     return 0
 
@@ -306,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--size", type=_positive_int, required=True)
     p_plot.add_argument("--xmin", default="0")
     p_plot.add_argument("--xmax", default="10")
-    p_plot.add_argument("--samples", type=int, default=512)
+    p_plot.add_argument("--samples", type=_sample_count, default=512)
     p_plot.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
     p_plot.add_argument("--out", metavar="PATH", default=None)
     p_plot.set_defaults(func=cmd_plotdata, format="csv")
@@ -327,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "samples", None) is not None and args.samples < 2:
-        parser.error("--samples must be >= 2")
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

@@ -225,7 +225,7 @@ def test_criterion_4_trig_variance_tables():
                         assert allowed < deviation < abs(ref_num) * mpf("3e-6")
                         residual = quad(
                             lambda y: (sin(pi * y)
-                                       - eval_polynomial(poly, y, 330)) ** 2,
+                                       - eval_polynomial(poly, [y], 330)[0]) ** 2,
                             [-1, 0, 1],
                         )
                         assert abs(value - residual) <= abs(residual) * mpf(10) ** -30

@@ -201,6 +201,15 @@ class TestPlotdataCommand:
              "--xmin", "0", "--xmax", "1", "--samples", "1"],
         ) == 2
 
+    def test_too_many_samples_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plotdata", "--target", "exp-neg", "--size", "2",
+                  "--xmin", "0", "--xmax", "1", "--samples", "65537"])
+        assert excinfo.value.code == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert "65536" in err_lines[-1]
+        assert not any("65536" in line for line in err_lines[:-1])
+
 
 class TestVerifyCommand:
     def test_clean_run_exits_zero(self, capsys):
@@ -317,6 +326,17 @@ SNAPSHOTS = [
                                 "--xmin", "0", "--xmax", "2", "--samples", "5"]),
     ("plotdata_sin-pi_2.csv", ["plotdata", "--target", "sin-pi", "--size", "2",
                                "--xmin=-3/4", "--xmax=3/4", "--samples", "7"]),
+] + [
+    # plotdata at benchmark sizes; the cos-pi window stays off the zeros at
+    # +-1/2, where f prints rounding noise (cos(pi x) with a rounded pi)
+    (f"plotdata_{name}.csv", ["plotdata", "--target", target, "--size", size,
+                              f"--xmin={xmin}", f"--xmax={xmax}", "--samples", "129"] + extra)
+    for name, target, size, xmin, xmax, extra in (
+        ("exp-neg_16", "exp-neg", "16", "3/4", "899/100", []),
+        ("exp-neg_16_512bits", "exp-neg", "16", "3/4", "899/100", ["--precision-bits", "512"]),
+        ("sin-pi_8", "sin-pi", "8", "-41/50", "91/100", []),
+        ("cos-pi_12", "cos-pi", "12", "-2/5", "2/5", []),
+    )
 ]
 
 

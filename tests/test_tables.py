@@ -1,4 +1,6 @@
-"""Each table builds its inputs once, at its largest size, not once per size."""
+"""Each table builds its inputs once, at its largest size, not once per size,
+and ``plotdata`` rounds each exact polynomial coefficient once, not once per
+sample."""
 
 import sys
 
@@ -46,3 +48,13 @@ def test_variance_command_builds_once(monkeypatch, capsys, target):
     capsys.readouterr()
     assert calls == {"coeff_matrix": 1, "norm_vector": 1, "gram_from_moments": 1,
                      "build_kernel": 0, "function_moments": 1, "error_variance": 0}
+
+
+@pytest.mark.parametrize("samples", ("9", "65"))
+def test_plotdata_rounds_each_coefficient_once(monkeypatch, capsys, samples):
+    calls = count_calls(monkeypatch, ("eval_pilaurent", "eval_polynomial", "target_value"))
+    assert main(["plotdata", "--target", "cos-pi", "--size", "4", "--xmin=-2/5",
+                 "--xmax=2/5", "--samples", samples]) == 0
+    capsys.readouterr()
+    # 4 estimate coefficients + 5 Taylor terms, one call per column
+    assert calls == {"eval_pilaurent": 9, "eval_polynomial": 2, "target_value": 1}
