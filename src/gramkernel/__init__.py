@@ -4,8 +4,9 @@ Builds the inverse of monomial Gram matrices in closed form over the three
 classical weighted domains (Legendre, Laguerre, Hermite; the symmetric ones
 split by parity), evaluates the resulting reproducing kernels, conditions
 the Gram systems, and projects target functions onto the kernel span -- all
-in exact rational / sqrt(pi)-graded / pi-Laurent arithmetic, with numeric
-rendering deferred to a single high-precision step.
+in exact rational / pi-Laurent arithmetic, with numeric rendering deferred to
+a single high-precision step.  The Hermite weight's sqrt(pi) is a per-family
+grade, stored once per matrix.
 """
 
 from .approx import (
@@ -28,7 +29,6 @@ from .approx import (
 )
 from .checks import CheckResult, run_checks
 from .conditioning import (
-    ConditionReport,
     ConditionRow,
     condition_number,
     condition_table,
@@ -36,9 +36,7 @@ from .conditioning import (
 )
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
-    GradeMismatchError,
     PiLaurent,
-    ScaledRational,
     decimal_str,
     eval_pilaurent,
     gamma_ratio,
@@ -76,13 +74,11 @@ __all__ = [
     "ApproxPolynomial",
     "COS_PI",
     "CheckResult",
-    "ConditionReport",
     "ConditionRow",
     "DEFAULT_PRECISION_BITS",
     "EXP_NEG",
     "FAMILIES",
     "Family",
-    "GradeMismatchError",
     "GradedMatrix",
     "HERMITE_EVEN",
     "HERMITE_ODD",
@@ -92,7 +88,6 @@ __all__ = [
     "MomentVector",
     "PiLaurent",
     "SIN_PI",
-    "ScaledRational",
     "SingularMatrixError",
     "TARGETS",
     "TargetFunction",

@@ -149,14 +149,12 @@ def target_value(
 class MomentVector:
     """Exact moments of some target against a family's basis monomials.
 
-    ``sqrtpi_power`` is a uniform sqrt(pi) grade shared by all entries; it
-    is 0 for the three built-in targets and +1 for Hermite monomial-moment
-    vectors, where it cancels against the kernel's -1 under projection.
+    Every entry is a core of the family's ``moment_grade``, which cancels
+    against the kernel's negated grade under projection.
     """
 
     family: Family
     entries: tuple[PiLaurent, ...]
-    sqrtpi_power: int = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -193,8 +191,7 @@ def monomial_moment_vector(family: Family, n: int, power: int) -> MomentVector:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cores = moment_cores(family, n, power)
-    return MomentVector(family, tuple(PiLaurent(c) for c in cores), family.moment_grade)
+    return MomentVector(family, tuple(map(PiLaurent, moment_cores(family, n, power))))
 
 
 def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
@@ -205,7 +202,7 @@ def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
         )
     if kernel.n != len(moments):
         raise ValueError(f"kernel size {kernel.n} != moment vector length {len(moments)}")
-    if kernel.sqrtpi_power + moments.sqrtpi_power != 0:
+    if kernel.sqrtpi_power + moments.family.moment_grade != 0:
         raise ValueError("sqrt(pi) grades do not cancel under projection")
     coeffs = []
     for i in range(kernel.n):
@@ -319,7 +316,7 @@ def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[PiLaurent
     tay = list(_prefix_variances(target, taylor, moments, gram))[extra:]
 
     a = coeff_matrix(fam, max_size).entries
-    lam = [v.coefficient for v in norm_vector(fam, max_size)]
+    lam = norm_vector(fam, max_size)
     est = []
     var = target.squared_integral
     for k in range(max_size):

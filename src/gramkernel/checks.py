@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .approx import monomial_moment_vector, project
-from .exactscalar import ScaledRational
 from .families import ALL_FAMILIES, Family, GradedMatrix, coeff_matrix, norm_vector
 from .kernelbuild import build_kernel
 from .oracle import gram_from_moments, invert_exact, leading_principal_minors
@@ -33,8 +32,9 @@ class Artefacts:
     """Everything the checks compare for one (family, n), each built once.
 
     ``inverse`` and ``det_gram`` are the Bareiss inverse and determinant of
-    ``gram``; ``kernel_minors`` are the leading principal minors of
-    ``kernel``.
+    ``gram`` (``det_gram`` a core of grade ``n * gram.sqrtpi_power``);
+    ``norms`` are cores of grade ``family.moment_grade``; ``kernel_minors``
+    are the leading principal minors of ``kernel``.
     """
 
     family: Family
@@ -42,9 +42,9 @@ class Artefacts:
     kernel: GradedMatrix
     gram: GradedMatrix
     inverse: GradedMatrix
-    det_gram: ScaledRational
+    det_gram: Fraction
     coeffs: GradedMatrix
-    norms: tuple[ScaledRational, ...]
+    norms: tuple[Fraction, ...]
     kernel_minors: tuple[Fraction, ...]
 
 
@@ -91,34 +91,24 @@ def check_gram_kernel_identity(a: Artefacts) -> CheckResult:
 
 
 def check_orthogonality(a: Artefacts) -> CheckResult:
-    """A * G * A^T is exactly diagonal with the true norms on the diagonal."""
+    """A * G * A^T is exactly diagonal with the true norms on the diagonal,
+    whose grade is the Gram matrix's."""
     coeffs = a.coeffs.entries
     prod = _matmul(_matmul(coeffs, a.gram.entries), list(zip(*coeffs)))
-    ok = True
-    for i in range(a.n):
-        for j in range(a.n):
-            want = a.norms[i].coefficient if i == j else Fraction(0)
-            if prod[i][j] != want:
-                ok = False
-    if ok:
-        ok = all(v.sqrtpi_power == a.gram.sqrtpi_power for v in a.norms)
+    ok = a.gram.sqrtpi_power == a.family.moment_grade and all(
+        prod[i][j] == (a.norms[i] if i == j else 0) for i in range(a.n) for j in range(a.n)
+    )
     return CheckResult("orthogonality", a.family.name, a.n, ok)
 
 
 def check_determinant_identity(a: Artefacts) -> CheckResult:
     """prod(lambda_i) == det(A)**2 * det(G), exactly, grade included."""
-    det_a = Fraction(1)
+    det_a = prod_norms = Fraction(1)
     for i in range(a.n):
         det_a *= a.coeffs.entries[i][i]  # triangular
-    prod_coeff = Fraction(1)
-    prod_grade = 0
-    for v in a.norms:
-        prod_coeff *= v.coefficient
-        prod_grade += v.sqrtpi_power
-    ok = (
-        prod_coeff == det_a**2 * a.det_gram.coefficient
-        and prod_grade == a.det_gram.sqrtpi_power
-    )
+        prod_norms *= a.norms[i]
+    # the norms' product has grade n * moment_grade, det(G) n * gram grade
+    ok = prod_norms == det_a**2 * a.det_gram and a.family.moment_grade == a.gram.sqrtpi_power
     return CheckResult("determinant-identity", a.family.name, a.n, ok)
 
 
@@ -144,8 +134,8 @@ def check_gram_hankel(a: Artefacts) -> CheckResult:
 def check_det_product(a: Artefacts) -> CheckResult:
     """det(G) * det(B) == 1 with grades cancelling."""
     ok = (
-        a.det_gram.coefficient * a.kernel_minors[-1] == 1
-        and a.det_gram.sqrtpi_power + a.kernel.sqrtpi_power * a.n == 0
+        a.det_gram * a.kernel_minors[-1] == 1
+        and (a.gram.sqrtpi_power + a.kernel.sqrtpi_power) * a.n == 0
     )
     return CheckResult("det-product", a.family.name, a.n, ok)
 

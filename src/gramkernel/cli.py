@@ -6,7 +6,9 @@ as canonical ``q*pi^m`` sums; decimals are rendered from the exact values at
 ``--precision-bits`` (default 256) and never feed back into any exact field.
 ``plotdata --samples`` takes 2 to 65536 points (65536 take about 15 s).
 Exit codes: 0 success, 1 verification failed, 2 usage or I/O error (such as an
-``--out`` path that cannot be written or a ``--samples`` count out of bounds).
+``--out`` path that cannot be written, a ``--samples`` count out of bounds or
+a numeric option that is not an integer), 3 internal error (any other
+exception: one line ``internal error: TYPE: MESSAGE`` on stderr).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import inf
 
 from .approx import (
     eval_polynomial,
@@ -45,38 +48,35 @@ SIG_DIGITS = 17
 MIN_SAMPLES, MAX_SAMPLES = 2, 65536
 
 
-def exact_str(value: PiLaurent | Fraction) -> str:
+def exact_str(value: PiLaurent) -> str:
     """Canonical exact serialization: 'p/q' for rationals, pi-sums otherwise."""
-    if isinstance(value, PiLaurent):
-        if value.is_rational():
-            return str(value.constant_value())
-        return str(value)
-    return str(Fraction(value))
+    return str(value.constant_value() if value.is_rational() else value)
+
+
+def _int_option(text: str, low: int, high: float, expected: str) -> int:
+    """``text`` as an integer in [low, high]; anything else, a non-integer
+    included, is a usage error that says what was expected."""
+    try:
+        value = int(text)
+        if low <= value <= high:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{expected}, got {text}")
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+    return _int_option(text, 1, inf, "must be a positive integer")
 
 
 def _sample_count(text: str) -> int:
-    value = int(text)
-    if not MIN_SAMPLES <= value <= MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(
-            f"samples must be between {MIN_SAMPLES} and {MAX_SAMPLES}, got {text}"
-        )
-    return value
+    expected = f"samples must be between {MIN_SAMPLES} and {MAX_SAMPLES}"
+    return _int_option(text, MIN_SAMPLES, MAX_SAMPLES, expected)
 
 
 def _precision(text: str) -> int:
-    value = int(text)
-    if value < MIN_PRECISION_BITS:
-        raise argparse.ArgumentTypeError(
-            f"precision-bits must be >= {MIN_PRECISION_BITS}, got {text}"
-        )
-    return value
+    expected = f"precision-bits must be >= {MIN_PRECISION_BITS}"
+    return _int_option(text, MIN_PRECISION_BITS, inf, expected)
 
 
 def _emit(args, payload: dict | None, header: list[str], rows: list[list[str]],
@@ -139,8 +139,8 @@ def cmd_kernel(args) -> int:
 
 def cmd_cond(args) -> int:
     family = family_by_name(args.family)
-    report = condition_table(family, args.max_size, SIG_DIGITS)
-    rows = [(r.size, str(r.kappa_exact), r.kappa_decimal) for r in report.rows]
+    table = condition_table(family, args.max_size, SIG_DIGITS)
+    rows = [(r.size, str(r.kappa_exact), r.kappa_decimal) for r in table]
     _emit(
         args,
         {
@@ -338,6 +338,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         parser.exit(2, f"error: {exc}\n")
+    except Exception as exc:  # a fault of the program, not of the input
+        message = str(exc).replace("\n", " ")
+        parser.exit(3, f"internal error: {type(exc).__name__}: {message}\n")
 
 
 if __name__ == "__main__":

@@ -25,12 +25,6 @@ class ConditionRow:
     kappa_decimal: str
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    family: Family
-    rows: tuple[ConditionRow, ...]
-
-
 def inf_norm(entries: Iterable[Iterable[Fraction]]) -> Fraction:
     """Maximum absolute row sum, exact."""
     norms = [sum((abs(x) for x in row), Fraction(0)) for row in entries]
@@ -52,7 +46,9 @@ def condition_number(family: Family, n: int) -> Fraction:
     return _kappa(gram_from_moments(family, n), build_kernel(family, n))
 
 
-def condition_table(family: Family, max_size: int, sig_digits: int = 17) -> ConditionReport:
+def condition_table(
+    family: Family, max_size: int, sig_digits: int = 17
+) -> tuple[ConditionRow, ...]:
     """Rows (size, exact kappa, decimal kappa) for sizes 1..max_size.
 
     One kernel sweep and one size-``max_size`` Gram matrix serve every row:
@@ -65,4 +61,4 @@ def condition_table(family: Family, max_size: int, sig_digits: int = 17) -> Cond
     for kernel in kernel_sweep(family, max_size):
         kappa = _kappa(gram, kernel)
         rows.append(ConditionRow(kernel.n, kappa, decimal_str(kappa, sig_digits)))
-    return ConditionReport(family, tuple(rows))
+    return tuple(rows)

@@ -1,11 +1,11 @@
 """Exact scalar arithmetic for kernel construction.
 
 Everything downstream (coefficient matrices, Gram inverses, error variances)
-is assembled from three exact carriers:
+is assembled from two exact carriers:
 
-* plain rationals (``fractions.Fraction``),
-* :class:`ScaledRational` -- a rational times an integer power of sqrt(pi),
-  which is the grading Hermite norms and kernel entries live in,
+* plain rationals (``fractions.Fraction``); the one irrational factor, the
+  sqrt(pi) of the Hermite weight, is a per-family grade stored once per
+  matrix (``GradedMatrix.sqrtpi_power``), never per scalar,
 * :class:`PiLaurent` -- a finite sum ``sum_m q_m * pi**m`` with rational
   ``q_m``, which carries trigonometric moments and Taylor coefficients.
 
@@ -15,7 +15,6 @@ only lossy operation in the package and is confined to this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
@@ -25,10 +24,6 @@ DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
 
 RationalLike = Union[int, Fraction]
-
-
-class GradeMismatchError(ArithmeticError):
-    """Adding exact values of distinct sqrt(pi) grade is not representable."""
 
 
 def _check_precision(precision_bits: int) -> None:
@@ -54,111 +49,6 @@ def gamma_ratio(base_half: RationalLike, steps: int) -> Fraction:
     for m in range(steps):
         out *= base + m
     return out
-
-
-@dataclass(frozen=True)
-class ScaledRational:
-    """An exact rational times ``sqrt(pi)**sqrtpi_power``.
-
-    Values of equal grade add exactly; adding distinct nonzero grades raises
-    :class:`GradeMismatchError` (the sum would leave the graded ring).
-    Multiplication adds grades.  Zero is normalised to grade 0 so it is the
-    additive identity for every grade.
-    """
-
-    coefficient: Fraction
-    sqrtpi_power: int = 0
-
-    def __post_init__(self) -> None:
-        coeff = Fraction(self.coefficient)
-        object.__setattr__(self, "coefficient", coeff)
-        if coeff == 0 and self.sqrtpi_power != 0:
-            object.__setattr__(self, "sqrtpi_power", 0)
-
-    def _coerce(self, other) -> "ScaledRational":
-        if isinstance(other, ScaledRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ScaledRational(Fraction(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.coefficient == 0:
-            return other
-        if other.coefficient == 0:
-            return self
-        if self.sqrtpi_power != other.sqrtpi_power:
-            raise GradeMismatchError(
-                f"cannot add sqrt(pi) grades {self.sqrtpi_power} and {other.sqrtpi_power}"
-            )
-        return ScaledRational(self.coefficient + other.coefficient, self.sqrtpi_power)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ScaledRational(-self.coefficient, self.sqrtpi_power)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ScaledRational(
-            self.coefficient * other.coefficient,
-            self.sqrtpi_power + other.sqrtpi_power,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.coefficient == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return ScaledRational(
-            self.coefficient / other.coefficient,
-            self.sqrtpi_power - other.sqrtpi_power,
-        )
-
-    def __bool__(self) -> bool:
-        return self.coefficient != 0
-
-    def is_positive(self) -> bool:
-        # sqrt(pi)**m > 0, so the sign is the coefficient's sign
-        return self.coefficient > 0
-
-    def to_bigfloat(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
-        _check_precision(precision_bits)
-        with mp.workprec(precision_bits + 16):
-            value = _fraction_to_mpf(self.coefficient)
-            if self.sqrtpi_power:
-                value *= mp.sqrt(mp.pi) ** self.sqrtpi_power
-        with mp.workprec(precision_bits):
-            return +value
-
-    def __str__(self) -> str:
-        if self.sqrtpi_power == 0:
-            return str(self.coefficient)
-        if self.sqrtpi_power == 1:
-            suffix = "*sqrt(pi)"
-        else:
-            suffix = f"*sqrt(pi)^{self.sqrtpi_power}"
-        return f"{self.coefficient}{suffix}"
 
 
 class PiLaurent:

@@ -9,8 +9,11 @@ exact arithmetic:
 * ``coeff_matrix`` -- the lower-triangular expansion of the family's
   orthogonal polynomials in ascending monomial powers,
 * ``norm_vector``  -- the true squared weighted L2 norms of those
-  polynomials (sqrt(pi)-graded for Hermite),
+  polynomials,
 * ``monomial_moment`` -- the weighted moments that define the Gram matrix.
+
+Norms and moments are returned as rational cores: each true value is the
+core times ``sqrt(pi)**family.moment_grade``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exactscalar import ScaledRational, gamma_ratio
+from .exactscalar import gamma_ratio
 
 
 @dataclass(frozen=True)
@@ -132,25 +135,27 @@ def coeff_matrix(family: Family, n: int) -> GradedMatrix:
     return GradedMatrix(family, n, rows)
 
 
-def norm_vector(family: Family, n: int) -> tuple[ScaledRational, ...]:
+def norm_vector(family: Family, n: int) -> tuple[Fraction, ...]:
     """True squared norms ``integral of p_i**2 * w`` for i = 1..n.
 
-    For the Legendre families these are 2/(4i-3) (even) and 2/(4i-1) (odd);
-    see :func:`printed_legendre_norm` for the as-printed reciprocals they are
-    sometimes quoted as.  Hermite norms carry a single sqrt(pi) factor.
+    Each is a rational core of grade ``family.moment_grade``.  For the
+    Legendre families these are 2/(4i-3) (even) and 2/(4i-1) (odd); see
+    :func:`printed_legendre_norm` for the as-printed reciprocals they are
+    sometimes quoted as.  Hermite norms are 2**d * d! times sqrt(pi), d the
+    polynomial's degree.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     out = []
     for i in range(1, n + 1):
         if family.measure == "laguerre":
-            out.append(ScaledRational(Fraction(1)))
+            out.append(Fraction(1))
         elif family.measure == "legendre":
             den = 4 * i - 3 if family.offset == 0 else 4 * i - 1
-            out.append(ScaledRational(Fraction(2, den)))
+            out.append(Fraction(2, den))
         else:
             deg = family.basis_power(i)
-            out.append(ScaledRational(Fraction(2**deg * factorial(deg)), 1))
+            out.append(Fraction(2**deg * factorial(deg)))
     return tuple(out)
 
 
@@ -168,35 +173,25 @@ def printed_legendre_norm(family: Family, i: int) -> Fraction:
     return Fraction(4 * i - 3, 2) if family.offset == 0 else Fraction(4 * i - 1, 2)
 
 
-def monomial_moment(family: Family, k: int) -> ScaledRational:
+def monomial_moment(family: Family, k: int) -> Fraction:
     """Weighted moment ``integral over the domain of x**k * w(x) dx``, exact.
 
-    Laguerre: k!.  Legendre: 2/(k+1) for even k, else 0.  Hermite: 0 for odd
-    k, else sqrt(pi) * (k-1)!! / 2**(k/2).
+    The rational core of grade ``family.moment_grade``.  Laguerre: k!.
+    Legendre: 2/(k+1) for even k, else 0.  Hermite: 0 for odd k, else
+    sqrt(pi) * (k-1)!! / 2**(k/2), whose core drops the sqrt(pi).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if family.measure == "laguerre":
-        return ScaledRational(Fraction(factorial(k)))
-    if family.measure == "legendre":
-        if k % 2 == 1:
-            return ScaledRational(Fraction(0))
-        return ScaledRational(Fraction(2, k + 1))
+        return Fraction(factorial(k))
     if k % 2 == 1:
-        return ScaledRational(Fraction(0))
-    return ScaledRational(Fraction(double_factorial(k - 1), 2 ** (k // 2)), 1)
+        return Fraction(0)
+    if family.measure == "legendre":
+        return Fraction(2, k + 1)
+    return Fraction(double_factorial(k - 1), 2 ** (k // 2))
 
 
 def moment_cores(family: Family, n: int, power: int) -> tuple[Fraction, ...]:
-    """Rational cores of the moments of ``x**(p_i + power)``, i = 1..n.
-
-    Every nonzero moment carries the family's ``moment_grade``, which the
-    caller attaches once to the whole matrix or vector.
-    """
-    out = []
-    for i in range(1, n + 1):
-        m = monomial_moment(family, family.basis_power(i) + power)
-        if m.coefficient != 0 and m.sqrtpi_power != family.moment_grade:
-            raise AssertionError("moment grade drifted from the family grade")
-        out.append(m.coefficient)
-    return tuple(out)
+    """Moment cores of ``x**(p_i + power)``, i = 1..n, all of the family's
+    ``moment_grade``, which the caller attaches once to the matrix or vector."""
+    return tuple(monomial_moment(family, family.basis_power(i) + power) for i in range(1, n + 1))

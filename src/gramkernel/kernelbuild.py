@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator
 
-from .exactscalar import ScaledRational, gamma_ratio
+from .exactscalar import gamma_ratio
 from .families import Family, GradedMatrix, coeff_matrix, norm_vector
 
 
@@ -28,9 +28,10 @@ def kernel_sweep(family: Family, max_n: int) -> Iterator[GradedMatrix]:
 
     Row n of A does not depend on the size, so each kernel is the previous
     one, bordered by a zero row and column, plus one orthogonal-expansion
-    term ``a_n a_n^T / lambda_n``: the Christoffel-Darboux partial sum.  A and the norms are read once; every yielded matrix is a
-    fresh immutable copy, so a caller that drops it keeps memory at one
-    size.  The whole sweep costs about what the last size alone costs.
+    term ``a_n a_n^T / lambda_n``: the Christoffel-Darboux partial sum.  A
+    and the norms are read once; every yielded matrix is a fresh immutable
+    copy, so a caller that drops it keeps memory at one size.  The whole
+    sweep costs about what the last size alone costs.
     """
     if max_n < 1:
         raise ValueError("n must be >= 1")
@@ -39,7 +40,7 @@ def kernel_sweep(family: Family, max_n: int) -> Iterator[GradedMatrix]:
 
 def _sweep(family: Family, max_n: int) -> Iterator[GradedMatrix]:
     a = coeff_matrix(family, max_n).entries
-    lam = [v.coefficient for v in norm_vector(family, max_n)]
+    lam = norm_vector(family, max_n)
     grade = -family.moment_grade
     b: list[list[Fraction]] = []
     for k in range(max_n):
@@ -69,8 +70,9 @@ def build_kernel(family: Family, n: int) -> GradedMatrix:
     return kernel
 
 
-def kernel_eval(kernel: GradedMatrix, x: Fraction, y: Fraction) -> ScaledRational:
-    """Exact K(x, y) = sum_ij b_ij x**p_i y**p_j."""
+def kernel_eval(kernel: GradedMatrix, x: Fraction, y: Fraction) -> Fraction:
+    """Exact K(x, y) = sum_ij b_ij x**p_i y**p_j, as the rational core of
+    grade ``kernel.sqrtpi_power``."""
     x = Fraction(x)
     y = Fraction(y)
     fam = kernel.family
@@ -80,7 +82,7 @@ def kernel_eval(kernel: GradedMatrix, x: Fraction, y: Fraction) -> ScaledRationa
     for i in range(kernel.n):
         row = kernel.entries[i]
         total += xp[i] * sum((row[j] * yp[j] for j in range(kernel.n)), Fraction(0))
-    return ScaledRational(total, kernel.sqrtpi_power)
+    return total
 
 
 def _recip_factorial(m: int) -> Fraction:

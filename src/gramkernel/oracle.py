@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactscalar import ScaledRational
 from .families import Family, GradedMatrix, moment_cores
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -93,14 +92,13 @@ def bareiss_inverse(entries: Matrix) -> tuple[Matrix, Fraction]:
     return inverse, det
 
 
-def invert_exact(gram: GradedMatrix) -> tuple[GradedMatrix, ScaledRational]:
-    """Exact inverse of a Gram matrix, with grade and determinant.
+def invert_exact(gram: GradedMatrix) -> tuple[GradedMatrix, Fraction]:
+    """Exact inverse of a Gram matrix, with its determinant.
 
     The sqrt(pi) grade factors out of the elimination entirely: the rational
-    core is inverted, the inverse carries the negated grade, and the
-    determinant carries n times the grade.
+    core is inverted and the inverse carries the negated grade.  The
+    determinant is returned as the core of a value of grade
+    ``n * gram.sqrtpi_power``.
     """
     inverse, det = bareiss_inverse(gram.entries)
-    kernel = GradedMatrix(gram.family, gram.n, inverse, -gram.sqrtpi_power)
-    determinant = ScaledRational(det, gram.n * gram.sqrtpi_power)
-    return kernel, determinant
+    return GradedMatrix(gram.family, gram.n, inverse, -gram.sqrtpi_power), det

@@ -149,13 +149,15 @@ class TestProject:
             project(kernel, function_moments(EXP_NEG, 2))
 
     def test_uncancelled_grade_rejected(self):
-        from gramkernel.approx import MomentVector
+        from dataclasses import replace
+
         from gramkernel.families import HERMITE_EVEN
 
         kernel = build_kernel(HERMITE_EVEN, 2)
-        ungraded = MomentVector(HERMITE_EVEN, (PiLaurent(1), PiLaurent(1)), 0)
+        moments = monomial_moment_vector(HERMITE_EVEN, 2, 0)
+        project(kernel, moments)  # grades -1 and +1 cancel
         with pytest.raises(ValueError):
-            project(kernel, ungraded)
+            project(replace(kernel, sqrtpi_power=0), moments)
 
 
 class TestTaylorPolynomial:

@@ -1,7 +1,11 @@
-"""run_checks: one set of artefacts per (family, n), and the negative control."""
+"""run_checks: one set of artefacts per (family, n), and the negative controls."""
+
+from dataclasses import replace
+
+import pytest
 
 from gramkernel import checks
-from gramkernel.families import HERMITE_ODD, LAGUERRE
+from gramkernel.families import HERMITE_EVEN, HERMITE_ODD, LAGUERRE
 
 ARTEFACT_BUILDERS = (
     "build_kernel",
@@ -31,3 +35,28 @@ def test_corruption_reaches_only_the_oracle_equivalence_check():
     results = checks.run_checks(3, inject_corruption=True)
     assert {r.name for r in results if not r.passed} == {"oracle-equivalence"}
     assert all(not r.passed for r in results if r.name == "oracle-equivalence")
+
+
+@pytest.mark.parametrize("n", (1, 4))
+def test_misgraded_kernel_fails_the_grade_checks(n):
+    """A Hermite kernel of grade 0 instead of -1 no longer cancels G's +1."""
+    arts = checks.build_artefacts(HERMITE_EVEN, n)
+    bad = replace(arts, kernel=replace(arts.kernel, sqrtpi_power=0))
+    for check in (checks.check_gram_kernel_identity, checks.check_det_product):
+        assert check(arts).passed
+        assert not check(bad).passed
+
+
+@pytest.mark.parametrize("n", (1, 4))
+def test_misgraded_gram_fails_the_grade_checks(n):
+    """A Hermite Gram matrix of grade 0 disagrees with its norms' grade 1."""
+    arts = checks.build_artefacts(HERMITE_EVEN, n)
+    bad = replace(arts, gram=replace(arts.gram, sqrtpi_power=0))
+    for check in (
+        checks.check_gram_kernel_identity,
+        checks.check_det_product,
+        checks.check_orthogonality,
+        checks.check_determinant_identity,
+    ):
+        assert check(arts).passed
+        assert not check(bad).passed

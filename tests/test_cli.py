@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gramkernel import cli
 from gramkernel.cli import main
 
 
@@ -253,6 +254,41 @@ class TestOutputBehaviour:
             capsys,
             ["cond", "--family", "laguerre", "--max-size", "2", "--precision-bits", "64"],
         ) == 2
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["kernel", "--family", "laguerre", "--size", "x"],
+         "argument --size: must be a positive integer, got x"),
+        (["cond", "--family", "laguerre", "--max-size", "x"],
+         "argument --max-size: must be a positive integer, got x"),
+        (["cond", "--family", "laguerre", "--max-size", "2", "--precision-bits", "x"],
+         "argument --precision-bits: precision-bits must be >= 128, got x"),
+        (["plotdata", "--target", "exp-neg", "--size", "2", "--samples", "x"],
+         "argument --samples: samples must be between 2 and 65536, got x"),
+    ], ids=["size", "max-size", "precision-bits", "samples"])
+    def test_non_integer_option_names_the_expected_value(self, capsys, argv, expected):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert excinfo.value.code == 2
+        assert last.endswith(expected)
+        assert "invalid" not in last and "_" not in last.split(": ", 1)[1]
+
+    @pytest.mark.parametrize("exc, line", [
+        (RuntimeError("boom"), "internal error: RuntimeError: boom"),
+        (AssertionError("grades drifted"), "internal error: AssertionError: grades drifted"),
+        (RuntimeError("two\nlines"), "internal error: RuntimeError: two lines"),
+    ], ids=["runtime", "assertion", "multiline"])
+    def test_internal_error_exits_3_with_one_line(self, monkeypatch, capsys, exc, line):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_kernel", broken)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["kernel", "--family", "laguerre", "--size", "2"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 3
+        assert captured.out == ""
+        assert captured.err == line + "\n"
 
     def test_out_unwritable_is_io_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -61,27 +61,26 @@ class TestConditionNumber:
 
 class TestConditionTable:
     def test_laguerre_first_three_rows(self):
-        report = condition_table(LAGUERRE, 3)
-        assert [(r.size, r.kappa_exact) for r in report.rows] == [
+        rows = condition_table(LAGUERRE, 3)
+        assert [(r.size, r.kappa_exact) for r in rows] == [
             (1, F(1)),
             (2, F(9)),
             (3, F(288)),
         ]
 
     def test_legendre_even_size_four(self):
-        report = condition_table(LEGENDRE_EVEN, 4)
-        assert report.rows[-1].size == 4
-        assert report.rows[-1].kappa_exact == 18150
-        assert report.rows[-1].kappa_decimal == "18150"
+        last = condition_table(LEGENDRE_EVEN, 4)[-1]
+        assert last.size == 4
+        assert last.kappa_exact == 18150
+        assert last.kappa_decimal == "18150"
 
     def test_hermite_odd_size_two_decimal(self):
-        report = condition_table(HERMITE_ODD, 2)
-        assert report.rows[-1].kappa_exact == F(147, 8)
-        assert report.rows[-1].kappa_decimal == "18.375"
+        last = condition_table(HERMITE_ODD, 2)[-1]
+        assert last.kappa_exact == F(147, 8)
+        assert last.kappa_decimal == "18.375"
 
     def test_rows_strictly_increasing_sizes(self):
-        report = condition_table(LEGENDRE_ODD, 6)
-        sizes = [r.size for r in report.rows]
+        sizes = [r.size for r in condition_table(LEGENDRE_ODD, 6)]
         assert sizes == sorted(set(sizes)) == list(range(1, 7))
 
     def test_rejects_empty(self):
@@ -91,14 +90,13 @@ class TestConditionTable:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
     def test_rows_equal_one_size_condition_numbers(self, family):
         """The sweep's rows against the from-scratch build of each size."""
-        report = condition_table(family, 12)
-        assert [r.size for r in report.rows] == list(range(1, 13))
-        for row in report.rows:
+        rows = condition_table(family, 12)
+        assert [r.size for r in rows] == list(range(1, 13))
+        for row in rows:
             assert row.kappa_exact == condition_number(family, row.size)
 
     def test_decimal_rendering_width(self):
         # at least 17 significant digits available on demand
-        report = condition_table(HERMITE_ODD, 8, sig_digits=17)
-        last = report.rows[-1].kappa_decimal
+        last = condition_table(HERMITE_ODD, 8, sig_digits=17)[-1].kappa_decimal
         digits = last.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 16  # trailing zeros may legitimately strip

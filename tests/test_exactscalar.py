@@ -1,4 +1,4 @@
-"""Exact scalar layer: graded rationals, pi-Laurent ring, numeric rendering."""
+"""Exact scalar layer: rationals, pi-Laurent ring, numeric rendering."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from gramkernel.exactscalar import (
-    GradeMismatchError,
     PiLaurent,
-    ScaledRational,
     decimal_str,
     eval_pilaurent,
     gamma_ratio,
@@ -61,42 +59,6 @@ class TestRationalRoundTrip:
     )
     def test_divide_multiply(self, a, b):
         assert (a / b) * b == a
-
-
-class TestScaledRational:
-    def test_same_grade_addition(self):
-        x = ScaledRational(Fraction(1, 2), 1)
-        y = ScaledRational(Fraction(1, 3), 1)
-        assert x + y == ScaledRational(Fraction(5, 6), 1)
-
-    def test_mixed_grade_addition_rejected(self):
-        with pytest.raises(GradeMismatchError):
-            ScaledRational(Fraction(1), 1) + ScaledRational(Fraction(1), 0)
-
-    def test_zero_is_grade_agnostic(self):
-        zero = ScaledRational(Fraction(0), 1)
-        assert zero.sqrtpi_power == 0
-        assert zero + ScaledRational(Fraction(2), -1) == ScaledRational(Fraction(2), -1)
-
-    def test_product_adds_grades(self):
-        x = ScaledRational(Fraction(3), 1)
-        y = ScaledRational(Fraction(1, 3), -2)
-        assert x * y == ScaledRational(Fraction(1), -1)
-
-    def test_division_subtracts_grades(self):
-        x = ScaledRational(Fraction(2), 1)
-        assert x / ScaledRational(Fraction(4), 1) == ScaledRational(Fraction(1, 2), 0)
-
-    def test_numeric_value(self):
-        x = ScaledRational(Fraction(1), 1)  # sqrt(pi)
-        v = x.to_bigfloat(256)
-        with mp.workprec(300):
-            assert abs(v - mp.sqrt(mp.pi)) < mpf(2) ** -250
-
-    def test_str(self):
-        assert str(ScaledRational(Fraction(3, 4), 1)) == "3/4*sqrt(pi)"
-        assert str(ScaledRational(Fraction(3, 4), -1)) == "3/4*sqrt(pi)^-1"
-        assert str(ScaledRational(Fraction(3, 4))) == "3/4"
 
 
 small_fracs = st.fractions(max_denominator=50)

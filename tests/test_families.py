@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from mpmath import exp, inf, mp, mpf, quad
 
-from gramkernel.exactscalar import ScaledRational
+from gramkernel.exactscalar import to_bigfloat
 from gramkernel.families import (
     ALL_FAMILIES,
     HERMITE_EVEN,
@@ -127,24 +127,22 @@ class TestLaguerreConstantTerm:
 
 class TestNormVector:
     def test_laguerre_norms(self):
-        assert norm_vector(LAGUERRE, 3) == (
-            ScaledRational(Fraction(1)),
-            ScaledRational(Fraction(1)),
-            ScaledRational(Fraction(1)),
-        )
+        assert norm_vector(LAGUERRE, 3) == (Fraction(1), Fraction(1), Fraction(1))
+        assert LAGUERRE.moment_grade == 0
 
     def test_legendre_even_norms(self):
-        assert norm_vector(LEGENDRE_EVEN, 2) == (
-            ScaledRational(Fraction(2)),
-            ScaledRational(Fraction(2, 5)),
-        )
+        assert norm_vector(LEGENDRE_EVEN, 2) == (Fraction(2), Fraction(2, 5))
+        assert LEGENDRE_EVEN.moment_grade == 0
 
     def test_hermite_even_first_norm_is_sqrt_pi(self):
-        assert norm_vector(HERMITE_EVEN, 1) == (ScaledRational(Fraction(1), 1),)
+        # the core 1 of grade 1: 1 * sqrt(pi)
+        assert norm_vector(HERMITE_EVEN, 1) == (Fraction(1),)
+        assert HERMITE_EVEN.moment_grade == 1
 
     def test_all_positive(self):
+        # sqrt(pi)**grade > 0, so a norm's sign is its core's sign
         for family in ALL_FAMILIES:
-            assert all(v.is_positive() for v in norm_vector(family, 12))
+            assert all(v > 0 for v in norm_vector(family, 12))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -154,7 +152,7 @@ class TestNormVector:
         for family in (LEGENDRE_EVEN, LEGENDRE_ODD):
             true = norm_vector(family, 6)
             for i in range(1, 7):
-                assert printed_legendre_norm(family, i) == 1 / true[i - 1].coefficient
+                assert printed_legendre_norm(family, i) == 1 / true[i - 1]
 
     def test_printed_values_only_for_legendre(self):
         with pytest.raises(ValueError):
@@ -163,19 +161,23 @@ class TestNormVector:
 
 class TestMonomialMoment:
     def test_laguerre_factorial(self):
-        assert monomial_moment(LAGUERRE, 3) == ScaledRational(Fraction(6))
+        assert monomial_moment(LAGUERRE, 3) == Fraction(6)
+        assert LAGUERRE.moment_grade == 0
 
     def test_legendre_even_power(self):
-        assert monomial_moment(LEGENDRE_EVEN, 2) == ScaledRational(Fraction(2, 3))
+        assert monomial_moment(LEGENDRE_EVEN, 2) == Fraction(2, 3)
+        assert LEGENDRE_EVEN.moment_grade == 0
 
     def test_legendre_odd_power_vanishes(self):
-        assert monomial_moment(LEGENDRE_ODD, 3) == ScaledRational(Fraction(0))
+        assert monomial_moment(LEGENDRE_ODD, 3) == Fraction(0)
 
     def test_hermite_fourth_moment(self):
-        assert monomial_moment(HERMITE_EVEN, 4) == ScaledRational(Fraction(3, 4), 1)
+        # 3/4 * sqrt(pi): the core 3/4 of the family's grade 1
+        assert monomial_moment(HERMITE_EVEN, 4) == Fraction(3, 4)
+        assert HERMITE_EVEN.moment_grade == 1
 
     def test_hermite_odd_vanishes(self):
-        assert monomial_moment(HERMITE_ODD, 5) == ScaledRational(Fraction(0))
+        assert monomial_moment(HERMITE_ODD, 5) == Fraction(0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -191,21 +193,28 @@ class TestMonomialMoment:
 
         The half-line integral is truncated at x = 200: the tail of
         x**k e^-x is below 200**k e^-200 < 1e-40 for every k used here.
+        Each core is scaled by sqrt(pi) to its family's ``moment_grade``, so
+        the grade is held against the quadrature too.
         """
+
+        def moment(family, k):
+            core = to_bigfloat(monomial_moment(family, k), 256)
+            return core * mp.sqrt(mp.pi) ** family.moment_grade
+
         with mp.workprec(256):
             for k in range(0, 7):
-                got = monomial_moment(LAGUERRE, k).to_bigfloat(256)
+                got = moment(LAGUERRE, k)
                 ref = quad(lambda y: y**k * exp(-y), [0, 50, 200])
                 assert abs(got - ref) <= abs(ref) * mpf(10) ** -30
 
-                got = monomial_moment(LEGENDRE_EVEN, k).to_bigfloat(256)
+                got = moment(LEGENDRE_EVEN, k)
                 ref = quad(lambda y: y**k, [-1, 0, 1])
                 if k % 2 == 1:
                     assert got == 0 and abs(ref) < mpf(10) ** -40
                 else:
                     assert abs(got - ref) <= abs(ref) * mpf(10) ** -30
 
-                got = monomial_moment(HERMITE_EVEN, k).to_bigfloat(256)
+                got = moment(HERMITE_EVEN, k)
                 ref = quad(lambda y: y**k * exp(-(y**2)), [-inf, 0, inf])
                 if k % 2 == 1:
                     assert got == 0 and abs(ref) < mpf(10) ** -40
@@ -227,22 +236,25 @@ class TestStructuralIdentities:
                 for k in range(n):
                     for l in range(n):
                         acc += a[i][k] * g.entries[k][l] * a[j][l]
-                want = norms[i].coefficient if i == j else Fraction(0)
+                want = norms[i] if i == j else Fraction(0)
                 assert acc == want
-        assert all(v.sqrtpi_power == g.sqrtpi_power for v in norms)
+        # the norms are documented to carry the family's moment grade
+        assert g.sqrtpi_power == family.moment_grade
 
     def test_determinant_identity(self, family, n):
         """prod(lambda) == det(A)^2 * det(G), grades included."""
         a = coeff_matrix(family, n).entries
-        _, det_g = invert_exact(gram_from_moments(family, n))
+        g = gram_from_moments(family, n)
+        _, det_g = invert_exact(g)
         det_a = Fraction(1)
         for i in range(n):
             det_a *= a[i][i]
-        prod = ScaledRational(Fraction(1))
+        prod = Fraction(1)
         for v in norm_vector(family, n):
-            prod = prod * v
-        assert prod.coefficient == det_a**2 * det_g.coefficient
-        assert prod.sqrtpi_power == det_g.sqrtpi_power
+            prod *= v
+        assert prod == det_a**2 * det_g
+        # grades: n norms of the family's moment grade vs det(G) of n * G's grade
+        assert n * family.moment_grade == n * g.sqrtpi_power
 
 
 class TestFamilyLookup:
