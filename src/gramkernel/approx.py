@@ -1,15 +1,15 @@
 """Projection of target functions onto the kernel span, and error variances.
 
 A target f is represented by its weighted moments against the family's basis
-monomials, ``m_i = integral f(y) y**p_i w(y) dy``, kept exact: rational for
-exp(-x) on the half-line, pi-Laurent for sin(pi x)/cos(pi x) on (-1, 1)
+monomials, ``m_i = integral f(y) y**p_i w(y) dy``, kept exact: ``Fraction``
+for exp(-x) on the half-line, pi-Laurent for sin(pi x)/cos(pi x) on (-1, 1)
 (closed by-parts recurrences).  The kernel estimate is then c = B m, the
 weighted least-squares projection onto the span, and the error variance
 
     integral (f - p)**2 w = |f|^2 - 2 sum_k p_k m_k + sum_kl p_k p_l g_kl
 
 is exact for any polynomial p over the same basis, Taylor truncations
-included.
+included; it is a ``Fraction`` whenever p and the moments are.
 """
 
 from __future__ import annotations
@@ -17,15 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import Callable, Iterator, Mapping
 
 from mpmath import mp, mpf
 
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
+    Exact,
     PiLaurent,
     _check_precision,
     eval_pilaurent,
+    working_mpf,
 )
 from .families import (
     Family,
@@ -80,43 +83,40 @@ class TargetFunction:
       (0-based) basis element;
     * ``value(x)`` -- f(x) at mpmath's working precision;
     * ``comparator_extra_terms`` -- Taylor terms the tabulated comparator
-      keeps beyond ``size`` (see :func:`taylor_comparator`);
-    * ``rational`` -- True when its exact moments, Taylor terms and error
-      variances are pure rationals, which the CLI then also prints exactly.
+      keeps beyond ``size`` (see :func:`taylor_comparator`).
+
+    Exact values are ``Fraction`` where no pi appears, else ``PiLaurent``;
+    estimates and variances follow, so a rational target's are ``Fraction``.
     """
 
     name: str
     natural_family: Family
-    squared_integral: PiLaurent
-    moments: Callable[[int], Mapping[int, PiLaurent]]
-    taylor_term: Callable[[int], PiLaurent]
+    squared_integral: Exact
+    moments: Callable[[int], Mapping[int, Exact]]
+    taylor_term: Callable[[int], Exact]
     value: Callable[[mpf], mpf]
     comparator_extra_terms: int = 0
-    rational: bool = False
 
 
 SIN_PI = TargetFunction(
-    "sin-pi", LEGENDRE_ODD, PiLaurent(1),
+    "sin-pi", LEGENDRE_ODD, Fraction(1),
     moments=_sin_integrals,
     taylor_term=lambda k: PiLaurent.pi_power(2 * k + 1, Fraction((-1) ** k, factorial(2 * k + 1))),
     value=lambda x: mp.sin(mp.pi * x),
 )
 COS_PI = TargetFunction(
-    "cos-pi", LEGENDRE_EVEN, PiLaurent(1),
+    "cos-pi", LEGENDRE_EVEN, Fraction(1),
     moments=_cos_integrals,
     taylor_term=lambda k: PiLaurent.pi_power(2 * k, Fraction((-1) ** k, factorial(2 * k))),
     value=lambda x: mp.cos(mp.pi * x),
     comparator_extra_terms=1,
 )
 EXP_NEG = TargetFunction(
-    "exp-neg", LAGUERRE, PiLaurent(Fraction(1, 3)),
+    "exp-neg", LAGUERRE, Fraction(1, 3),
     # integral_0^inf y**k e^-y * e^-y dy = k! / 2**(k+1)
-    moments=lambda k_max: {
-        k: PiLaurent(Fraction(factorial(k), 2 ** (k + 1))) for k in range(k_max + 1)
-    },
-    taylor_term=lambda k: PiLaurent(Fraction((-1) ** k, factorial(k))),
+    moments=lambda k_max: {k: Fraction(factorial(k), 2 ** (k + 1)) for k in range(k_max + 1)},
+    taylor_term=lambda k: Fraction((-1) ** k, factorial(k)),
     value=lambda x: mp.exp(-x),
-    rational=True,
 )
 
 TARGETS = {t.name: t for t in (SIN_PI, COS_PI, EXP_NEG)}
@@ -131,18 +131,13 @@ def target_by_name(name: str) -> TargetFunction:
         ) from None
 
 
-def _to_mpf(x) -> mpf:
-    """x at mpmath's working precision; a Fraction is divided out there."""
-    return mpf(x) if not isinstance(x, Fraction) else mpf(x.numerator) / x.denominator
-
-
 def target_value(
     target: TargetFunction, xs, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[mpf]:
     """Numeric f(x) at the requested precision, for every x in ``xs``."""
     _check_precision(precision_bits)
     with mp.workprec(precision_bits):
-        return [target.value(_to_mpf(x)) for x in xs]
+        return [target.value(working_mpf(x)) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -154,7 +149,7 @@ class MomentVector:
     """
 
     family: Family
-    entries: tuple[PiLaurent, ...]
+    entries: tuple[Exact, ...]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -163,11 +158,10 @@ class MomentVector:
 @dataclass(frozen=True)
 class ApproxPolynomial:
     """Polynomial on a family's basis powers: coefficient k multiplies
-    ``x**(stride*k + offset)``.  ``kind`` tags how it was produced."""
+    ``x**(stride*k + offset)``."""
 
     family: Family
-    coefficients: tuple[PiLaurent, ...]
-    kind: str  # "kernel_estimate" | "taylor"
+    coefficients: tuple[Exact, ...]
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -191,7 +185,7 @@ def monomial_moment_vector(family: Family, n: int, power: int) -> MomentVector:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return MomentVector(family, tuple(map(PiLaurent, moment_cores(family, n, power))))
+    return MomentVector(family, moment_cores(family, n, power))
 
 
 def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
@@ -204,32 +198,19 @@ def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
         raise ValueError(f"kernel size {kernel.n} != moment vector length {len(moments)}")
     if kernel.sqrtpi_power + moments.family.moment_grade != 0:
         raise ValueError("sqrt(pi) grades do not cancel under projection")
-    coeffs = []
-    for i in range(kernel.n):
-        acc = PiLaurent()
-        for j in range(kernel.n):
-            acc = acc + moments.entries[j] * kernel.entries[i][j]
-        coeffs.append(acc)
-    return ApproxPolynomial(kernel.family, tuple(coeffs), "kernel_estimate")
+    coeffs = tuple(sum(map(mul, moments.entries, row), 0) for row in kernel.entries)
+    return ApproxPolynomial(kernel.family, coeffs)
 
 
-def _check_target_family(target: TargetFunction, family: Family) -> None:
-    nat = target.natural_family
-    if family.measure != nat.measure or family.offset != nat.offset:
-        raise ValueError(
-            f"target {target.name} needs the {nat.name} basis, not {family.name}"
-        )
-
-
-def taylor_polynomial(target: TargetFunction, family: Family, n: int) -> ApproxPolynomial:
-    """Maclaurin truncation to the first n basis powers of the family.
+def taylor_polynomial(target: TargetFunction, n: int) -> ApproxPolynomial:
+    """Maclaurin truncation to the first n basis powers of the natural family.
 
     Coefficient k is the target's exact ``taylor_term(k)``, k = 0..n-1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_target_family(target, family)
-    return ApproxPolynomial(family, tuple(target.taylor_term(k) for k in range(n)), "taylor")
+    terms = tuple(target.taylor_term(k) for k in range(n))
+    return ApproxPolynomial(target.natural_family, terms)
 
 
 def taylor_comparator(target: TargetFunction, size: int) -> ApproxPolynomial:
@@ -242,17 +223,15 @@ def taylor_comparator(target: TargetFunction, size: int) -> ApproxPolynomial:
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    return taylor_polynomial(
-        target, target.natural_family, size + target.comparator_extra_terms
-    )
+    return taylor_polynomial(target, size + target.comparator_extra_terms)
 
 
 def _prefix_variances(
     target: TargetFunction,
-    coefficients: tuple[PiLaurent, ...],
+    coefficients: tuple[Exact, ...],
     moments: MomentVector,
     gram: GradedMatrix,
-) -> Iterator[PiLaurent]:
+) -> Iterator[Exact]:
     """Error variance of every prefix ``p_1..p_k`` of ``coefficients``.
 
     Adding term k to ``|f|^2 - 2 p.m + p^T G p`` adds
@@ -265,9 +244,7 @@ def _prefix_variances(
     var = target.squared_integral
     for k, p_k in enumerate(coefficients):
         row = gram.entries[k]
-        cross = PiLaurent()
-        for l in range(k):
-            cross = cross + coefficients[l] * row[l]
+        cross = sum(map(mul, coefficients[:k], row), 0)
         var = var + p_k * (cross * 2 + p_k * row[k] - moments.entries[k] * 2)
         yield var
 
@@ -276,10 +253,10 @@ def error_variance(
     target: TargetFunction,
     poly: ApproxPolynomial,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> tuple[PiLaurent, mpf]:
+) -> tuple[Exact, mpf]:
     """Weighted squared L2 error of ``poly`` against the target, exact.
 
-    Returns the exact pi-Laurent value together with its numeric rendering.
+    Returns the exact value together with its numeric rendering.
     The general form ``|f|^2 - 2 p.m + p^T G p`` is evaluated for every
     kind of polynomial, as the last of its prefix variances.
     """
@@ -295,7 +272,7 @@ def error_variance(
     return var, eval_pilaurent(var, precision_bits)
 
 
-def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[PiLaurent, PiLaurent]]:
+def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[Exact, Exact]]:
     """Exact (Taylor, kernel estimate) error variances for sizes 1..max_size.
 
     Entry ``n - 1`` is the pair for size n.  The Taylor column is the
@@ -320,9 +297,7 @@ def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[PiLaurent
     est = []
     var = target.squared_integral
     for k in range(max_size):
-        proj = PiLaurent()
-        for i in range(k + 1):
-            proj = proj + moments.entries[i] * a[k][i]
+        proj = sum(map(mul, moments.entries[: k + 1], a[k]), 0)
         var = var - proj * proj * (1 / lam[k])
         est.append(var)
     return list(zip(tay, est))
@@ -344,7 +319,7 @@ def eval_polynomial(
     accs = []
     with mp.workprec(precision_bits + 16):
         for x in xs:
-            xv = _to_mpf(x)
+            xv = working_mpf(x)
             t = xv**stride
             acc = mpf(0)
             for c in cs:

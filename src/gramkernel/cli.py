@@ -36,7 +36,7 @@ from .conditioning import condition_table
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
-    PiLaurent,
+    SIG_DIGITS,
     decimal_str,
     eval_pilaurent,
     mpf_decimal_str,
@@ -44,13 +44,7 @@ from .exactscalar import (
 from .families import FAMILIES, family_by_name
 from .kernelbuild import build_kernel
 
-SIG_DIGITS = 17
 MIN_SAMPLES, MAX_SAMPLES = 2, 65536
-
-
-def exact_str(value: PiLaurent) -> str:
-    """Canonical exact serialization: 'p/q' for rationals, pi-sums otherwise."""
-    return str(value.constant_value() if value.is_rational() else value)
 
 
 def _int_option(text: str, low: int, high: float, expected: str) -> int:
@@ -139,7 +133,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_cond(args) -> int:
     family = family_by_name(args.family)
-    table = condition_table(family, args.max_size, SIG_DIGITS)
+    table = condition_table(family, args.max_size)
     rows = [(r.size, str(r.kappa_exact), r.kappa_decimal) for r in table]
     _emit(
         args,
@@ -162,20 +156,21 @@ def cmd_cond(args) -> int:
 
 def cmd_variance(args) -> int:
     target = target_by_name(args.target)
-    columns = ["taylor", "estimate"]
-    if target.rational:  # pure rationals, worth emitting exactly too
-        columns += ["taylor_exact", "estimate_exact"]
+    rows = variance_rows(target, args.max_size)
+    # pure rationals (Fraction values) are worth emitting exactly too
+    exact = all(isinstance(v, Fraction) for pair in rows for v in pair)
+    columns = ["taylor", "estimate"] + (["taylor_exact", "estimate_exact"] if exact else [])
     table = []
-    for size, pair in enumerate(variance_rows(target, args.max_size), start=1):
+    for size, pair in enumerate(rows, start=1):
         cells = [
             mpf_decimal_str(eval_pilaurent(v, args.precision_bits), SIG_DIGITS) for v in pair
         ]
-        if target.rational:
-            cells += [exact_str(v) for v in pair]
+        if exact:
+            cells += [str(v) for v in pair]
         table.append((size, cells))
     lines = [f"target={target.name}", "size  taylor_variance  estimate_variance"]
     for size, cells in table:
-        extra = f"  (exact {cells[2]}, {cells[3]})" if target.rational else ""
+        extra = f"  (exact {cells[2]}, {cells[3]})" if exact else ""
         lines.append(f"{size:>4}  {cells[0]}  {cells[1]}{extra}")
     _emit(
         args,
@@ -202,7 +197,7 @@ def cmd_project(args) -> int:
     by_power: dict[int, list[str | None]] = {}
     for slot, poly in enumerate((estimate, taylor)):
         for idx, coeff in enumerate(poly.coefficients):
-            by_power.setdefault(family.basis_power(idx + 1), [None, None])[slot] = exact_str(coeff)
+            by_power.setdefault(family.basis_power(idx + 1), [None, None])[slot] = str(coeff)
     table = [(p, *by_power[p]) for p in sorted(by_power)]
     _emit(
         args,

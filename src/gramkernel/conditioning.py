@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactscalar import decimal_str
+from .exactscalar import SIG_DIGITS, decimal_str
 from .families import Family, GradedMatrix
 from .kernelbuild import build_kernel, kernel_sweep
 from .oracle import gram_from_moments
@@ -46,9 +46,7 @@ def condition_number(family: Family, n: int) -> Fraction:
     return _kappa(gram_from_moments(family, n), build_kernel(family, n))
 
 
-def condition_table(
-    family: Family, max_size: int, sig_digits: int = 17
-) -> tuple[ConditionRow, ...]:
+def condition_table(family: Family, max_size: int) -> tuple[ConditionRow, ...]:
     """Rows (size, exact kappa, decimal kappa) for sizes 1..max_size.
 
     One kernel sweep and one size-``max_size`` Gram matrix serve every row:
@@ -60,5 +58,5 @@ def condition_table(
     rows = []
     for kernel in kernel_sweep(family, max_size):
         kappa = _kappa(gram, kernel)
-        rows.append(ConditionRow(kernel.n, kappa, decimal_str(kappa, sig_digits)))
+        rows.append(ConditionRow(kernel.n, kappa, decimal_str(kappa, SIG_DIGITS)))
     return tuple(rows)

@@ -1,13 +1,16 @@
 """Exact scalar arithmetic for kernel construction.
 
 Everything downstream (coefficient matrices, Gram inverses, error variances)
-is assembled from two exact carriers:
+is assembled from two exact carriers, and a value's type is its rationality:
 
-* plain rationals (``fractions.Fraction``); the one irrational factor, the
-  sqrt(pi) of the Hermite weight, is a per-family grade stored once per
-  matrix (``GradedMatrix.sqrtpi_power``), never per scalar,
+* plain rationals (``fractions.Fraction``) for every value that involves no
+  pi -- all of exp(-x)'s moments, Taylor terms, estimates and variances
+  included; the one irrational factor, the sqrt(pi) of the Hermite weight,
+  is a per-family grade stored once per matrix
+  (``GradedMatrix.sqrtpi_power``), never per scalar,
 * :class:`PiLaurent` -- a finite sum ``sum_m q_m * pi**m`` with rational
-  ``q_m``, which carries trigonometric moments and Taylor coefficients.
+  ``q_m``, used only where a pi power can appear: the trigonometric
+  targets' moments, Taylor terms and everything computed from them.
 
 Numeric evaluation (``mpmath`` at a caller-chosen binary precision) is the
 only lossy operation in the package and is confined to this module.
@@ -19,9 +22,11 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
 from mpmath import mp, mpf, nstr
+from mpmath.libmp import from_rational, round_nearest
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
+SIG_DIGITS = 17  # of every decimal the package prints
 
 RationalLike = Union[int, Fraction]
 
@@ -85,16 +90,6 @@ class PiLaurent:
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Nonzero (exponent, coefficient) pairs in ascending exponent order."""
         return iter(sorted(self._terms.items()))
-
-    def is_rational(self) -> bool:
-        """True when the value involves no pi at all."""
-        return all(m == 0 for m in self._terms)
-
-    def constant_value(self) -> Fraction:
-        """The value as an exact rational; raises if any pi power survives."""
-        if not self.is_rational():
-            raise ValueError(f"{self} is not a pure rational")
-        return self._terms.get(0, Fraction(0))
 
     def _coerce(self, other) -> "PiLaurent":
         if isinstance(other, PiLaurent):
@@ -170,36 +165,43 @@ class PiLaurent:
         return f"PiLaurent({dict(sorted(self._terms.items()))!r})"
 
 
-def _fraction_to_mpf(q: Fraction) -> mpf:
-    # exact integers convert losslessly; the single division rounds once
-    return mpf(q.numerator) / mpf(q.denominator)
+Exact = Union[Fraction, PiLaurent]  # a Fraction exactly when no pi appears
+
+
+def working_mpf(x) -> mpf:
+    """x at mpmath's working precision; a Fraction is correctly rounded."""
+    if isinstance(x, Fraction):
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
+    return mpf(x)
 
 
 def to_bigfloat(q: RationalLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
     """Round an exact rational once, at the requested binary precision."""
     _check_precision(precision_bits)
     with mp.workprec(precision_bits):
-        return _fraction_to_mpf(Fraction(q))
+        return working_mpf(Fraction(q))
 
 
-def eval_pilaurent(p: PiLaurent, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
-    """Evaluate ``sum q_m * pi**m`` numerically.
+def eval_pilaurent(p: Exact, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
+    """Evaluate ``sum q_m * pi**m`` numerically; a Fraction is the sum ``q_0``.
 
     pi is taken correctly rounded at the working precision; 16 guard bits
     ahead of the final rounding keep the relative error well inside
     ``2**(8 - precision_bits)`` per term.
     """
     _check_precision(precision_bits)
+    if not isinstance(p, PiLaurent):
+        p = PiLaurent(p)
     with mp.workprec(precision_bits + 16):
         pi_val = +mp.pi
         acc = mpf(0)
         for m, q in p.items():
-            acc += _fraction_to_mpf(q) * pi_val**m
+            acc += working_mpf(q) * pi_val**m
     with mp.workprec(precision_bits):
         return +acc
 
 
-def decimal_str(q: RationalLike, sig_digits: int = 17) -> str:
+def decimal_str(q: RationalLike, sig_digits: int = SIG_DIGITS) -> str:
     """Exact rational -> decimal string with ``sig_digits`` significant digits.
 
     Rounding is half-to-even at the last kept digit, computed with integer
@@ -243,6 +245,6 @@ def decimal_str(q: RationalLike, sig_digits: int = 17) -> str:
     return f"{sign}{mantissa}e{e:+d}"
 
 
-def mpf_decimal_str(x: mpf, sig_digits: int = 17) -> str:
+def mpf_decimal_str(x: mpf, sig_digits: int = SIG_DIGITS) -> str:
     """Decimal rendering of an mpmath float at the given significant digits."""
     return nstr(x, sig_digits)

@@ -41,8 +41,6 @@ class Family:
     measure: str  # "laguerre" | "legendre" | "hermite"
     stride: int
     offset: int
-    domain: str
-    weight: str
     moment_grade: int = 0
 
     def basis_power(self, i: int) -> int:
@@ -50,11 +48,11 @@ class Family:
         return self.stride * (i - 1) + self.offset
 
 
-LAGUERRE = Family("laguerre", "laguerre", 1, 0, "(0, inf)", "exp(-x)")
-LEGENDRE_EVEN = Family("legendre-even", "legendre", 2, 0, "(-1, 1)", "1")
-LEGENDRE_ODD = Family("legendre-odd", "legendre", 2, 1, "(-1, 1)", "1")
-HERMITE_EVEN = Family("hermite-even", "hermite", 2, 0, "(-inf, inf)", "exp(-x^2)", 1)
-HERMITE_ODD = Family("hermite-odd", "hermite", 2, 1, "(-inf, inf)", "exp(-x^2)", 1)
+LAGUERRE = Family("laguerre", "laguerre", 1, 0)
+LEGENDRE_EVEN = Family("legendre-even", "legendre", 2, 0)
+LEGENDRE_ODD = Family("legendre-odd", "legendre", 2, 1)
+HERMITE_EVEN = Family("hermite-even", "hermite", 2, 0, 1)
+HERMITE_ODD = Family("hermite-odd", "hermite", 2, 1, 1)
 
 ALL_FAMILIES = (LAGUERRE, LEGENDRE_EVEN, LEGENDRE_ODD, HERMITE_EVEN, HERMITE_ODD)
 FAMILIES = {f.name: f for f in ALL_FAMILIES}

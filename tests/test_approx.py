@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from mpmath import cos, exp, mp, mpf, pi, quad, sin
 
+from gramkernel import checks
 from gramkernel.approx import (
     COS_PI,
     EXP_NEG,
@@ -39,11 +40,10 @@ ALL_TARGETS = (SIN_PI, COS_PI, EXP_NEG)
 # f(x) = x on (-1, 1), a target outside TARGETS: integral x * y**k dy = 2/(k+2)
 # for odd k, and |f|^2 = 2/3.  It lies in the legendre-odd span at every size.
 IDENTITY = TargetFunction(
-    "x", LEGENDRE_ODD, PiLaurent(Fraction(2, 3)),
-    moments=lambda k_max: {k: PiLaurent(Fraction(2, k + 2)) for k in range(1, k_max + 1, 2)},
-    taylor_term=lambda k: PiLaurent(1 if k == 0 else 0),
+    "x", LEGENDRE_ODD, Fraction(2, 3),
+    moments=lambda k_max: {k: Fraction(2, k + 2) for k in range(1, k_max + 1, 2)},
+    taylor_term=lambda k: Fraction(1 if k == 0 else 0),
     value=lambda x: x,
-    rational=True,
 )
 
 
@@ -115,7 +115,6 @@ class TestProject:
     def test_constant_projection(self):
         est = kernel_estimate(EXP_NEG, 1)
         assert est.coefficients == (PiLaurent(Fraction(1, 2)),)
-        assert est.kind == "kernel_estimate"
 
     def test_two_term_projection(self):
         est = kernel_estimate(EXP_NEG, 2)
@@ -136,7 +135,8 @@ class TestProject:
             Fraction(1, 20480),
             Fraction(-1, 1290240),
         ]
-        assert [c.constant_value() for c in est.coefficients] == want
+        assert list(est.coefficients) == want
+        assert all(type(c) is Fraction for c in est.coefficients)
 
     def test_family_mismatch_rejected(self):
         kernel = build_kernel(LEGENDRE_EVEN, 2)
@@ -164,29 +164,24 @@ class TestTaylorPolynomial:
     def test_exp_eight_terms(self):
         import math
 
-        tay = taylor_polynomial(EXP_NEG, LAGUERRE, 8)
+        tay = taylor_polynomial(EXP_NEG, 8)
         want = [Fraction((-1) ** k, math.factorial(k)) for k in range(8)]
-        assert [c.constant_value() for c in tay.coefficients] == want
-        assert tay.kind == "taylor"
+        assert list(tay.coefficients) == want
+        assert all(type(c) is Fraction for c in tay.coefficients)
+        assert tay.family is LAGUERRE
 
     def test_sin_single_term(self):
-        tay = taylor_polynomial(SIN_PI, LEGENDRE_ODD, 1)
+        tay = taylor_polynomial(SIN_PI, 1)
         assert tay.coefficients == (PiLaurent({1: 1}),)  # pi * x
+        assert tay.family is LEGENDRE_ODD
 
     def test_cos_two_terms(self):
-        tay = taylor_polynomial(COS_PI, LEGENDRE_EVEN, 2)
+        tay = taylor_polynomial(COS_PI, 2)
         assert tay.coefficients == (
             PiLaurent(1),
             PiLaurent({2: Fraction(-1, 2)}),
         )
-
-    def test_parity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            taylor_polynomial(SIN_PI, LEGENDRE_EVEN, 2)
-        with pytest.raises(ValueError):
-            taylor_polynomial(COS_PI, LEGENDRE_ODD, 2)
-        with pytest.raises(ValueError):
-            taylor_polynomial(EXP_NEG, LEGENDRE_EVEN, 2)
+        assert tay.family is LEGENDRE_EVEN
 
 
 class TestTaylorComparator:
@@ -221,7 +216,7 @@ class TestErrorVariance:
         for n in range(1, 9):
             for poly in (kernel_estimate(EXP_NEG, n), taylor_comparator(EXP_NEG, n)):
                 var, _ = error_variance(EXP_NEG, poly)
-                assert var.is_rational()
+                assert type(var) is Fraction
 
     def test_family_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -267,7 +262,7 @@ class TestErrorVariance:
             sign = rng.choice((1, -1))
             bumped = list(est.coefficients)
             bumped[idx] = bumped[idx] + PiLaurent(Fraction(sign, 1000))
-            poly = ApproxPolynomial(est.family, tuple(bumped), "kernel_estimate")
+            poly = ApproxPolynomial(est.family, tuple(bumped))
             worse, _ = error_variance(target, poly)
             assert eval_pilaurent(worse, 320) > base_num
 
@@ -327,7 +322,7 @@ class TestEvalPolynomial:
 
     def test_estimate_at_one_matches_coefficient_sum(self):
         est = kernel_estimate(EXP_NEG, 8)
-        exact = sum((c.constant_value() for c in est.coefficients), Fraction(0))
+        exact = sum(est.coefficients, Fraction(0))
         got = eval_polynomial(est, [1])[0]
         with mp.workprec(300):
             want = mpf(exact.numerator) / exact.denominator
@@ -384,6 +379,50 @@ class TestVarianceRows:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             variance_rows(EXP_NEG, 0)
+
+
+class TestRationalsStayFractions:
+    """A value without pi is a Fraction: no PiLaurent is built on its way."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        count = [0]
+
+        def counted(self, *args, _init=PiLaurent.__init__):
+            count[0] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(PiLaurent, "__init__", counted)
+        return count
+
+    def test_counter_sees_pi_values(self, constructions):
+        variance_rows(SIN_PI, 2)
+        assert constructions[0] > 0
+
+    def test_check_reproducing(self, monkeypatch, constructions):
+        coefficients = []
+
+        def recorded(*args, _project=checks.project):
+            estimate = _project(*args)
+            coefficients.extend(estimate.coefficients)
+            return estimate
+
+        monkeypatch.setattr(checks, "project", recorded)
+        for family in ALL_FAMILIES:
+            assert checks.check_reproducing(checks.build_artefacts(family, 4)).passed
+        assert len(coefficients) == len(ALL_FAMILIES) * 4 * 4
+        assert all(type(c) is Fraction for c in coefficients)
+        assert constructions[0] == 0
+
+    def test_project(self, constructions):
+        est = project(build_kernel(LAGUERRE, 8), function_moments(EXP_NEG, 8))
+        assert all(type(c) is Fraction for c in est.coefficients)
+        assert constructions[0] == 0
+
+    def test_variance_rows(self, constructions):
+        rows = variance_rows(EXP_NEG, 8)
+        assert all(type(v) is Fraction for pair in rows for v in pair)
+        assert constructions[0] == 0
 
 
 class TestTargetRecord:

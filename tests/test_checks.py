@@ -42,9 +42,15 @@ def test_misgraded_kernel_fails_the_grade_checks(n):
     """A Hermite kernel of grade 0 instead of -1 no longer cancels G's +1."""
     arts = checks.build_artefacts(HERMITE_EVEN, n)
     bad = replace(arts, kernel=replace(arts.kernel, sqrtpi_power=0))
-    for check in (checks.check_gram_kernel_identity, checks.check_det_product):
+    for check in (
+        checks.check_gram_kernel_identity,
+        checks.check_det_product,
+        checks.check_reproducing,
+    ):
         assert check(arts).passed
         assert not check(bad).passed
+    detail = checks.check_reproducing(bad).detail
+    assert detail == "kernel grade 0 does not cancel moment grade 1"
 
 
 @pytest.mark.parametrize("n", (1, 4))

@@ -340,6 +340,7 @@ SNAPSHOT_ARGV = {
     "variance_exp-neg_4": ["variance", "--target", "exp-neg", "--max-size", "4"],
     "variance_sin-pi_3": ["variance", "--target", "sin-pi", "--max-size", "3"],
     "project_cos-pi_2": ["project", "--target", "cos-pi", "--size", "2"],
+    "project_exp-neg_12": ["project", "--target", "exp-neg", "--size", "12"],
     "verify_2": ["verify", "--max-size", "2"],
 }
 SNAPSHOTS = [

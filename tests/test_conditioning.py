@@ -97,6 +97,6 @@ class TestConditionTable:
 
     def test_decimal_rendering_width(self):
         # at least 17 significant digits available on demand
-        last = condition_table(HERMITE_ODD, 8, sig_digits=17)[-1].kappa_decimal
+        last = condition_table(HERMITE_ODD, 8)[-1].kappa_decimal
         digits = last.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 16  # trailing zeros may legitimately strip

@@ -72,12 +72,6 @@ class TestPiLaurent:
         p = PiLaurent({0: 1, 2: 0})
         assert p.terms == {0: Fraction(1)}
 
-    def test_constant_helpers(self):
-        assert PiLaurent(Fraction(1, 3)).constant_value() == Fraction(1, 3)
-        assert PiLaurent().is_rational()
-        with pytest.raises(ValueError):
-            PiLaurent({1: 1}).constant_value()
-
     def test_immutable(self):
         p = PiLaurent({1: 1})
         with pytest.raises(AttributeError):
@@ -111,6 +105,11 @@ class TestEvalPiLaurent:
         with mp.workprec(320):
             assert abs(v - 2 / mp.pi) < mpf(2) ** -250
 
+    def test_fraction_is_its_constant_sum(self):
+        for q in (Fraction(1, 3), Fraction(-22, 7), Fraction(0)):
+            for bits in (128, 256):
+                assert eval_pilaurent(q, bits) == eval_pilaurent(PiLaurent(q), bits)
+
     def test_precision_floor_enforced(self):
         with pytest.raises(ValueError):
             eval_pilaurent(PiLaurent(1), 64)
@@ -133,6 +132,28 @@ class TestEvalPiLaurent:
             with mp.workprec(600):
                 rel = abs(lo - hi) / abs(hi)
             assert rel < mpf(10) ** -60
+
+
+# positive integers of up to 400 bits, built from ten 40-bit limbs: drawn
+# whole, hypothesis favours short or power-of-two values that never round
+long_ints = st.lists(
+    st.integers(min_value=0, max_value=2**40 - 1), min_size=1, max_size=10
+).map(lambda limbs: sum(x << (40 * i) for i, x in enumerate(limbs)) or 1)
+
+
+class TestToBigfloat:
+    @given(p=long_ints, q=long_ints, negative=st.booleans())
+    @settings(max_examples=200)
+    def test_correctly_rounded(self, p, q, negative):
+        """Within half an ulp of p/q at 128 bits, the error computed in
+        Fraction arithmetic from the result's sign, mantissa and exponent."""
+        x = Fraction(-p if negative else p, q)
+        sign, man, exp, _ = to_bigfloat(x, 128)._mpf_
+        got = (-1) ** sign * man * Fraction(2) ** exp
+        e = p.bit_length() - q.bit_length()
+        if abs(x) < Fraction(2) ** e:
+            e -= 1  # now 2**e <= |x| < 2**(e+1)
+        assert abs(got - x) <= Fraction(2) ** (e - 128)
 
 
 class TestDecimalStr:
