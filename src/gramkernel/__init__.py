@@ -39,7 +39,6 @@ from .exactscalar import (
     PiLaurent,
     decimal_str,
     eval_pilaurent,
-    gamma_ratio,
     to_bigfloat,
 )
 from .families import (
@@ -103,7 +102,6 @@ __all__ = [
     "eval_polynomial",
     "family_by_name",
     "function_moments",
-    "gamma_ratio",
     "gram_from_moments",
     "inf_norm",
     "invert_exact",

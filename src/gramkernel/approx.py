@@ -56,14 +56,14 @@ def _sin_integrals(k_max: int) -> dict[int, PiLaurent]:
     return out
 
 
-def _cos_integrals(m_max: int) -> dict[int, PiLaurent]:
+def _cos_integrals(m_max: int) -> dict[int, Exact]:
     """J_m = integral_{-1}^{1} y**m cos(pi y) dy for even m <= m_max.
 
     The sine boundary terms vanish at +/-1, leaving J_0 = 0 and
     J_m = -(m/pi) * I_{m-1}.
     """
     sin_i = _sin_integrals(m_max - 1 if m_max >= 1 else 0)
-    out = {0: PiLaurent()}
+    out: dict[int, Exact] = {0: Fraction(0)}  # J_0 has no pi: a Fraction
     for m in range(2, m_max + 1, 2):
         out[m] = sin_i[m - 1] * PiLaurent.pi_power(-1, -Fraction(m))
     return out

@@ -2,8 +2,10 @@
 plot data, and the self-verification report, as text, CSV, or JSON.
 
 Exact rationals are serialized as ``p/q`` strings; pi-dependent exact values
-as canonical ``q*pi^m`` sums; decimals are rendered from the exact values at
-``--precision-bits`` (default 256) and never feed back into any exact field.
+as canonical ``q*pi^m`` sums.  Decimals are rendered from the exact values and
+never feed back into any exact field: ``cond`` renders kappa exactly, while
+``variance`` and ``plotdata`` evaluate at ``--precision-bits`` (default 256),
+the only commands that take it.
 ``plotdata --samples`` takes 2 to 65536 points (65536 take about 15 s).
 Exit codes: 0 success, 1 verification failed, 2 usage or I/O error (such as an
 ``--out`` path that cannot be written, a ``--samples`` count out of bounds or
@@ -274,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, precision=False):
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        p.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
+        if precision:
+            p.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
         p.add_argument("--out", metavar="PATH", default=None)
 
     p_kernel = sub.add_parser("kernel", help="exact kernel matrix B = G^-1")
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_var = sub.add_parser("variance", help="error variances: Taylor vs kernel estimate")
     p_var.add_argument("--target", choices=sorted(TARGETS), required=True)
     p_var.add_argument("--max-size", type=_positive_int, required=True)
-    add_common(p_var)
+    add_common(p_var, precision=True)
     p_var.set_defaults(func=cmd_variance)
 
     p_proj = sub.add_parser("project", help="estimate and Taylor coefficients")

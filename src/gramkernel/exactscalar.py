@@ -38,24 +38,6 @@ def _check_precision(precision_bits: int) -> None:
         )
 
 
-def gamma_ratio(base_half: RationalLike, steps: int) -> Fraction:
-    """Rising product ``base*(base+1)*...*(base+steps-1)`` of a half-integer.
-
-    This equals ``Gamma(base+steps)/Gamma(base)`` without evaluating Gamma,
-    so ratios of half-integer Gamma values stay exact rationals.  The empty
-    product (``steps == 0``) is 1.
-    """
-    base = Fraction(base_half)
-    if base <= 0 or base.denominator not in (1, 2):
-        raise ValueError(f"base must be a positive half-integer, got {base}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    out = Fraction(1)
-    for m in range(steps):
-        out *= base + m
-    return out
-
-
 class PiLaurent:
     """A finite formal sum ``sum_m q_m * pi**m`` with exact rational ``q_m``.
 
@@ -147,6 +129,9 @@ class PiLaurent:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # equal values hash equal: a pi-free value hashes as its Fraction
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, Fraction(0)))
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:

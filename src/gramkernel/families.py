@@ -23,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exactscalar import gamma_ratio
-
 
 @dataclass(frozen=True)
 class Family:
@@ -100,10 +98,13 @@ def _coeff_entry(family: Family, i: int, j: int) -> Fraction:
     if family.measure == "laguerre":
         return comb(i - 1, j - 1) * Fraction((-1) ** (j - 1), factorial(j - 1))
     if family.measure == "legendre":
-        # Gamma((j +/- 1/2) + (i-1)) / Gamma(j +/- 1/2) as a rising product
-        base = Fraction(2 * j - 1, 2) if family.offset == 0 else Fraction(2 * j + 1, 2)
-        sign = Fraction((-1) ** (i + j))
-        return sign * comb(i - 1, j - 1) * gamma_ratio(base, i - 1) / factorial(i - 1)
+        # the rising product (b_j/2 + 1) ... (b_j/2 + i - 1), a ratio of
+        # half-integer Gammas, is (b_j + 2i - 2)!! / (b_j!! * 2**(i-1))
+        b_j = 2 * j - 3 + 2 * family.offset
+        return Fraction(
+            (-1) ** (i + j) * comb(i - 1, j - 1) * double_factorial(b_j + 2 * i - 2),
+            double_factorial(b_j) * 2 ** (i - 1) * factorial(i - 1),
+        )
     # hermite
     deg_i = family.basis_power(i)
     pow_j = family.basis_power(j)

@@ -7,20 +7,19 @@ true squared norms,
     b_ij = sum_{k >= max(i,j)} a_ki * a_kj / lambda_k.
 
 Summed one k at a time, that is a sweep over sizes (:func:`kernel_sweep`),
-the one construction here; the per-family closed forms are also
-implemented, but only as documented cross-checks (see
-:func:`closed_form_kernel`, including the corrected Legendre factor
-placement).
+the one construction here.  The per-family closed forms are kept only as
+an independently typed cross-check: :func:`closed_form_kernel` is one sum
+``b_ij = sum_k u_ik u_jk w_k`` over per-family factor tables, including the
+corrected Legendre factor placement.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .exactscalar import gamma_ratio
-from .families import Family, GradedMatrix, coeff_matrix, norm_vector
+from .families import Family, GradedMatrix, coeff_matrix, double_factorial, norm_vector
 
 
 def kernel_sweep(family: Family, max_n: int) -> Iterator[GradedMatrix]:
@@ -85,82 +84,41 @@ def kernel_eval(kernel: GradedMatrix, x: Fraction, y: Fraction) -> Fraction:
     return total
 
 
-def _recip_factorial(m: int) -> Fraction:
-    # 1/m!, with 1/(negative)! = 0: the vanishing that truncates the sums
-    return Fraction(1, factorial(m)) if m >= 0 else Fraction(0)
+def _closed_form_factors(
+    family: Family, printed: bool
+) -> tuple[Callable[[int, int], Fraction], Callable[[int], Fraction]]:
+    """The family's factors ``u(i, k)`` (called for k >= i) and ``w(k)`` of
+    ``b_ij = sum_{k >= max(i,j)} u(i, k) u(j, k) w(k)``, all 1-based.
 
+    The Legendre Gamma ratios are written with Gamma(m + 1/2) = (2m - 1)!!
+    sqrt(pi) / 2**m (Abramowitz & Stegun 6.1.12), so the sqrt(pi) cancels.
+    """
+    if family.measure == "laguerre":
+        return (
+            lambda i, k: Fraction((-1) ** (i - 1) * comb(k - 1, i - 1), factorial(i - 1)),
+            lambda k: Fraction(1),
+        )
+    if family.measure == "hermite":
+        p = family.basis_power
+        return (
+            lambda i, k: Fraction((-1) ** i * 2 ** p(i), factorial(p(i)) * factorial(k - i)),
+            lambda k: Fraction(factorial(p(k)), 2 ** p(k)),
+        )
 
-def _closed_form_laguerre(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            pref = Fraction((-1) ** (i - 1), factorial(i - 1)) * Fraction(
-                (-1) ** (j - 1), factorial(j - 1)
-            )
-            total = sum(
-                comb(k - 1, i - 1) * comb(k - 1, j - 1) for k in range(j, n + 1)
-            )
-            row.append(pref * total)
-        rows.append(tuple(row))
-    return tuple(rows)
+    def legendre_u(i: int, k: int) -> Fraction:
+        b_i = 2 * i - 3 + 2 * family.offset
+        return Fraction(
+            (-1) ** i * comb(k - 1, i - 1) * double_factorial(b_i + 2 * k - 2),
+            double_factorial(b_i) * 2 ** (k - 1) * factorial(k - 1),
+        )
 
+    def legendre_w(k: int) -> Fraction:
+        # corrected placement multiplies by (2k - 3/2) resp. (2k - 1/2);
+        # the as-printed form divides by it instead
+        base = Fraction(4 * k - 3 + 2 * family.offset, 2)
+        return 1 / base if printed else base
 
-def _closed_form_legendre(
-    family: Family, n: int, printed: bool
-) -> tuple[tuple[Fraction, ...], ...]:
-    half = Fraction(1, 2) if family.offset == 0 else Fraction(3, 2)
-    shift = Fraction(3, 2) if family.offset == 0 else Fraction(1, 2)
-    # u[i][k] = C(k-1, i-1) * Gamma-ratio(half + i - 1, k - 1) / (k-1)!, the
-    # factor each of i and j contributes to term k (zero for k < i)
-    u = [
-        [
-            comb(k - 1, i - 1) * gamma_ratio(half + (i - 1), k - 1) / factorial(k - 1)
-            if k >= i else Fraction(0)
-            for k in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    base = [Fraction(2 * k) - shift for k in range(1, n + 1)]
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            total = Fraction(0)
-            for k in range(max(i, j), n + 1):
-                term = Fraction((-1) ** (i + j)) * u[i - 1][k - 1] * u[j - 1][k - 1]
-                # corrected placement multiplies by (2k - 3/2) resp. (2k - 1/2);
-                # the as-printed form divides by it instead
-                total += term / base[k - 1] if printed else term * base[k - 1]
-            row.append(total)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _closed_form_hermite(family: Family, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    off = family.offset
-    rows = []
-    for i in range(1, n + 1):
-        p_i = 2 * (i - 1) + off
-        row = []
-        for j in range(1, n + 1):
-            p_j = 2 * (j - 1) + off
-            pref = (
-                Fraction((-1) ** (i + j))
-                * Fraction(2**p_i, factorial(p_i))
-                * Fraction(2**p_j, factorial(p_j))
-            )
-            total = Fraction(0)
-            for k in range(j, n + 1):
-                p_k = 2 * (k - 1) + off
-                total += (
-                    Fraction(factorial(p_k), 2**p_k)
-                    * _recip_factorial(k - i)
-                    * _recip_factorial(k - j)
-                )
-            row.append(pref * total)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return legendre_u, legendre_w
 
 
 def closed_form_kernel(
@@ -168,18 +126,28 @@ def closed_form_kernel(
 ) -> GradedMatrix:
     """Per-family closed-form b_ij, as a cross-check of :func:`build_kernel`.
 
-    The Laguerre and Hermite closed forms match the generic construction as
-    they stand.  The Legendre forms only match with the ``(2k - 3/2)`` /
-    ``(2k - 1/2)`` factor as a multiplier; ``legendre_printed=True`` keeps
-    it as a divisor instead, which provably fails the inverse-Gram check and
-    exists solely so that erratum stays machine-checked.
+    Every family's closed form is one sum ``b_ij = sum_{k >= max(i,j)}
+    u_ik u_jk w_k`` over its own factor tables, typed in independently of
+    :func:`~gramkernel.families.coeff_matrix` and the norms.  The Laguerre
+    and Hermite closed forms match the generic construction as they stand.
+    The Legendre forms only match with the ``(2k - 3/2)`` / ``(2k - 1/2)``
+    factor as a multiplier; ``legendre_printed=True`` keeps it as a divisor
+    instead, which provably fails the inverse-Gram check and exists solely
+    so that erratum stays machine-checked.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if family.measure == "laguerre":
-        entries = _closed_form_laguerre(n)
-    elif family.measure == "legendre":
-        entries = _closed_form_legendre(family, n, legendre_printed)
-    else:
-        entries = _closed_form_hermite(family, n)
+    u_of, w_of = _closed_form_factors(family, legendre_printed)
+    w = [w_of(k) for k in range(1, n + 1)]
+    u = [
+        [u_of(i, k) if k >= i else Fraction(0) for k in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    entries = tuple(
+        tuple(
+            sum((u[i][k] * u[j][k] * w[k] for k in range(max(i, j), n)), Fraction(0))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
     return GradedMatrix(family, n, entries, -family.moment_grade)

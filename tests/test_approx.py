@@ -424,6 +424,16 @@ class TestRationalsStayFractions:
         assert all(type(v) is Fraction for pair in rows for v in pair)
         assert constructions[0] == 0
 
+    def test_cos_pi_size_one_variance(self):
+        # J_0 = 0 carries no pi, so the size-1 estimate variance is |f|^2 = 1
+        estimate_variance = variance_rows(COS_PI, 1)[0][1]
+        assert type(estimate_variance) is Fraction and estimate_variance == 1
+
+    def test_cos_pi_size_one_project(self):
+        estimate = project(build_kernel(LEGENDRE_EVEN, 1), function_moments(COS_PI, 1))
+        assert estimate.coefficients == (0,)
+        assert type(estimate.coefficients[0]) is Fraction
+
 
 class TestTargetRecord:
     def test_new_target_is_one_record(self):

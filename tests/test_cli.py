@@ -244,23 +244,40 @@ class TestOutputBehaviour:
         assert first == second
 
     def test_precision_bits_leaves_exact_fields_alone(self, capsys):
-        base = ["project", "--target", "exp-neg", "--size", "6", "--format", "json"]
+        base = ["variance", "--target", "exp-neg", "--max-size", "6", "--format", "json"]
         _, lo = run_cli(capsys, base + ["--precision-bits", "128"])
         _, hi = run_cli(capsys, base + ["--precision-bits", "512"])
-        assert json.loads(lo)["data"] == json.loads(hi)["data"]
+        exact = lambda out: [
+            (row["size"], row["taylor_exact"], row["estimate_exact"])
+            for row in json.loads(out)["data"]
+        ]
+        assert exact(lo) == exact(hi)
+        assert len(exact(lo)) == 6
 
     def test_low_precision_rejected(self, capsys):
         assert run_cli_expect_exit(
             capsys,
-            ["cond", "--family", "laguerre", "--max-size", "2", "--precision-bits", "64"],
+            ["variance", "--target", "exp-neg", "--max-size", "2", "--precision-bits", "64"],
         ) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--family", "laguerre", "--size", "2"],
+        ["cond", "--family", "laguerre", "--max-size", "2"],
+        ["project", "--target", "exp-neg", "--size", "2"],
+        ["verify", "--max-size", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_precision_bits_only_where_decimals_are_evaluated(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--precision-bits", "256"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --precision-bits 256" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, expected", [
         (["kernel", "--family", "laguerre", "--size", "x"],
          "argument --size: must be a positive integer, got x"),
         (["cond", "--family", "laguerre", "--max-size", "x"],
          "argument --max-size: must be a positive integer, got x"),
-        (["cond", "--family", "laguerre", "--max-size", "2", "--precision-bits", "x"],
+        (["variance", "--target", "exp-neg", "--max-size", "2", "--precision-bits", "x"],
          "argument --precision-bits: precision-bits must be >= 128, got x"),
         (["plotdata", "--target", "exp-neg", "--size", "2", "--samples", "x"],
          "argument --samples: samples must be between 2 and 65536, got x"),

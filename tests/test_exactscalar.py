@@ -11,45 +11,8 @@ from gramkernel.exactscalar import (
     PiLaurent,
     decimal_str,
     eval_pilaurent,
-    gamma_ratio,
     to_bigfloat,
 )
-
-
-class TestGammaRatio:
-    def test_empty_product(self):
-        assert gamma_ratio(Fraction(1, 2), 0) == 1
-
-    def test_single_factor(self):
-        assert gamma_ratio(Fraction(3, 2), 1) == Fraction(3, 2)
-
-    def test_two_factors(self):
-        # Gamma(7/2)/Gamma(3/2) = (3/2)(5/2)
-        assert gamma_ratio(Fraction(3, 2), 2) == Fraction(15, 4)
-
-    def test_integer_base(self):
-        # Gamma(5)/Gamma(2) = 2*3*4
-        assert gamma_ratio(2, 3) == 24
-
-    @given(
-        k=st.integers(min_value=1, max_value=9),
-        s=st.integers(min_value=0, max_value=20),
-        t=st.integers(min_value=0, max_value=20),
-    )
-    def test_rising_product_splits(self, k, s, t):
-        """gamma_ratio(x, s+t) == gamma_ratio(x, s) * gamma_ratio(x+s, t)."""
-        x = Fraction(k, 2)
-        assert gamma_ratio(x, s + t) == gamma_ratio(x, s) * gamma_ratio(x + s, t)
-
-    def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            gamma_ratio(Fraction(1, 3), 1)
-        with pytest.raises(ValueError):
-            gamma_ratio(Fraction(-1, 2), 1)
-
-    def test_rejects_negative_steps(self):
-        with pytest.raises(ValueError):
-            gamma_ratio(Fraction(1, 2), -1)
 
 
 class TestRationalRoundTrip:
@@ -85,6 +48,20 @@ class TestPiLaurent:
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
         assert a * b == b * a
+
+    def test_pi_free_value_is_interchangeable_with_its_fraction(self):
+        half = Fraction(1, 2)
+        assert len({half, PiLaurent(half)}) == 1
+        assert {half: "half"}.get(PiLaurent(half)) == "half"
+        assert {PiLaurent(): "zero"}[Fraction(0)] == "zero"
+        assert len({PiLaurent({1: half}), half}) == 2
+
+    @given(p=pilaurents, q=small_fracs)
+    def test_equal_values_hash_equal(self, p, q):
+        """p == q implies hash(p) == hash(q), across both carriers."""
+        for a, b in ((p, q), (PiLaurent(q), q), (p, PiLaurent(p.terms))):
+            if a == b:
+                assert hash(a) == hash(b)
 
     def test_str_forms(self):
         assert str(PiLaurent()) == "0"

@@ -101,8 +101,9 @@ class TestCoeffMatrixExamples:
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
 class TestCoeffMatrixAgainstRecurrence:
     def test_rows_match_classical_polynomials(self, family):
-        a = coeff_matrix(family, 10)
-        for i in range(1, 11):
+        # n = 40 is the largest kernel size the point benchmark builds
+        a = coeff_matrix(family, 40)
+        for i in range(1, 41):
             degree = family.basis_power(i)
             poly = classical_polynomial(family.measure, degree)
             # entries on the family's power grid must match; all others vanish
