@@ -2,11 +2,10 @@
 
 Builds the inverse of monomial Gram matrices in closed form over the three
 classical weighted domains (Legendre, Laguerre, Hermite; the symmetric ones
-split by parity), evaluates the resulting reproducing kernels, conditions
-the Gram systems, and projects target functions onto the kernel span -- all
-in exact rational / pi-Laurent arithmetic, with numeric rendering deferred to
-a single high-precision step.  The Hermite weight's sqrt(pi) is a per-family
-grade, stored once per matrix.
+split by parity), conditions the Gram systems, and projects target functions
+onto the kernel span -- all in exact rational / pi-Laurent arithmetic, with
+numeric rendering deferred to a single high-precision step.  The Hermite
+weight's sqrt(pi) is a per-family grade, stored once per matrix.
 """
 
 from .approx import (
@@ -57,7 +56,7 @@ from .families import (
     norm_vector,
     printed_legendre_norm,
 )
-from .kernelbuild import build_kernel, closed_form_kernel, kernel_eval, kernel_sweep
+from .kernelbuild import build_kernel, closed_form_kernel
 from .oracle import (
     SingularMatrixError,
     bareiss_inverse,
@@ -105,8 +104,6 @@ __all__ = [
     "gram_from_moments",
     "inf_norm",
     "invert_exact",
-    "kernel_eval",
-    "kernel_sweep",
     "leading_principal_minors",
     "monomial_moment",
     "monomial_moment_vector",

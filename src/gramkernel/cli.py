@@ -6,11 +6,13 @@ as canonical ``q*pi^m`` sums.  Decimals are rendered from the exact values and
 never feed back into any exact field: ``cond`` renders kappa exactly, while
 ``variance`` and ``plotdata`` evaluate at ``--precision-bits`` (default 256),
 the only commands that take it.
-``plotdata --samples`` takes 2 to 65536 points (65536 take about 15 s).
+``plotdata --samples`` takes 2 to 65536 points (65536 take about 15 s), and
+its window ends ``--xmin``/``--xmax`` are at most 10**6 in magnitude with a
+denominator below 10**30.
 Exit codes: 0 success, 1 verification failed, 2 usage or I/O error (such as an
-``--out`` path that cannot be written, a ``--samples`` count out of bounds or
-a numeric option that is not an integer), 3 internal error (any other
-exception: one line ``internal error: TYPE: MESSAGE`` on stderr).
+``--out`` path that cannot be written, a ``--samples`` count or window end out
+of bounds or a numeric option that is not an integer), 3 internal error (any
+other exception: one line ``internal error: TYPE: MESSAGE`` on stderr).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from math import inf
@@ -47,6 +50,7 @@ from .families import FAMILIES, family_by_name
 from .kernelbuild import build_kernel
 
 MIN_SAMPLES, MAX_SAMPLES = 2, 65536
+MAX_WINDOW_END, MAX_WINDOW_DEN = 10**6, 10**30
 
 
 def _int_option(text: str, low: int, high: float, expected: str) -> int:
@@ -73,6 +77,22 @@ def _sample_count(text: str) -> int:
 def _precision(text: str) -> int:
     expected = f"precision-bits must be >= {MIN_PRECISION_BITS}"
     return _int_option(text, MIN_PRECISION_BITS, inf, expected)
+
+
+def _window_end(text: str) -> Fraction:
+    """A ``plotdata`` window end, exact, at most 10**6 in magnitude with a
+    denominator below 10**30.  A decimal exponent beyond ``len(text) + 100``
+    breaks a bound for any nonzero mantissa that short, so it is clipped
+    before ``Fraction`` expands it: ``1e100000000`` fails at once."""
+    try:
+        value = Fraction(re.sub(r"([eE][-+]?)([\d_]+)(\s*)\Z",
+                                lambda m: f"{m[1]}{min(int(m[2]), len(text) + 100)}{m[3]}", text))
+        if abs(value) <= MAX_WINDOW_END and value.denominator < MAX_WINDOW_DEN:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number of magnitude at most {MAX_WINDOW_END} "
+                                     f"with a denominator below 10**30, got {text}")
 
 
 def _emit(args, payload: dict | None, header: list[str], rows: list[list[str]],
@@ -219,8 +239,7 @@ def cmd_project(args) -> int:
 
 def cmd_plotdata(args) -> int:
     target = target_by_name(args.target)
-    xmin = Fraction(args.xmin)
-    xmax = Fraction(args.xmax)
+    xmin, xmax = args.xmin, args.xmax
     if not xmin < xmax:
         raise ValueError(f"xmin must be < xmax, got {xmin} >= {xmax}")
     family = target.natural_family
@@ -309,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plotdata", help="CSV samples of f, estimate, and Taylor")
     p_plot.add_argument("--target", choices=sorted(TARGETS), required=True)
     p_plot.add_argument("--size", type=_positive_int, required=True)
-    p_plot.add_argument("--xmin", default="0")
-    p_plot.add_argument("--xmax", default="10")
+    p_plot.add_argument("--xmin", type=_window_end, default="0")
+    p_plot.add_argument("--xmax", type=_window_end, default="10")
     p_plot.add_argument("--samples", type=_sample_count, default=512)
     p_plot.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
     p_plot.add_argument("--out", metavar="PATH", default=None)

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .exactscalar import SIG_DIGITS, decimal_str
-from .families import Family, GradedMatrix
-from .kernelbuild import build_kernel, kernel_sweep
+from .families import Family, coeff_matrix, norm_vector
+from .kernelbuild import build_kernel
 from .oracle import gram_from_moments
 
 
@@ -33,30 +33,38 @@ def inf_norm(entries: Iterable[Iterable[Fraction]]) -> Fraction:
     return max(norms)
 
 
-def _kappa(gram: GradedMatrix, kernel: GradedMatrix) -> Fraction:
-    """kappa_inf of the kernel's size, from the leading block of ``gram``."""
+def condition_number(family: Family, n: int) -> Fraction:
+    """kappa_inf of the size-n monomial Gram matrix, as an exact rational,
+    from G and B themselves: the reference for :func:`condition_table`."""
+    gram, kernel = gram_from_moments(family, n), build_kernel(family, n)
     if gram.sqrtpi_power + kernel.sqrtpi_power != 0:
         raise AssertionError("sqrt(pi) grades failed to cancel in kappa")
-    n = kernel.n
-    return inf_norm(row[:n] for row in gram.entries[:n]) * inf_norm(kernel.entries)
-
-
-def condition_number(family: Family, n: int) -> Fraction:
-    """kappa_inf of the size-n monomial Gram matrix, as an exact rational."""
-    return _kappa(gram_from_moments(family, n), build_kernel(family, n))
+    return inf_norm(gram.entries) * inf_norm(kernel.entries)
 
 
 def condition_table(family: Family, max_size: int) -> tuple[ConditionRow, ...]:
-    """Rows (size, exact kappa, decimal kappa) for sizes 1..max_size.
+    """Rows (size, exact kappa, decimal kappa) for sizes 1..max_size, from A,
+    the norms and one size-``max_size`` Gram matrix, with no kernel matrix.
 
-    One kernel sweep and one size-``max_size`` Gram matrix serve every row:
-    the size-n Gram matrix is the leading n x n block of the largest.
+    In all three families a_ki is (-1)**i times a sign fixed by the row k, so
+    every term a_ki a_kj / lambda_k of b_ij has the sign (-1)**(i+j): B is the
+    checkerboard inverse of a totally positive moment matrix (S. Karlin,
+    *Total Positivity*, 1968), and |B| = |A|^T Lambda**-1 |A|.  So size n
+    adds ``|a_n| * ||a_n||_1 / lambda_n`` to ``s``, the row sums of |B_n|,
+    and |g_in| (G is symmetric) plus one new row to ``r``, the row sums of
+    |G_n|; kappa_n is ``max(r) * max(s)``.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    gram = gram_from_moments(family, max_size)
-    rows = []
-    for kernel in kernel_sweep(family, max_size):
-        kappa = _kappa(gram, kernel)
-        rows.append(ConditionRow(kernel.n, kappa, decimal_str(kappa, SIG_DIGITS)))
+    a = coeff_matrix(family, max_size).entries
+    gram = gram_from_moments(family, max_size).entries
+    r, s, rows = [], [], []
+    for n, lam_n in enumerate(norm_vector(family, max_size), start=1):
+        g = [abs(x) for x in gram[n - 1][:n]]
+        r = [ri + gi for ri, gi in zip(r, g)] + [sum(g, Fraction(0))]
+        a_n = [abs(x) for x in a[n - 1][:n]]
+        weight = sum(a_n, Fraction(0)) / lam_n
+        s = [si + ai * weight for si, ai in zip(s, a_n)] + [a_n[-1] * weight]
+        kappa = max(r) * max(s)
+        rows.append(ConditionRow(n, kappa, decimal_str(kappa, SIG_DIGITS)))
     return tuple(rows)

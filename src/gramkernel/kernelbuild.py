@@ -6,9 +6,9 @@ true squared norms,
 
     b_ij = sum_{k >= max(i,j)} a_ki * a_kj / lambda_k.
 
-Summed one k at a time, that is a sweep over sizes (:func:`kernel_sweep`),
-the one construction here.  The per-family closed forms are kept only as
-an independently typed cross-check: :func:`closed_form_kernel` is one sum
+:func:`build_kernel` sums it one k at a time, the one construction here.
+The per-family closed forms are kept only as an independently typed
+cross-check: :func:`closed_form_kernel` is one sum
 ``b_ij = sum_k u_ik u_jk w_k`` over per-family factor tables, including the
 corrected Legendre factor placement.
 """
@@ -17,71 +17,34 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterator
+from typing import Callable
 
 from .families import Family, GradedMatrix, coeff_matrix, double_factorial, norm_vector
 
 
-def kernel_sweep(family: Family, max_n: int) -> Iterator[GradedMatrix]:
-    """Kernels B_1, ..., B_max_n by rank-one updates, exact.
+def build_kernel(family: Family, n: int) -> GradedMatrix:
+    """Kernel matrix B = G**-1 of size n, exact.
 
-    Row n of A does not depend on the size, so each kernel is the previous
-    one, bordered by a zero row and column, plus one orthogonal-expansion
-    term ``a_n a_n^T / lambda_n``: the Christoffel-Darboux partial sum.  A
-    and the norms are read once; every yielded matrix is a fresh immutable
-    copy, so a caller that drops it keeps memory at one size.  The whole
-    sweep costs about what the last size alone costs.
+    B is the Christoffel-Darboux sum of the orthogonal-expansion terms
+    ``a_k a_k^T / lambda_k`` over the rows of A, added into the upper
+    triangle in place and mirrored once.  B is symmetric positive definite
+    with grade ``-family.moment_grade``; the kernel polynomial is
+    ``K(x, y) = sum_ij b_ij x**p_i y**p_j`` with ``p_i`` the family's basis
+    powers.
     """
-    if max_n < 1:
+    if n < 1:
         raise ValueError("n must be >= 1")
-    return _sweep(family, max_n)
-
-
-def _sweep(family: Family, max_n: int) -> Iterator[GradedMatrix]:
-    a = coeff_matrix(family, max_n).entries
-    lam = norm_vector(family, max_n)
-    grade = -family.moment_grade
-    b: list[list[Fraction]] = []
-    for k in range(max_n):
-        row = a[k]
-        scaled = [row[i] / lam[k] for i in range(k + 1)]
-        for bi in b:
-            bi.append(Fraction(0))
-        b.append([Fraction(0)] * (k + 1))
+    a = coeff_matrix(family, n).entries
+    lam = norm_vector(family, n)
+    b = [[Fraction(0)] * n for _ in range(n)]
+    for k, row in enumerate(a):
         for i in range(k + 1):
+            scaled = row[i] / lam[k]
             bi = b[i]
             for j in range(i, k + 1):
-                bi[j] += scaled[i] * row[j]
-            for j in range(i + 1, k + 1):
-                b[j][i] = bi[j]
-        yield GradedMatrix(family, k + 1, tuple(map(tuple, b)), grade)
-
-
-def build_kernel(family: Family, n: int) -> GradedMatrix:
-    """Kernel matrix B = G**-1, the last element of :func:`kernel_sweep`.
-
-    B is symmetric positive definite with grade ``-family.moment_grade``;
-    the kernel polynomial is ``K(x, y) = sum_ij b_ij x**p_i y**p_j`` with
-    ``p_i`` the family's basis powers.
-    """
-    for kernel in kernel_sweep(family, n):
-        pass
-    return kernel
-
-
-def kernel_eval(kernel: GradedMatrix, x: Fraction, y: Fraction) -> Fraction:
-    """Exact K(x, y) = sum_ij b_ij x**p_i y**p_j, as the rational core of
-    grade ``kernel.sqrtpi_power``."""
-    x = Fraction(x)
-    y = Fraction(y)
-    fam = kernel.family
-    xp = [x ** fam.basis_power(i + 1) for i in range(kernel.n)]
-    yp = [y ** fam.basis_power(j + 1) for j in range(kernel.n)]
-    total = Fraction(0)
-    for i in range(kernel.n):
-        row = kernel.entries[i]
-        total += xp[i] * sum((row[j] * yp[j] for j in range(kernel.n)), Fraction(0))
-    return total
+                bi[j] += scaled * row[j]
+    mirrored = tuple(tuple(b[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+    return GradedMatrix(family, n, mirrored, -family.moment_grade)
 
 
 def _closed_form_factors(

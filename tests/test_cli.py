@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -210,6 +211,32 @@ class TestPlotdataCommand:
         err_lines = capsys.readouterr().err.splitlines()
         assert "65536" in err_lines[-1]
         assert not any("65536" in line for line in err_lines[:-1])
+
+    @pytest.mark.parametrize("end", ("1e100000000", "1e-100000000", "1000001", "-1000001",
+                                     "1/1000000000000000000000000000000", "1/0", "abc"))
+    @pytest.mark.parametrize("side", ("--xmin", "--xmax"))
+    def test_window_end_out_of_bounds_is_refused_at_once(self, capsys, side, end):
+        argv = ["plotdata", "--target", "exp-neg", "--size", "2", "--samples", "2",
+                "--xmin=-1", "--xmax=1", f"{side}={end}"]
+        start = time.process_time()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert time.process_time() - start < 1
+        assert excinfo.value.code == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert "1000000" in err_lines[-1] and "10**30" in err_lines[-1]
+
+    @pytest.mark.parametrize("xmin, xmax, xs", (
+        ("-1000000", "1000000", ["-1000000", "1000000"]),
+        ("0e100000000", "1e-29", ["0", "1e-29"]),
+        ("-1/999999999999999999999999999999", "1", ["-1e-30", "1"]),
+    ))
+    def test_window_ends_within_bounds_run(self, capsys, xmin, xmax, xs):
+        code, out = run_cli(capsys, ["plotdata", "--target", "exp-neg", "--size", "2",
+                                     "--samples", "2", f"--xmin={xmin}", f"--xmax={xmax}"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == xs
 
 
 class TestVerifyCommand:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gramkernel import conditioning
 from gramkernel.conditioning import condition_number, condition_table, inf_norm
 from gramkernel.families import (
     ALL_FAMILIES,
@@ -12,7 +13,9 @@ from gramkernel.families import (
     LAGUERRE,
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
+    coeff_matrix,
 )
+from gramkernel.kernelbuild import build_kernel
 
 
 def F(p, q=1):
@@ -89,14 +92,36 @@ class TestConditionTable:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
     def test_rows_equal_one_size_condition_numbers(self, family):
-        """The sweep's rows against the from-scratch build of each size."""
-        rows = condition_table(family, 12)
-        assert [r.size for r in rows] == list(range(1, 13))
+        """The running row sums against the matrix norms of each size, up to
+        32, the largest size the benchmark's tables use."""
+        rows = condition_table(family, 32)
+        assert [r.size for r in rows] == list(range(1, 33))
         for row in rows:
             assert row.kappa_exact == condition_number(family, row.size)
+
+    def test_builds_no_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("condition_table built a kernel matrix")
+
+        monkeypatch.setattr(conditioning, "build_kernel", refuse)
+        assert condition_table(LAGUERRE, 3)[-1].kappa_exact == 288
 
     def test_decimal_rendering_width(self):
         # at least 17 significant digits available on demand
         last = condition_table(HERMITE_ODD, 8)[-1].kappa_decimal
         digits = last.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 16  # trailing zeros may legitimately strip
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+def test_checkerboard_signs(family):
+    """The premise of the row-sum recurrence, at n = 40: a_ki (k >= i) is
+    nonzero with one sign per row k times (-1)**i, and b_ij is nonzero with
+    the sign (-1)**(i+j)."""
+    n = 40
+    a = coeff_matrix(family, n).entries
+    for k, row in enumerate(a):
+        row_sign = 1 if row[0] > 0 else -1
+        assert all(row[i] * row_sign * (-1) ** i > 0 for i in range(k + 1))
+    b = build_kernel(family, n).entries
+    assert all(b[i][j] * (-1) ** (i + j) > 0 for i in range(n) for j in range(n))
