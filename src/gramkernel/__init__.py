@@ -27,12 +27,7 @@ from .approx import (
     variance_rows,
 )
 from .checks import CheckResult, run_checks
-from .conditioning import (
-    ConditionRow,
-    condition_number,
-    condition_table,
-    inf_norm,
-)
+from .conditioning import condition_number, condition_table, inf_norm
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
     PiLaurent,
@@ -72,7 +67,6 @@ __all__ = [
     "ApproxPolynomial",
     "COS_PI",
     "CheckResult",
-    "ConditionRow",
     "DEFAULT_PRECISION_BITS",
     "EXP_NEG",
     "FAMILIES",

@@ -1,16 +1,20 @@
 """Self-verification suites: every structural identity the construction owes.
 
-Each check is exact (rational equality, no tolerances) and pits two
-independent routes against each other -- closed-form kernel vs. Bareiss
-inverse, expansion matrix vs. moment Gram, projection vs. identity.  The
-CLI ``verify`` subcommand runs all of them over every family and size.
+Each check is one exact comparison (rational equality, no tolerances) that
+pits two independent routes against each other -- closed-form kernel vs.
+Bareiss inverse, expansion matrix vs. moment Gram, projection vs. identity.
+A check returns ``""`` when its two sides are equal, else the first differing
+entry, 1-based: ``what (i, j): want W, got G`` for a matrix (``(k)`` for a
+vector), ``what: want W, got G`` for a scalar or a sqrt(pi) grade.  The CLI
+``verify`` subcommand runs all of them over every family and size.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from math import prod
 
 from .approx import monomial_moment_vector, project
 from .families import ALL_FAMILIES, Family, GradedMatrix, coeff_matrix, norm_vector
@@ -24,7 +28,7 @@ class CheckResult:
     family: str
     size: int
     passed: bool
-    detail: str = ""
+    detail: str
 
 
 @dataclass(frozen=True)
@@ -59,114 +63,111 @@ def build_artefacts(family: Family, n: int) -> Artefacts:
     )
 
 
-def _identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def _diff(what: str, want, got, index: tuple[int, ...] = ()) -> str:
+    """``""`` if ``want == got``, else ``got``'s first differing entry.
+
+    Equal sides cost one ``==``; nested sequences are scanned entry by entry
+    only on a mismatch, and equal entries in different containers are equal.
+    """
+    if want == got:
+        return ""
+    if isinstance(want, Sequence) and isinstance(got, Sequence) and len(want) == len(got):
+        for k, (w, g) in enumerate(zip(want, got), start=1):
+            detail = _diff(what, w, g, index + (k,))
+            if detail:
+                return detail
+        return ""
+    at = f" ({', '.join(map(str, index))})" if index else ""
+    return f"{what}{at}: want {want}, got {got}"
 
 
-def _matmul(a, b) -> list[list[Fraction]]:
+def _matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
     n, m, p = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p)]
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p))
         for i in range(n)
-    ]
+    )
 
 
-def check_oracle_equivalence(a: Artefacts) -> CheckResult:
+def _diagonal(values: Sequence) -> tuple[tuple, ...]:
+    return tuple(tuple(v if i == j else 0 for j in range(len(values)))
+                 for i, v in enumerate(values))
+
+
+def check_oracle_equivalence(a: Artefacts) -> str:
     """Closed-form kernel == exact Bareiss inverse of the moment Gram."""
-    ok = (
-        a.kernel.entries == a.inverse.entries
-        and a.kernel.sqrtpi_power == a.inverse.sqrtpi_power
-    )
-    detail = "" if ok else "kernel differs from the exact Gram inverse"
-    return CheckResult("oracle-equivalence", a.family.name, a.n, ok, detail)
+    return (_diff("grade of B vs Bareiss inverse", a.inverse.sqrtpi_power, a.kernel.sqrtpi_power)
+            or _diff("B vs Bareiss inverse", a.inverse.entries, a.kernel.entries))
 
 
-def check_gram_kernel_identity(a: Artefacts) -> CheckResult:
+def check_gram_times_kernel(a: Artefacts) -> str:
     """G * B == I exactly (the sqrt(pi) grades cancel)."""
-    ok = (
-        a.gram.sqrtpi_power + a.kernel.sqrtpi_power == 0
-        and _matmul(a.gram.entries, a.kernel.entries) == _identity(a.n)
-    )
-    return CheckResult("gram-kernel-identity", a.family.name, a.n, ok)
+    return (_diff("grade of G B", 0, a.gram.sqrtpi_power + a.kernel.sqrtpi_power)
+            or _diff("G B vs I", _diagonal((1,) * a.n), _matmul(a.gram.entries, a.kernel.entries)))
 
 
-def check_orthogonality(a: Artefacts) -> CheckResult:
+def check_orthogonality(a: Artefacts) -> str:
     """A * G * A^T is exactly diagonal with the true norms on the diagonal,
     whose grade is the Gram matrix's."""
     coeffs = a.coeffs.entries
-    prod = _matmul(_matmul(coeffs, a.gram.entries), list(zip(*coeffs)))
-    ok = a.gram.sqrtpi_power == a.family.moment_grade and all(
-        prod[i][j] == (a.norms[i] if i == j else 0) for i in range(a.n) for j in range(a.n)
-    )
-    return CheckResult("orthogonality", a.family.name, a.n, ok)
+    prod_agat = _matmul(_matmul(coeffs, a.gram.entries), tuple(zip(*coeffs)))
+    return (_diff("grade of G vs the norms' grade", a.family.moment_grade, a.gram.sqrtpi_power)
+            or _diff("A G A^T vs diag(norms)", _diagonal(a.norms), prod_agat))
 
 
-def check_determinant_identity(a: Artefacts) -> CheckResult:
+def check_determinant_formula(a: Artefacts) -> str:
     """prod(lambda_i) == det(A)**2 * det(G), exactly, grade included."""
-    det_a = prod_norms = Fraction(1)
-    for i in range(a.n):
-        det_a *= a.coeffs.entries[i][i]  # triangular
-        prod_norms *= a.norms[i]
+    det_a = prod(row[i] for i, row in enumerate(a.coeffs.entries))  # triangular
     # the norms' product has grade n * moment_grade, det(G) n * gram grade
-    ok = prod_norms == det_a**2 * a.det_gram and a.family.moment_grade == a.gram.sqrtpi_power
-    return CheckResult("determinant-identity", a.family.name, a.n, ok)
+    return (_diff("grade of G vs the norms' grade", a.family.moment_grade, a.gram.sqrtpi_power)
+            or _diff("prod(norms) vs det(A)^2 det(G)", prod(a.norms), det_a**2 * a.det_gram))
 
 
-def check_kernel_shape(a: Artefacts) -> CheckResult:
+def check_kernel_shape(a: Artefacts) -> str:
     """Kernel symmetry plus exact positive definiteness (all minors > 0)."""
     entries = a.kernel.entries
-    sym = all(entries[i][j] == entries[j][i] for i in range(a.n) for j in range(i))
-    ok = sym and all(m > 0 for m in a.kernel_minors)
-    return CheckResult("kernel-symmetry-pd", a.family.name, a.n, ok)
+    signs = tuple((m > 0) - (m < 0) for m in a.kernel_minors)
+    return (_diff("B vs B^T", tuple(zip(*entries)), entries)
+            or _diff("sign of B's leading principal minor", (1,) * a.n, signs))
 
 
-def check_gram_hankel(a: Artefacts) -> CheckResult:
-    """Gram entries are constant along anti-diagonals."""
-    entries = a.gram.entries
-    ok = all(
-        entries[i][j] == entries[i - 1][j + 1]
-        for i in range(1, a.n)
-        for j in range(a.n - 1)
-    )
-    return CheckResult("gram-hankel", a.family.name, a.n, ok)
+def check_gram_hankel(a: Artefacts) -> str:
+    """Gram entries are constant along anti-diagonals: each equals its
+    anti-diagonal's entry in the first row or the last column."""
+    g, n = a.gram.entries, a.n
+    hankel = tuple(tuple(g[max(0, i + j - n + 1)][min(i + j, n - 1)] for j in range(n))
+                   for i in range(n))
+    return _diff("G vs Hankel of its first row and last column", hankel, g)
 
 
-def check_det_product(a: Artefacts) -> CheckResult:
+def check_det_product(a: Artefacts) -> str:
     """det(G) * det(B) == 1 with grades cancelling."""
-    ok = (
-        a.det_gram * a.kernel_minors[-1] == 1
-        and (a.gram.sqrtpi_power + a.kernel.sqrtpi_power) * a.n == 0
-    )
-    return CheckResult("det-product", a.family.name, a.n, ok)
+    return (_diff("grade of det(G) det(B)", 0, (a.gram.sqrtpi_power + a.kernel.sqrtpi_power) * a.n)
+            or _diff("det(G) det(B)", 1, a.det_gram * a.kernel_minors[-1]))
 
 
-def check_reproducing(a: Artefacts) -> CheckResult:
-    """Projecting each in-span monomial returns exactly that monomial."""
-    name = "reproducing-property"
+def check_reproducing(a: Artefacts) -> str:
+    """Projecting each in-span monomial returns exactly that monomial: the
+    estimate of basis monomial k has coefficient 1 at k and 0 elsewhere."""
     if a.kernel.sqrtpi_power + a.family.moment_grade != 0:
-        detail = (f"kernel grade {a.kernel.sqrtpi_power} does not cancel "
-                  f"moment grade {a.family.moment_grade}")
-        return CheckResult(name, a.family.name, a.n, False, detail)
-    ok = True
-    for k in range(1, a.n + 1):
-        moments = monomial_moment_vector(a.family, a.n, a.family.basis_power(k))
-        estimate = project(a.kernel, moments)
-        for i, c in enumerate(estimate.coefficients, start=1):
-            if c != (1 if i == k else 0):
-                ok = False
-    return CheckResult(name, a.family.name, a.n, ok)
+        return (f"kernel grade {a.kernel.sqrtpi_power} does not cancel "
+                f"moment grade {a.family.moment_grade}")
+    powers = [a.family.basis_power(k) for k in range(1, a.n + 1)]
+    estimates = tuple(project(a.kernel, monomial_moment_vector(a.family, a.n, p)).coefficients
+                      for p in powers)
+    return _diff("estimate of monomial k, coefficient i", _diagonal((1,) * a.n), estimates)
 
 
-_CHECKS = (
-    check_oracle_equivalence,
-    check_gram_kernel_identity,
-    check_orthogonality,
-    check_determinant_identity,
-    check_kernel_shape,
-    check_gram_hankel,
-    check_det_product,
-    check_reproducing,
-)
+CHECKS = {
+    "oracle-equivalence": check_oracle_equivalence,
+    "gram-kernel-identity": check_gram_times_kernel,
+    "orthogonality": check_orthogonality,
+    "determinant-identity": check_determinant_formula,
+    "kernel-symmetry-pd": check_kernel_shape,
+    "gram-hankel": check_gram_hankel,
+    "det-product": check_det_product,
+    "reproducing-property": check_reproducing,
+}
 
 
 def _corrupted(kernel: GradedMatrix) -> GradedMatrix:
@@ -180,7 +181,8 @@ def run_checks(
     families: Sequence[Family] = ALL_FAMILIES,
     inject_corruption: bool = False,
 ) -> list[CheckResult]:
-    """Run every check for every family and size 1..max_size.
+    """Run every check of ``CHECKS``, in order, for every family and size
+    1..max_size.
 
     The artefacts of one (family, n) are built once, shared by all checks
     and dropped before the next size.  ``inject_corruption`` perturbs one
@@ -194,9 +196,8 @@ def run_checks(
     for family in families:
         for n in range(1, max_size + 1):
             arts = build_artefacts(family, n)
-            for check in _CHECKS:
-                if check is check_oracle_equivalence and inject_corruption:
-                    results.append(check(replace(arts, kernel=_corrupted(arts.kernel))))
-                else:
-                    results.append(check(arts))
+            bad = replace(arts, kernel=_corrupted(arts.kernel)) if inject_corruption else arts
+            for name, check in CHECKS.items():
+                detail = check(bad if check is check_oracle_equivalence else arts)
+                results.append(CheckResult(name, family.name, n, not detail, detail))
     return results

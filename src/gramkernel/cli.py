@@ -3,12 +3,16 @@ plot data, and the self-verification report, as text, CSV, or JSON.
 
 Exact rationals are serialized as ``p/q`` strings; pi-dependent exact values
 as canonical ``q*pi^m`` sums.  Decimals are rendered from the exact values and
-never feed back into any exact field: ``cond`` renders kappa exactly, while
+never feed back into any exact field: ``cond`` renders the exact kappas of
+``condition_table`` exactly, while
 ``variance`` and ``plotdata`` evaluate at ``--precision-bits`` (default 256),
 the only commands that take it.
 ``plotdata --samples`` takes 2 to 65536 points (65536 take about 15 s), and
 its window ends ``--xmin``/``--xmax`` are at most 10**6 in magnitude with a
 denominator below 10**30.
+``verify`` writes one stderr line ``FAIL <check> family=<f> size=<n>: <detail>``
+per failing check, in every format, and its JSON rows of failing checks carry
+that ``detail``; a passing run writes nothing to stderr.
 Exit codes: 0 success, 1 verification failed, 2 usage or I/O error (such as an
 ``--out`` path that cannot be written, a ``--samples`` count or window end out
 of bounds or a numeric option that is not an integer), 3 internal error (any
@@ -155,8 +159,8 @@ def cmd_kernel(args) -> int:
 
 def cmd_cond(args) -> int:
     family = family_by_name(args.family)
-    table = condition_table(family, args.max_size)
-    rows = [(r.size, str(r.kappa_exact), r.kappa_decimal) for r in table]
+    rows = [(size, str(kappa), decimal_str(kappa, SIG_DIGITS))
+            for size, kappa in enumerate(condition_table(family, args.max_size), start=1)]
     _emit(
         args,
         {
@@ -209,12 +213,16 @@ def cmd_variance(args) -> int:
     return 0
 
 
+def _estimate_and_taylor(target, size: int):
+    """The kernel estimate of ``target`` at ``size`` and its Taylor comparator."""
+    kernel = build_kernel(target.natural_family, size)
+    return project(kernel, function_moments(target, size)), taylor_comparator(target, size)
+
+
 def cmd_project(args) -> int:
     target = target_by_name(args.target)
     family = target.natural_family
-    kernel = build_kernel(family, args.size)
-    estimate = project(kernel, function_moments(target, args.size))
-    taylor = taylor_comparator(target, args.size)
+    estimate, taylor = _estimate_and_taylor(target, args.size)
 
     by_power: dict[int, list[str | None]] = {}
     for slot, poly in enumerate((estimate, taylor)):
@@ -242,10 +250,7 @@ def cmd_plotdata(args) -> int:
     xmin, xmax = args.xmin, args.xmax
     if not xmin < xmax:
         raise ValueError(f"xmin must be < xmax, got {xmin} >= {xmax}")
-    family = target.natural_family
-    kernel = build_kernel(family, args.size)
-    estimate = project(kernel, function_moments(target, args.size))
-    taylor = taylor_comparator(target, args.size)
+    estimate, taylor = _estimate_and_taylor(target, args.size)
 
     step = (xmax - xmin) / (args.samples - 1)
     xs = [xmin + i * step for i in range(args.samples)]
@@ -273,7 +278,8 @@ def cmd_verify(args) -> int:
             "passed": len(results) - n_failed,
             "failed": n_failed,
             "data": [
-                {"check": r.name, "family": r.family, "size": r.size, "passed": r.passed}
+                {"check": r.name, "family": r.family, "size": r.size, "passed": r.passed,
+                 **({"detail": r.detail} if r.detail else {})}
                 for r in results
             ],
         },
@@ -285,6 +291,9 @@ def cmd_verify(args) -> int:
             f"(families x sizes 1..{args.max_size})"
         ],
     )
+    for r in results:
+        if not r.passed:
+            sys.stderr.write(f"FAIL {r.name} family={r.family} size={r.size}: {r.detail}\n")
     return 1 if n_failed else 0
 
 

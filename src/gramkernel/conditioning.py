@@ -2,27 +2,18 @@
 
 kappa(G) = ||G||_inf * ||G**-1||_inf, computed entirely in exact rational
 arithmetic.  For the Hermite families the +1 grade of G and the -1 grade of
-its inverse cancel, so kappa is a pure rational for every family; decimal
-strings are rendered from the exact value afterwards.
+its inverse cancel, so kappa is a pure rational for every family; the CLI
+renders it as a decimal afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactscalar import SIG_DIGITS, decimal_str
 from .families import Family, coeff_matrix, norm_vector
 from .kernelbuild import build_kernel
 from .oracle import gram_from_moments
-
-
-@dataclass(frozen=True)
-class ConditionRow:
-    size: int
-    kappa_exact: Fraction
-    kappa_decimal: str
 
 
 def inf_norm(entries: Iterable[Iterable[Fraction]]) -> Fraction:
@@ -42,8 +33,8 @@ def condition_number(family: Family, n: int) -> Fraction:
     return inf_norm(gram.entries) * inf_norm(kernel.entries)
 
 
-def condition_table(family: Family, max_size: int) -> tuple[ConditionRow, ...]:
-    """Rows (size, exact kappa, decimal kappa) for sizes 1..max_size, from A,
+def condition_table(family: Family, max_size: int) -> tuple[Fraction, ...]:
+    """The exact kappa of sizes 1..max_size, entry n - 1 for size n, from A,
     the norms and one size-``max_size`` Gram matrix, with no kernel matrix.
 
     In all three families a_ki is (-1)**i times a sign fixed by the row k, so
@@ -58,13 +49,12 @@ def condition_table(family: Family, max_size: int) -> tuple[ConditionRow, ...]:
         raise ValueError("max_size must be >= 1")
     a = coeff_matrix(family, max_size).entries
     gram = gram_from_moments(family, max_size).entries
-    r, s, rows = [], [], []
+    r, s, kappas = [], [], []
     for n, lam_n in enumerate(norm_vector(family, max_size), start=1):
         g = [abs(x) for x in gram[n - 1][:n]]
         r = [ri + gi for ri, gi in zip(r, g)] + [sum(g, Fraction(0))]
         a_n = [abs(x) for x in a[n - 1][:n]]
         weight = sum(a_n, Fraction(0)) / lam_n
         s = [si + ai * weight for si, ai in zip(s, a_n)] + [a_n[-1] * weight]
-        kappa = max(r) * max(s)
-        rows.append(ConditionRow(n, kappa, decimal_str(kappa, SIG_DIGITS)))
-    return tuple(rows)
+        kappas.append(max(r) * max(s))
+    return tuple(kappas)

@@ -262,6 +262,33 @@ class TestVerifyCommand:
         assert payload["failed"] == 0
         assert all(entry["passed"] for entry in payload["data"])
 
+    def test_failure_detail_on_stderr_in_every_format_and_in_json_rows(self, capsys):
+        argv = ["verify", "--max-size", "2", "--inject-corruption"]
+        outputs = {}
+        for fmt in ("text", "csv", "json"):
+            assert main(argv + ["--format", fmt]) == 1
+            outputs[fmt] = capsys.readouterr()
+        err = outputs["text"].err.splitlines()
+        assert len(err) == 5 * 2  # oracle-equivalence, every family and size
+        assert err[0] == ("FAIL oracle-equivalence family=laguerre size=1: "
+                          "B vs Bareiss inverse (1, 1): want 1, got 8/7")
+        assert all(line.startswith("FAIL oracle-equivalence family=") for line in err)
+        assert all(": B vs Bareiss inverse (1, 1): want " in line and ", got " in line
+                   for line in err)
+        assert outputs["csv"].err == outputs["json"].err == outputs["text"].err
+        # the text report itself carries no detail
+        assert "want" not in outputs["text"].out
+        rows = json.loads(outputs["json"].out)["data"]
+        assert [r["detail"] for r in rows if not r["passed"]] == [
+            line.split(": ", 1)[1] for line in err
+        ]
+        assert all("detail" not in r for r in rows if r["passed"])
+
+    def test_passing_run_writes_nothing_to_stderr(self, capsys):
+        for fmt in ("text", "csv", "json"):
+            assert main(["verify", "--max-size", "2", "--format", fmt]) == 0
+            assert capsys.readouterr().err == ""
+
 
 class TestOutputBehaviour:
     def test_deterministic_output(self, capsys):
