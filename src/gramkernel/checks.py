@@ -7,19 +7,24 @@ A check returns ``""`` when its two sides are equal, else the first differing
 entry, 1-based: ``what (i, j): want W, got G`` for a matrix (``(k)`` for a
 vector), ``what: want W, got G`` for a scalar or a sqrt(pi) grade.  The CLI
 ``verify`` subcommand runs all of them over every family and size.
+
+Each family is one sweep to the largest size (:func:`sweep_artefacts`);
+only the kernel, its leading minors and the checks themselves run per size.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 
 from .approx import monomial_moment_vector, project
 from .families import ALL_FAMILIES, Family, GradedMatrix, coeff_matrix, norm_vector
 from .kernelbuild import build_kernel
-from .oracle import gram_from_moments, invert_exact, leading_principal_minors
+from .oracle import gram_from_moments, leading_inverses, leading_principal_minors
 
 
 @dataclass(frozen=True)
@@ -33,12 +38,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Artefacts:
-    """Everything the checks compare for one (family, n), each built once.
+    """Everything the checks compare for one (family, n).
 
     ``inverse`` and ``det_gram`` are the Bareiss inverse and determinant of
     ``gram`` (``det_gram`` a core of grade ``n * gram.sqrtpi_power``);
-    ``norms`` are cores of grade ``family.moment_grade``; ``kernel_minors``
-    are the leading principal minors of ``kernel``.
+    ``norms`` are cores of grade ``family.moment_grade``; ``agat`` is
+    A G A^T of ``coeffs`` and ``gram``; ``kernel_minors`` are the leading
+    principal minors of ``kernel``.
     """
 
     family: Family
@@ -49,18 +55,44 @@ class Artefacts:
     det_gram: Fraction
     coeffs: GradedMatrix
     norms: tuple[Fraction, ...]
+    agat: tuple[tuple[Fraction, ...], ...]
     kernel_minors: tuple[Fraction, ...]
 
 
+def _block(rows, n: int) -> tuple[tuple, ...]:
+    return tuple(row[:n] for row in rows[:n])
+
+
+def _leading(matrix: GradedMatrix, n: int) -> GradedMatrix:
+    return replace(matrix, n=n, entries=_block(matrix.entries, n))
+
+
+def sweep_artefacts(family: Family, max_size: int) -> Iterator[Artefacts]:
+    """The artefacts of sizes 1..max_size, from one sweep of the family.
+
+    G, A and the norms are built once, at ``max_size``; size n reads their
+    leading n-blocks, which are exactly G_n, A_n and the first n norms.  The
+    inverses and determinants of every G_n come from one elimination of G
+    (:func:`~gramkernel.oracle.leading_inverses`).  A is lower triangular,
+    so the leading n-block of A_N G_N A_N^T is exactly A_n G_n A_n^T: one
+    product serves every size.
+    """
+    gram = gram_from_moments(family, max_size)
+    coeffs = coeff_matrix(family, max_size)
+    norms = norm_vector(family, max_size)
+    agat = _matmul(_matmul(coeffs.entries, gram.entries), tuple(zip(*coeffs.entries)))
+    for n, (inverse, det_gram) in enumerate(leading_inverses(gram), start=1):
+        kernel = build_kernel(family, n)
+        yield Artefacts(
+            family, n, kernel, _leading(gram, n), inverse, det_gram,
+            _leading(coeffs, n), norms[:n], _block(agat, n),
+            leading_principal_minors(kernel.entries),
+        )
+
+
 def build_artefacts(family: Family, n: int) -> Artefacts:
-    kernel = build_kernel(family, n)
-    gram = gram_from_moments(family, n)
-    inverse, det_gram = invert_exact(gram)
-    return Artefacts(
-        family, n, kernel, gram, inverse, det_gram,
-        coeff_matrix(family, n), norm_vector(family, n),
-        leading_principal_minors(kernel.entries),
-    )
+    """The size-n artefacts: the last of :func:`sweep_artefacts` to n."""
+    return deque(sweep_artefacts(family, n), maxlen=1).pop()
 
 
 def _diff(what: str, want, got, index: tuple[int, ...] = ()) -> str:
@@ -81,11 +113,20 @@ def _diff(what: str, want, got, index: tuple[int, ...] = ()) -> str:
     return f"{what}{at}: want {want}, got {got}"
 
 
+def _cleared(line: Sequence) -> tuple[list[int], int]:
+    """``line`` as integers over one denominator d, the lcm of its own."""
+    d = lcm(*(q.denominator for q in line))
+    return [q.numerator * (d // q.denominator) for q in line], d
+
+
 def _matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
-    n, m, p = len(a), len(b), len(b[0])
+    """Exact product of two rational matrices.  Each row of ``a`` and each
+    column of ``b`` is cleared over one denominator, so an entry costs one
+    integer dot product and one ``Fraction``."""
+    cols = [_cleared(col) for col in zip(*b)]
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p))
-        for i in range(n)
+        tuple(Fraction(sum(map(mul, row, col)), d_row * d_col) for col, d_col in cols)
+        for row, d_row in map(_cleared, a)
     )
 
 
@@ -108,11 +149,11 @@ def check_gram_times_kernel(a: Artefacts) -> str:
 
 def check_orthogonality(a: Artefacts) -> str:
     """A * G * A^T is exactly diagonal with the true norms on the diagonal,
-    whose grade is the Gram matrix's."""
-    coeffs = a.coeffs.entries
-    prod_agat = _matmul(_matmul(coeffs, a.gram.entries), tuple(zip(*coeffs)))
+    whose grade is the Gram matrix's.  The product read is ``a.agat``, the
+    leading n-block of the largest size's A_N G_N A_N^T; it equals
+    A_n G_n A_n^T exactly because A is lower triangular."""
     return (_diff("grade of G vs the norms' grade", a.family.moment_grade, a.gram.sqrtpi_power)
-            or _diff("A G A^T vs diag(norms)", _diagonal(a.norms), prod_agat))
+            or _diff("A G A^T vs diag(norms)", _diagonal(a.norms), a.agat))
 
 
 def check_determinant_formula(a: Artefacts) -> str:
@@ -184,20 +225,19 @@ def run_checks(
     """Run every check of ``CHECKS``, in order, for every family and size
     1..max_size.
 
-    The artefacts of one (family, n) are built once, shared by all checks
-    and dropped before the next size.  ``inject_corruption`` perturbs one
-    kernel entry in the artefacts the oracle-equivalence check alone sees;
-    the resulting failures are the negative control proving the harness
-    can fail.
+    Each family is one :func:`sweep_artefacts`; the artefacts of one size
+    are shared by all checks and dropped before the next size.
+    ``inject_corruption`` perturbs one kernel entry in the artefacts the
+    oracle-equivalence check alone sees; the resulting failures are the
+    negative control proving the harness can fail.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     results = []
     for family in families:
-        for n in range(1, max_size + 1):
-            arts = build_artefacts(family, n)
+        for arts in sweep_artefacts(family, max_size):
             bad = replace(arts, kernel=_corrupted(arts.kernel)) if inject_corruption else arts
             for name, check in CHECKS.items():
                 detail = check(bad if check is check_oracle_equivalence else arts)
-                results.append(CheckResult(name, family.name, n, not detail, detail))
+                results.append(CheckResult(name, family.name, arts.n, not detail, detail))
     return results

@@ -1,36 +1,88 @@
-"""run_checks: one set of artefacts per (family, n), and the negative controls."""
+"""run_checks: one sweep of artefacts per family, and the negative controls."""
 
 from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gramkernel import checks
-from gramkernel.families import HERMITE_EVEN, HERMITE_ODD, LAGUERRE
-
-ARTEFACT_BUILDERS = (
-    "build_kernel",
-    "gram_from_moments",
-    "invert_exact",
-    "coeff_matrix",
-    "norm_vector",
-    "leading_principal_minors",
+from gramkernel.families import (
+    ALL_FAMILIES,
+    HERMITE_EVEN,
+    HERMITE_ODD,
+    LAGUERRE,
+    coeff_matrix,
+    norm_vector,
 )
+from gramkernel.oracle import bareiss_inverse, gram_from_moments
+
+# built once per family, at the largest size, and once per (family, size)
+PER_FAMILY = ("gram_from_moments", "leading_inverses", "coeff_matrix", "norm_vector")
+PER_SIZE = ("build_kernel", "leading_principal_minors")
 
 
 def test_artefacts_built_once_per_family_and_size(monkeypatch):
-    calls = dict.fromkeys(ARTEFACT_BUILDERS, 0)
-    for name in ARTEFACT_BUILDERS:
+    """Each family is one sweep: G, its elimination, A and the norms are
+    built once, at the largest size; the kernel and its leading minors once
+    per (family, size)."""
+    calls = {name: [] for name in PER_FAMILY + PER_SIZE}
+    for name in calls:
         def counted(*args, _fn=getattr(checks, name), _name=name):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _fn(*args)
 
         monkeypatch.setattr(checks, name, counted)
     results = checks.run_checks(3, families=(LAGUERRE, HERMITE_ODD))
     assert len(results) == 2 * 3 * 8
     assert all(r.passed for r in results)
-    assert calls == dict.fromkeys(ARTEFACT_BUILDERS, 2 * 3)
+    for name in ("gram_from_moments", "coeff_matrix", "norm_vector"):
+        assert calls[name] == [(LAGUERRE, 3), (HERMITE_ODD, 3)]
+    assert [gram.n for gram, in calls["leading_inverses"]] == [3, 3]
+    assert calls["build_kernel"] == [(f, n) for f in (LAGUERRE, HERMITE_ODD) for n in (1, 2, 3)]
+    assert len(calls["leading_principal_minors"]) == 2 * 3
+
+
+def _naive_matmul(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b))
+                 for row in a)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+def test_sweep_views_equal_per_size_builds(family):
+    """Size n of the sweep reads leading blocks of the size-N artefacts;
+    each equals the same artefact built from scratch at size n."""
+    for a in checks.sweep_artefacts(family, 7):
+        gram, coeffs = gram_from_moments(family, a.n), coeff_matrix(family, a.n)
+        assert (a.gram, a.coeffs, a.norms) == (gram, coeffs, norm_vector(family, a.n))
+        inverse, det = bareiss_inverse(gram.entries)
+        assert (a.inverse.entries, a.inverse.sqrtpi_power, a.det_gram) == (
+            inverse, -gram.sqrtpi_power, det)
+        transposed = tuple(zip(*coeffs.entries))
+        assert a.agat == _naive_matmul(_naive_matmul(coeffs.entries, gram.entries), transposed)
+        assert a == checks.build_artefacts(family, a.n)
+
+
+# zeros, negative entries and mixed denominators
+rationals = st.one_of(st.just(Fraction(0)), st.fractions(-20, 20, max_denominator=30))
+
+
+@st.composite
+def matrix_pairs(draw):
+    n, m, p = (draw(st.integers(1, 5)) for _ in range(3))
+    a = tuple(tuple(draw(rationals) for _ in range(m)) for _ in range(n))
+    b = tuple(tuple(draw(rationals) for _ in range(p)) for _ in range(m))
+    return a, b
+
+
+@given(matrix_pairs())
+@settings(max_examples=200)
+def test_integer_cleared_matmul_matches_fraction_sums(pair):
+    a, b = pair
+    product = checks._matmul(a, b)
+    assert product == _naive_matmul(a, b)
+    assert all(type(q) is Fraction for row in product for q in row)
 
 
 def test_corruption_reaches_only_the_oracle_equivalence_check():
@@ -103,6 +155,13 @@ NEGATIVE_CONTROLS = [
         lambda a: replace(a, norms=(a.norms[0] + SEVENTH,) + a.norms[1:]),
         lambda a: f"A G A^T vs diag(norms) (1, 1): want {a.norms[0] + SEVENTH}, got {a.norms[0]}",
         id="orthogonality-norm1",
+    ),
+    pytest.param(
+        "orthogonality",
+        lambda a: replace(a, agat=(a.agat[0], (a.agat[1][0] + SEVENTH,) + a.agat[1][1:])
+                          + a.agat[2:]),
+        lambda a: "A G A^T vs diag(norms) (2, 1): want 0, got 1/7",
+        id="orthogonality-AGAT21",
     ),
     pytest.param(
         "determinant-identity",

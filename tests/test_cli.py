@@ -427,6 +427,7 @@ SNAPSHOTS = [
         "variance_exp-neg_16": ["variance", "--target", "exp-neg", "--max-size", "16"],
         "variance_sin-pi_10": ["variance", "--target", "sin-pi", "--max-size", "10"],
         "variance_cos-pi_10": ["variance", "--target", "cos-pi", "--max-size", "10"],
+        "verify_12": ["verify", "--max-size", "12"],
     }.items()
     for fmt in ("text", "json")
 ] + [
@@ -452,6 +453,21 @@ SNAPSHOTS = [
 def test_output_matches_snapshot_byte_for_byte(capsys, filename, argv):
     """Every layout, pinned: tests/snapshots/<case>.<format> holds the exact
     stdout, so any change to a text, CSV or JSON layout shows here."""
-    code, out = run_cli(capsys, argv)
-    assert code == 0
-    assert out == (SNAPSHOT_DIR / filename).read_bytes().decode("utf-8")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == _snapshot(filename)
+
+
+def test_failing_verify_matches_snapshot(capsys):
+    """The negative control at a benchmark size, pinned: the JSON report,
+    every ``FAIL`` line on stderr and exit code 1."""
+    code = main(["verify", "--max-size", "9", "--inject-corruption", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == _snapshot("verify_9_corrupt.json")
+    assert captured.err == _snapshot("verify_9_corrupt.stderr")
+
+
+def _snapshot(filename):
+    return (SNAPSHOT_DIR / filename).read_bytes().decode("utf-8")

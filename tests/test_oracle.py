@@ -2,14 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gramkernel.families import (
     ALL_FAMILIES,
     HERMITE_EVEN,
     LAGUERRE,
     LEGENDRE_ODD,
+    GradedMatrix,
 )
 from gramkernel.kernelbuild import build_kernel
 from gramkernel.oracle import (
@@ -17,6 +21,7 @@ from gramkernel.oracle import (
     bareiss_inverse,
     gram_from_moments,
     invert_exact,
+    leading_inverses,
     leading_principal_minors,
 )
 
@@ -70,10 +75,20 @@ class TestBareissInverse:
         assert det == F(16, 45)
 
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            bareiss_inverse(((F(1), F(1)), (F(1), F(1))))
-        with pytest.raises(SingularMatrixError):
-            bareiss_inverse(((F(0),),))
+        """Every route through the elimination names the zero pivot's step."""
+        for entries, step in (
+            (((F(1), F(1)), (F(1), F(1))), 2),
+            (((F(0),),), 1),
+            (((F(0), F(1, 2)), (F(1, 2), F(3))), 1),
+        ):
+            message = f"^zero pivot at elimination step {step}$"
+            gram = GradedMatrix(LAGUERRE, len(entries), entries)
+            for route in (bareiss_inverse, leading_principal_minors):
+                with pytest.raises(SingularMatrixError, match=message):
+                    route(entries)
+            for route in (invert_exact, lambda g: next(leading_inverses(g))):
+                with pytest.raises(SingularMatrixError, match=message):
+                    route(gram)
 
     def test_random_spd_matrices_invert_exactly(self):
         """M^T M + I is positive definite; inverse times M must be exact I."""
@@ -148,3 +163,54 @@ class TestInvertExact:
         # det(G) has grade n * G's grade and det(B) n * B's grade
         assert det_g * det_b == 1
         assert n * g.sqrtpi_power + n * inverse.sqrtpi_power == 0
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+def test_one_elimination_gives_every_leading_inverse(family):
+    """The sweep of G_12 against three references at every n <= 12: the
+    back-substitution inverse, the leading minors and the closed-form
+    kernel."""
+    gram_12 = gram_from_moments(family, 12)
+    dets = []
+    for n, (inverse, det) in enumerate(leading_inverses(gram_12), start=1):
+        gram = gram_from_moments(family, n)
+        reference, reference_det = bareiss_inverse(gram.entries)
+        assert (inverse.family, inverse.n, inverse.sqrtpi_power) == (family, n, -gram.sqrtpi_power)
+        assert inverse.entries == reference == build_kernel(family, n).entries
+        assert det == reference_det == leading_principal_minors(gram.entries)[-1]
+        dets.append(det)
+    assert tuple(dets) == leading_principal_minors(gram_12.entries)
+    assert invert_exact(gram_12) == (inverse, det)
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod((rows[i][perm[i]] for i in range(n)), start=Fraction(1))
+    return total
+
+
+# zeros, negative entries and mixed denominators
+rationals = st.one_of(st.just(Fraction(0)), st.fractions(-20, 20, max_denominator=30))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return tuple(tuple(draw(rationals) for _ in range(n)) for _ in range(n))
+
+
+@given(square_matrices())
+@settings(max_examples=200)
+def test_integer_minors_match_leibniz_determinants(entries):
+    """The integer-cleared Bareiss minors equal the Leibniz determinants of
+    the leading blocks; a vanishing one stops the elimination at its step."""
+    minors = [_leibniz_det([row[:k] for row in entries[:k]]) for k in range(1, len(entries) + 1)]
+    if 0 in minors:
+        step = minors.index(0) + 1
+        with pytest.raises(SingularMatrixError, match=f"^zero pivot at elimination step {step}$"):
+            leading_principal_minors(entries)
+    else:
+        assert leading_principal_minors(entries) == tuple(minors)
