@@ -21,6 +21,7 @@ from operator import mul
 from typing import Callable, Iterator, Mapping
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
@@ -303,28 +304,37 @@ def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[Exact, Ex
     return list(zip(tay, est))
 
 
+def _ratio(x, prec: int) -> tuple[int, int]:
+    """Finite x as integers p/q: a Fraction exactly, else its mpf (rounded at ``prec``)."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    sign, man, exp, _ = (x if isinstance(x, mpf) else mpf(x, prec=prec))._mpf_
+    if not man and exp:
+        raise ValueError(f"cannot evaluate at non-finite x = {x}")
+    return (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+
+
 def eval_polynomial(
     poly: ApproxPolynomial, xs, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[mpf]:
-    """Horner evaluation at working precision, for every x in ``xs``.
+    """The polynomial at every x in ``xs``, each rounded once to ``precision_bits``.
 
-    The polynomial is ``x**offset * sum_k c_k (x**stride)**k``, so Horner
-    runs in ``t = x**stride``.  The exact coefficients are rounded once, at
-    ``precision_bits + 16``, for all of ``xs``; each value is then rounded
-    to ``precision_bits``.
+    The coefficients are rounded once, at ``precision_bits + 16``, to integers over
+    a power of two; integer Horner in ``(p/q)**stride`` is exact at each x = p/q.
     """
     _check_precision(precision_bits)
-    stride, offset = poly.family.stride, poly.family.offset
-    cs = [eval_pilaurent(c, precision_bits + 16) for c in reversed(poly.coefficients)]
-    accs = []
-    with mp.workprec(precision_bits + 16):
-        for x in xs:
-            xv = working_mpf(x)
-            t = xv**stride
-            acc = mpf(0)
-            for c in cs:
-                acc = acc * t + c
-            acc *= xv**offset
-            accs.append(acc)
-    with mp.workprec(precision_bits):
-        return [+acc for acc in accs]
+    stride, offset, prec = poly.family.stride, poly.family.offset, precision_bits + 16
+    coeffs = [_ratio(eval_pilaurent(c, prec), prec) for c in reversed(poly.coefficients)]
+    scale = max(q for _, q in coeffs)
+    ints = [p * (scale // q) for p, q in coeffs]
+    out = []
+    for x in xs:
+        p, q = _ratio(x, prec)
+        big_p, big_q = p**stride, q**stride
+        acc, den = ints[0], 1
+        for c in ints[1:]:
+            den *= big_q
+            acc = acc * big_p + c * den
+        num, den = acc * p**offset, den * q**offset * scale
+        out.append(mp.make_mpf(from_rational(num, den, precision_bits, round_nearest)))
+    return out

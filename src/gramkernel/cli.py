@@ -7,7 +7,7 @@ never feed back into any exact field: ``cond`` renders the exact kappas of
 ``condition_table`` exactly, while
 ``variance`` and ``plotdata`` evaluate at ``--precision-bits`` (default 256),
 the only commands that take it.
-``plotdata --samples`` takes 2 to 65536 points (65536 take about 15 s), and
+``plotdata --samples`` takes 2 to 65536 points (65536 take about 8 s), and
 its window ends ``--xmin``/``--xmax`` are at most 10**6 in magnitude with a
 denominator below 10**30.
 ``verify`` writes one stderr line ``FAIL <check> family=<f> size=<n>: <detail>``

@@ -6,17 +6,17 @@ true squared norms,
 
     b_ij = sum_{k >= max(i,j)} a_ki * a_kj / lambda_k.
 
-:func:`build_kernel` sums it one k at a time, the one construction here.
-The per-family closed forms are kept only as an independently typed
-cross-check: :func:`closed_form_kernel` is one sum
-``b_ij = sum_k u_ik u_jk w_k`` over per-family factor tables, including the
-corrected Legendre factor placement.
+:func:`build_kernel` sums it in integers, the one construction here.  The
+per-family closed forms are kept only as an independently typed cross-check:
+:func:`closed_form_kernel` is one sum ``b_ij = sum_k u_ik u_jk w_k`` over
+per-family factor tables, including the corrected Legendre factor placement.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Callable
 
 from .families import Family, GradedMatrix, coeff_matrix, double_factorial, norm_vector
@@ -25,26 +25,28 @@ from .families import Family, GradedMatrix, coeff_matrix, double_factorial, norm
 def build_kernel(family: Family, n: int) -> GradedMatrix:
     """Kernel matrix B = G**-1 of size n, exact.
 
-    B is the Christoffel-Darboux sum of the orthogonal-expansion terms
-    ``a_k a_k^T / lambda_k`` over the rows of A, added into the upper
-    triangle in place and mirrored once.  B is symmetric positive definite
-    with grade ``-family.moment_grade``; the kernel polynomial is
-    ``K(x, y) = sum_ij b_ij x**p_i y**p_j`` with ``p_i`` the family's basis
-    powers.
+    B is the Christoffel-Darboux sum of the terms ``a_k a_k^T / lambda_k``
+    over the rows of A, in integers: with column i of A cleared by e_i and
+    the norms by D (lcms of denominators resp. numerators), b_ij is
+    ``sum_k c_ki c_kj D / lambda_k`` over ``D e_i e_j``.  B is symmetric
+    positive definite with grade ``-family.moment_grade``; the kernel
+    polynomial is ``K(x, y) = sum_ij b_ij x**p_i y**p_j``, p_i the basis powers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a = coeff_matrix(family, n).entries
     lam = norm_vector(family, n)
+    d = lcm(*(q.numerator for q in lam))
+    cols = [[row[i] for row in a[i:]] for i in range(n)]  # column i from row i down
+    scales = [lcm(*(q.denominator for q in col)) for col in cols]
+    ints = [[q.numerator * (e // q.denominator) for q in col] for col, e in zip(cols, scales)]
     b = [[Fraction(0)] * n for _ in range(n)]
-    for k, row in enumerate(a):
-        for i in range(k + 1):
-            scaled = row[i] / lam[k]
-            bi = b[i]
-            for j in range(i, k + 1):
-                bi[j] += scaled * row[j]
-    mirrored = tuple(tuple(b[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
-    return GradedMatrix(family, n, mirrored, -family.moment_grade)
+    for i in range(n):
+        weighted = [c * (d // q.numerator * q.denominator) for c, q in zip(ints[i], lam[i:])]
+        for j in range(i, n):
+            acc = sum(map(mul, weighted[j - i :], ints[j]))  # integer: one gcd per entry
+            b[i][j] = b[j][i] = Fraction(acc, d * scales[i] * scales[j])
+    return GradedMatrix(family, n, tuple(map(tuple, b)), -family.moment_grade)
 
 
 def _closed_form_factors(

@@ -8,9 +8,12 @@ dropped tail is below 200**k * exp(-200) < 1e-40 for every power used here.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import cos, exp, mp, mpf, pi, quad, sin
+from mpmath.libmp import from_rational, round_nearest
 
 from gramkernel import checks
 from gramkernel.approx import (
@@ -333,6 +336,71 @@ class TestEvalPolynomial:
         with mp.workprec(256):
             for x in (mpf(1) / 4, mpf(1) / 2, mpf(3) / 4):
                 assert abs(eval_polynomial(est, [x])[0] - sin(pi * x)) < mpf("1e-6")
+
+
+@lru_cache(maxsize=None)
+def _poly(target, n, kind):
+    return kernel_estimate(target, n) if kind == "estimate" else taylor_comparator(target, n)
+
+
+def _exact(v: mpf) -> Fraction:
+    m, e = v.man_exp  # of |v|
+    return int(mp.sign(v)) * Fraction(m) * Fraction(2) ** e
+
+
+def _rounded(q: Fraction, bits: int) -> mpf:
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, bits, round_nearest))
+
+
+def _terms(poly, coefficients, x) -> list[Fraction]:
+    """The exact terms ``c_k x**p_k`` at the exact value of x."""
+    xq = x if isinstance(x, Fraction) else _exact(x)
+    return [c * xq ** poly.family.basis_power(k) for k, c in enumerate(coefficients, start=1)]
+
+
+@st.composite
+def polynomial_points(draw, targets=ALL_TARGETS):
+    """A target's estimate or Taylor comparator, an x in the target's
+    window (a Fraction, or an mpf of 53-400 bits) and a precision."""
+    target = draw(st.sampled_from(targets))
+    poly = _poly(target, draw(st.integers(1, 14)), draw(st.sampled_from(("estimate", "taylor"))))
+    lo, hi = (0, 12) if target is EXP_NEG else (-1, 1)
+    x = draw(st.fractions(lo, hi, max_denominator=10**9))
+    if draw(st.booleans()):
+        with mp.workprec(draw(st.integers(53, 400))):
+            x = mpf(x.numerator) / x.denominator
+    return poly, x, draw(st.sampled_from((128, 256, 333)))
+
+
+class TestEvalPolynomialIsExact:
+    """Each value is the correctly rounded value of the polynomial on its
+    coefficients as rounded once at ``bits + 16``; nothing else rounds."""
+
+    @given(polynomial_points())
+    @settings(max_examples=150, deadline=None)
+    def test_one_rounding_of_the_rounded_coefficients(self, case):
+        poly, x, bits = case
+        rounded = [_exact(eval_pilaurent(c, bits + 16)) for c in poly.coefficients]
+        assert eval_polynomial(poly, [x], bits)[0] == _rounded(sum(_terms(poly, rounded, x)), bits)
+
+    @given(polynomial_points(targets=(EXP_NEG,)))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_coefficients_round_like_the_exact_value(self, case):
+        """Fraction coefficients: each is rounded within ``2**-(bits + 15)``
+        of itself, so the value lies between the correct roundings of the
+        exact value minus and plus that error over all terms.  Wherever the
+        error cannot reach a rounding boundary, the two are one value: the
+        exact value correctly rounded."""
+        poly, x, bits = case
+        terms = _terms(poly, poly.coefficients, x)
+        exact, slack = sum(terms), sum(map(abs, terms)) / 2 ** (bits + 15)
+        got = eval_polynomial(poly, [x], bits)[0]
+        assert _rounded(exact - slack, bits) <= got <= _rounded(exact + slack, bits)
+
+    @pytest.mark.parametrize("x", [mpf("inf"), mpf("-inf"), mpf("nan"), float("inf")], ids=str)
+    def test_non_finite_x_raises(self, x):
+        with pytest.raises(ValueError, match="non-finite"):
+            eval_polynomial(taylor_comparator(EXP_NEG, 3), [Fraction(1), x])
 
 
 class TestTargets:

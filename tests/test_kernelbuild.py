@@ -8,6 +8,7 @@ import pytest
 from gramkernel.families import (
     ALL_FAMILIES,
     HERMITE_EVEN,
+    HERMITE_ODD,
     LAGUERRE,
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
@@ -100,6 +101,21 @@ class TestKernelSweep:
             assert (kernel.family, kernel.n) == (family, n)
             assert kernel.entries == closed.entries == inverse.entries
             assert kernel.sqrtpi_power == closed.sqrtpi_power == inverse.sqrtpi_power
+
+    @pytest.mark.parametrize(
+        "family, n",
+        ((LAGUERRE, 40), (LEGENDRE_EVEN, 30), (LEGENDRE_ODD, 35), (HERMITE_EVEN, 25),
+         (HERMITE_ODD, 20)),
+        ids=lambda v: getattr(v, "name", str(v)),
+    )
+    def test_large_sizes_match_closed_form(self, family, n):
+        """The integer accumulation where its column scales and norm lcm are
+        largest: the sizes of the ``point`` benchmark's kernel jobs."""
+        kernel = build_kernel(family, n)
+        closed = closed_form_kernel(family, n)
+        assert (kernel.family, kernel.n) == (family, n)
+        assert kernel.entries == closed.entries
+        assert kernel.sqrtpi_power == closed.sqrtpi_power
 
     @pytest.mark.parametrize("max_n", (0, -3))
     def test_rejects_empty(self, max_n):
