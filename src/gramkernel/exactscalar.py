@@ -10,7 +10,9 @@ is assembled from two exact carriers, and a value's type is its rationality:
   (``GradedMatrix.sqrtpi_power``), never per scalar,
 * :class:`PiLaurent` -- a finite sum ``sum_m q_m * pi**m`` with rational
   ``q_m``, used only where a pi power can appear: the trigonometric
-  targets' moments, Taylor terms and everything computed from them.
+  targets' moments, Taylor terms and everything computed from them.  It is
+  stored dense, as integer numerators for consecutive pi exponents over one
+  denominator, in a canonical form private to this module.
 
 Numeric evaluation (``mpmath`` at a caller-chosen binary precision) is the
 only lossy operation in the package and is confined to this module.
@@ -19,6 +21,7 @@ only lossy operation in the package and is confined to this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
 from mpmath import mp, mpf, nstr
@@ -38,24 +41,36 @@ def _check_precision(precision_bits: int) -> None:
         )
 
 
+def _exact_operand(op):
+    """Lift an int or Fraction operand to PiLaurent; any other type is NotImplemented."""
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _reduced(0, (other.numerator,), other.denominator)
+        return op(self, other) if isinstance(other, PiLaurent) else NotImplemented
+    return method
+
+
 class PiLaurent:
     """A finite formal sum ``sum_m q_m * pi**m`` with exact rational ``q_m``.
 
-    ``m`` ranges over (possibly negative) integers.  Instances are immutable;
-    addition and multiplication are exact ring operations, and
-    :func:`eval_pilaurent` is the only step that rounds.
+    ``m`` ranges over (possibly negative) integers.  The value is the
+    canonical triple ``(low, nums, den)`` for ``sum_i nums[i] * pi**(low+i)
+    / den`` (see :func:`_reduced`), so ``==`` is one tuple comparison and
+    ``+``/``*`` are integer alignment or convolution and one gcd.
+    Instances are immutable; :func:`eval_pilaurent` is the only step that rounds.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_v",)
 
-    def __init__(self, terms: Union[RationalLike, Mapping[int, RationalLike], None] = None):
-        if terms is None:
-            data = {}
-        elif isinstance(terms, (int, Fraction)):
-            data = {0: Fraction(terms)}
-        else:
-            data = {int(m): Fraction(q) for m, q in terms.items()}
-        object.__setattr__(self, "_terms", {m: q for m, q in data.items() if q != 0})
+    def __new__(cls, terms: Union[RationalLike, Mapping[int, RationalLike], None] = None):
+        if isinstance(terms, (int, Fraction)):
+            terms = {0: terms}
+        qs = {int(m): Fraction(q) for m, q in (terms or {}).items()}
+        low, den = min(qs, default=0), lcm(*(q.denominator for q in qs.values()))
+        nums = [0] * (max(qs, default=0) - low + 1)
+        for m, q in qs.items():
+            nums[m - low] = q.numerator * (den // q.denominator)
+        return _reduced(low, nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("PiLaurent is immutable")
@@ -64,90 +79,79 @@ class PiLaurent:
     def pi_power(cls, m: int, coefficient: RationalLike = 1) -> "PiLaurent":
         return cls({m: coefficient})
 
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        """Copy of the nonzero terms, keyed by pi exponent."""
-        return dict(self._terms)
-
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Nonzero (exponent, coefficient) pairs in ascending exponent order."""
-        return iter(sorted(self._terms.items()))
+        low, nums, den = self._v
+        return ((low + i, Fraction(n, den)) for i, n in enumerate(nums) if n)
 
-    def _coerce(self, other) -> "PiLaurent":
-        if isinstance(other, PiLaurent):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PiLaurent(other)
-        return NotImplemented
-
+    @_exact_operand
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for m, q in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + q
-        return PiLaurent(out)
+        (la, na, da), (lb, nb, db) = self._v, other._v
+        low, g = min(la, lb), gcd(da, db)
+        out = [0] * (max(la + len(na), lb + len(nb)) - low)
+        for start, nums, scale in ((la - low, na, db // g), (lb - low, nb, da // g)):
+            for i, n in enumerate(nums, start):
+                out[i] += n * scale
+        return _reduced(low, out, da // g * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PiLaurent({m: -q for m, q in self._terms.items()})
+        return self * -1
 
+    @_exact_operand
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
+    @_exact_operand
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return other + -self
 
+    @_exact_operand
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for ma, qa in self._terms.items():
-            for mb, qb in other._terms.items():
-                m = ma + mb
-                out[m] = out.get(m, Fraction(0)) + qa * qb
-        return PiLaurent(out)
+        (la, na, da), (lb, nb, db) = self._v, other._v
+        out = [0] * (len(na) + len(nb) - 1)
+        for i, x in enumerate(na):
+            if x:
+                for j, y in enumerate(nb, i):
+                    out[j] += x * y
+        return _reduced(la + lb, out, da * db)
 
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._v[1])
 
+    @_exact_operand
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._terms == other._terms
+        return self._v == other._v
 
     def __hash__(self) -> int:
-        # equal values hash equal: a pi-free value hashes as its Fraction
-        if self._terms.keys() <= {0}:
-            return hash(self._terms.get(0, Fraction(0)))
-        return hash(frozenset(self._terms.items()))
+        # equal values hash equal: a pi-free value (low 0, at most one term) as its Fraction
+        low, nums, den = self._v
+        return hash(Fraction(sum(nums), den) if low == 0 and len(nums) <= 1 else self._v)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for m, q in self.items():
-            mag = str(abs(q)) if m == 0 else f"{abs(q)}*pi^{m}" if m != 1 else f"{abs(q)}*pi"
-            if not parts:
-                parts.append(mag if q > 0 else f"-{mag}")
-            else:
-                parts.append(f"+ {mag}" if q > 0 else f"- {mag}")
-        return " ".join(parts)
+            mag = str(abs(q)) + ("" if m == 0 else "*pi" if m == 1 else f"*pi^{m}")
+            parts.append(f"{'-' if q < 0 else '+'} {mag}" if parts else ("-" if q < 0 else "") + mag)
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
-        return f"PiLaurent({dict(sorted(self._terms.items()))!r})"
+        return f"PiLaurent({dict(self.items())!r})"
+
+
+def _reduced(low: int, nums, den: int) -> PiLaurent:
+    """The one constructor: ``sum_i nums[i] * pi**(low+i) / den`` for den > 0, in
+    canonical form -- zero end terms dropped, reduced by one ``gcd(den, *nums)``,
+    and ``(0, (), 1)`` for zero."""
+    nz = [i for i, n in enumerate(nums) if n]
+    kept = nums[nz[0]:nz[-1] + 1] if nz else ()
+    g = gcd(den, *kept)
+    p = object.__new__(PiLaurent)
+    object.__setattr__(p, "_v", (low + nz[0] if nz else 0, tuple(n // g for n in kept), den // g))
+    return p
 
 
 Exact = Union[Fraction, PiLaurent]  # a Fraction exactly when no pi appears
@@ -201,16 +205,15 @@ def decimal_str(q: RationalLike, sig_digits: int = SIG_DIGITS) -> str:
     sign = "-" if q < 0 else ""
     a = abs(q)
 
-    # decimal exponent e with 10**e <= a < 10**(e+1), found exactly
-    e = len(str(a.numerator)) - len(str(a.denominator))
-    while Fraction(10) ** e > a:
+    # decimal exponent e with 10**e <= a < 10**(e+1), found in integers: with
+    # n, d of k, l digits, 10**(k-l-1) < a < 10**(k-l+1), so e is k-l or k-l-1
+    n, d = a.numerator, a.denominator
+    e = len(str(n)) - len(str(d))
+    if n * 10 ** max(-e, 0) < d * 10 ** max(e, 0):
         e -= 1
-    while Fraction(10) ** (e + 1) <= a:
-        e += 1
 
     shift = sig_digits - 1 - e
-    scaled = a.numerator * 10**shift if shift >= 0 else a.numerator
-    den = a.denominator if shift >= 0 else a.denominator * 10**(-shift)
+    scaled, den = n * 10 ** max(shift, 0), d * 10 ** max(-shift, 0)
     digits, rem = divmod(scaled, den)
     if 2 * rem > den or (2 * rem == den and digits % 2 == 1):
         digits += 1

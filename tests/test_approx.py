@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import cos, exp, mp, mpf, pi, quad, sin
 from mpmath.libmp import from_rational, round_nearest
 
-from gramkernel import checks
+from gramkernel import checks, exactscalar
 from gramkernel.approx import (
     COS_PI,
     EXP_NEG,
@@ -454,18 +454,28 @@ class TestRationalsStayFractions:
 
     @pytest.fixture
     def constructions(self, monkeypatch):
+        """Counts every PiLaurent made: the constructor and every arithmetic
+        result go through the one normalising step, ``exactscalar._reduced``."""
         count = [0]
 
-        def counted(self, *args, _init=PiLaurent.__init__):
+        def counted(*args, _reduced=exactscalar._reduced):
             count[0] += 1
-            _init(self, *args)
+            return _reduced(*args)
 
-        monkeypatch.setattr(PiLaurent, "__init__", counted)
+        monkeypatch.setattr(exactscalar, "_reduced", counted)
         return count
 
     def test_counter_sees_pi_values(self, constructions):
         variance_rows(SIN_PI, 2)
         assert constructions[0] > 0
+
+    def test_counter_sees_arithmetic_results(self, constructions):
+        a = PiLaurent.pi_power(1, Fraction(1, 3))
+        for op in (lambda: a + a, lambda: a * a, lambda: -a, lambda: a - 1, lambda: 1 - a,
+                   lambda: 2 * a, lambda: a + Fraction(1, 2)):
+            before = constructions[0]
+            op()
+            assert constructions[0] > before
 
     def test_check_reproducing(self, monkeypatch, constructions):
         coefficients = []

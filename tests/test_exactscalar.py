@@ -1,6 +1,7 @@
 """Exact scalar layer: rationals, pi-Laurent ring, numeric rendering."""
 
 import random
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ pilaurents = st.dictionaries(
 class TestPiLaurent:
     def test_construction_drops_zeros(self):
         p = PiLaurent({0: 1, 2: 0})
-        assert p.terms == {0: Fraction(1)}
+        assert dict(p.items()) == {0: Fraction(1)}
 
     def test_immutable(self):
         p = PiLaurent({1: 1})
@@ -56,18 +57,110 @@ class TestPiLaurent:
         assert {PiLaurent(): "zero"}[Fraction(0)] == "zero"
         assert len({PiLaurent({1: half}), half}) == 2
 
-    @given(p=pilaurents, q=small_fracs)
-    def test_equal_values_hash_equal(self, p, q):
-        """p == q implies hash(p) == hash(q), across both carriers."""
-        for a, b in ((p, q), (PiLaurent(q), q), (p, PiLaurent(p.terms))):
+    @given(p=pilaurents, q=small_fracs, m=st.integers(min_value=-4, max_value=4))
+    def test_equal_values_hash_equal(self, p, q, m):
+        """p == q implies hash(p) == hash(q), across both carriers and for
+        the results of arithmetic, pi-free and zero results included."""
+        equal = (
+            (PiLaurent(q), q), (p, PiLaurent(dict(p.items()))), (p - p + q, q),
+            (p * q - q * p, 0), (p + q - p, q), ((p + 1) * (p - 1), p * p - 1),
+            (PiLaurent.pi_power(m, q) * PiLaurent.pi_power(-m), q), (-(-p), p),
+        )
+        for a, b in ((p, q),) + equal:
             if a == b:
                 assert hash(a) == hash(b)
+        assert all(a == b for a, b in equal)
 
     def test_str_forms(self):
         assert str(PiLaurent()) == "0"
         assert str(PiLaurent(Fraction(1, 3))) == "1/3"
         assert str(PiLaurent({1: 1})) == "1*pi"
         assert str(PiLaurent({-3: -12, -1: 2})) == "-12*pi^-3 + 2*pi^-1"
+
+
+def _as_dict(p: PiLaurent) -> dict:
+    """p's terms, checking that items() is ascending, nonzero and Fraction-valued."""
+    items = list(p.items())
+    assert [m for m, _ in items] == sorted({m for m, _ in items})
+    assert all(type(q) is Fraction and q != 0 for _, q in items)
+    return dict(items)
+
+
+def _sparse_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, q in b.items():
+        out[m] = out.get(m, 0) + q
+    return {m: q for m, q in out.items() if q}
+
+
+def _sparse_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, qa in a.items():
+        for mb, qb in b.items():
+            out[ma + mb] = out.get(ma + mb, 0) + qa * qb
+    return {m: q for m, q in out.items() if q}
+
+
+# gappy exponents over the range the trig targets reach (pi**-79 at size 40)
+gappy = st.dictionaries(
+    st.integers(min_value=-80, max_value=80),
+    st.fractions(max_denominator=10**12).filter(lambda q: q != 0),
+    max_size=8,
+)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two sparse operands; b often cancels some of a's terms exactly."""
+    a = draw(gappy)
+    cancelled = draw(st.sets(st.sampled_from(sorted(a)))) if a else set()
+    b = draw(gappy)
+    b.update({m: -a[m] for m in cancelled})
+    return a, b
+
+
+class TestDenseForm:
+    """The canonical dense form against naive sparse dict arithmetic."""
+
+    @given(pair=operand_pairs(), q=st.fractions(max_denominator=10**6))
+    @settings(max_examples=200)
+    def test_arithmetic_matches_sparse_reference(self, pair, q):
+        a, b = pair
+        pa, pb = PiLaurent(a), PiLaurent(b)
+        neg_b = {m: -x for m, x in b.items()}
+        scalar = {0: q} if q else {}
+        assert _as_dict(pa) == a
+        assert _as_dict(-pb) == neg_b
+        assert _as_dict(pa + pb) == _sparse_add(a, b)
+        assert _as_dict(pa - pb) == _sparse_add(a, neg_b)
+        assert _as_dict(pa * pb) == _sparse_mul(a, b)
+        assert _as_dict(q + pa) == _as_dict(pa + q) == _sparse_add(a, scalar)
+        assert _as_dict(q - pb) == _sparse_add(scalar, neg_b)
+        assert _as_dict(pb - q) == _sparse_add(b, {0: -q} if q else {})
+        assert _as_dict(q * pa) == _as_dict(pa * q) == _sparse_mul(a, scalar)
+
+    @given(a=gappy)
+    def test_round_trip_through_items(self, a):
+        p = PiLaurent(a)
+        assert PiLaurent(dict(p.items())) == p
+        assert hash(PiLaurent(dict(p.items()))) == hash(p)
+        assert eval(repr(p), {"PiLaurent": PiLaurent, "Fraction": Fraction}) == p
+
+    @given(a=gappy)
+    def test_cancelling_sum_is_zero(self, a):
+        p = PiLaurent(a)
+        for zero in (p - p, p + -p, p * 0, -p + p):
+            assert not zero and zero == 0 == PiLaurent()
+            assert hash(zero) == hash(Fraction(0)) and str(zero) == "0"
+            assert _as_dict(zero) == {}
+
+    @given(m=st.integers(min_value=-80, max_value=80), q=st.fractions(max_denominator=10**6),
+           r=st.fractions(max_denominator=10**6))
+    def test_pi_free_results_equal_their_fraction(self, m, q, r):
+        p = PiLaurent.pi_power(m, q) * PiLaurent.pi_power(-m, r) + PiLaurent.pi_power(m, q)
+        p -= PiLaurent.pi_power(m, q)
+        assert p == q * r and hash(p) == hash(q * r)
+        assert _as_dict(p) == ({0: q * r} if q * r else {})
 
 
 class TestEvalPiLaurent:
@@ -156,6 +249,22 @@ class TestDecimalStr:
     def test_zero_and_integers(self):
         assert decimal_str(Fraction(0), 17) == "0"
         assert decimal_str(Fraction(288), 17) == "288"
+
+    @given(
+        q=st.one_of(
+            st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+            st.builds(lambda k: Fraction(10) ** k, st.integers(-60, 60)),
+            st.builds(lambda k, d: Fraction(10) ** k * (1 - Fraction(1, d)),
+                      st.integers(-60, 60), st.integers(2, 10**45)),
+        ),
+        sig_digits=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=300)
+    def test_value_is_decimal_division_half_even(self, q, sig_digits):
+        """The rendered value is q correctly rounded to sig_digits digits."""
+        ctx = Context(prec=sig_digits, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        want = ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
+        assert Fraction(decimal_str(q, sig_digits)) == Fraction(want)
 
     def test_round_trip_at_precision(self):
         # parsing the rendered string recovers the value rounded at 17 digits
