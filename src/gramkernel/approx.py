@@ -37,6 +37,7 @@ from .families import (
     LAGUERRE,
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
+    _matmul,
     coeff_matrix,
     moment_cores,
     norm_vector,
@@ -190,7 +191,12 @@ def monomial_moment_vector(family: Family, n: int, power: int) -> MomentVector:
 
 
 def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
-    """Kernel estimate c = B m, the weighted least-squares projection."""
+    """Kernel estimate c = B m, the weighted least-squares projection.
+
+    The moments split into one rational column per pi exponent that occurs
+    (a ``Fraction`` sits at exponent 0), so c = B Q is one cleared integer
+    product.  Coefficients are ``PiLaurent`` if any moment is, else ``Fraction``.
+    """
     if kernel.family != moments.family:
         raise ValueError(
             f"kernel family {kernel.family.name} != moment family {moments.family.name}"
@@ -199,8 +205,12 @@ def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
         raise ValueError(f"kernel size {kernel.n} != moment vector length {len(moments)}")
     if kernel.sqrtpi_power + moments.family.moment_grade != 0:
         raise ValueError("sqrt(pi) grades do not cancel under projection")
-    coeffs = tuple(sum(map(mul, moments.entries, row), 0) for row in kernel.entries)
-    return ApproxPolynomial(kernel.family, coeffs)
+    terms = [dict(m.items()) if isinstance(m, PiLaurent) else {0: m} for m in moments.entries]
+    exps = sorted(set().union(*terms))
+    rows = _matmul(kernel.entries, [[t.get(e, 0) for e in exps] for t in terms])
+    if any(isinstance(m, PiLaurent) for m in moments.entries):
+        return ApproxPolynomial(kernel.family, tuple(PiLaurent(dict(zip(exps, r))) for r in rows))
+    return ApproxPolynomial(kernel.family, tuple(r[0] for r in rows))
 
 
 def taylor_polynomial(target: TargetFunction, n: int) -> ApproxPolynomial:

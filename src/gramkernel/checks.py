@@ -18,11 +18,10 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm, prod
-from operator import mul
+from math import prod
 
 from .approx import monomial_moment_vector, project
-from .families import ALL_FAMILIES, Family, GradedMatrix, coeff_matrix, norm_vector
+from .families import ALL_FAMILIES, Family, GradedMatrix, _matmul, coeff_matrix, norm_vector
 from .kernelbuild import build_kernel
 from .oracle import gram_from_moments, leading_inverses, leading_principal_minors
 
@@ -111,23 +110,6 @@ def _diff(what: str, want, got, index: tuple[int, ...] = ()) -> str:
         return ""
     at = f" ({', '.join(map(str, index))})" if index else ""
     return f"{what}{at}: want {want}, got {got}"
-
-
-def _cleared(line: Sequence) -> tuple[list[int], int]:
-    """``line`` as integers over one denominator d, the lcm of its own."""
-    d = lcm(*(q.denominator for q in line))
-    return [q.numerator * (d // q.denominator) for q in line], d
-
-
-def _matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact product of two rational matrices.  Each row of ``a`` and each
-    column of ``b`` is cleared over one denominator, so an entry costs one
-    integer dot product and one ``Fraction``."""
-    cols = [_cleared(col) for col in zip(*b)]
-    return tuple(
-        tuple(Fraction(sum(map(mul, row, col)), d_row * d_col) for col, d_col in cols)
-        for row, d_row in map(_cleared, a)
-    )
 
 
 def _diagonal(values: Sequence) -> tuple[tuple, ...]:

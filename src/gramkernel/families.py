@@ -18,10 +18,12 @@ core times ``sqrt(pi)**family.moment_grade``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,24 @@ class GradedMatrix:
     n: int
     entries: tuple[tuple[Fraction, ...], ...]
     sqrtpi_power: int = 0
+
+
+def _cleared(line: Sequence) -> tuple[list[int], int]:
+    """``line`` as integers over one denominator d, the lcm of its own."""
+    ratios = [q.as_integer_ratio() for q in line]
+    d = lcm(*[den for _, den in ratios])
+    return [num * (d // den) for num, den in ratios], d
+
+
+def _matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact product of two rational matrices.  Each row of ``a`` and each
+    column of ``b`` is cleared over one denominator, so an entry costs one
+    integer dot product and one ``Fraction``."""
+    cols = [_cleared(col) for col in zip(*b)]
+    return tuple(
+        tuple(Fraction(sum(map(mul, row, col)), d_row * d_col) for col, d_col in cols)
+        for row, d_row in map(_cleared, a)
+    )
 
 
 def _coeff_entry(family: Family, i: int, j: int) -> Fraction:

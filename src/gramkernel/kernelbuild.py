@@ -19,7 +19,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable
 
-from .families import Family, GradedMatrix, coeff_matrix, double_factorial, norm_vector
+from .families import Family, GradedMatrix, _cleared, coeff_matrix, double_factorial, norm_vector
 
 
 def build_kernel(family: Family, n: int) -> GradedMatrix:
@@ -38,8 +38,7 @@ def build_kernel(family: Family, n: int) -> GradedMatrix:
     lam = norm_vector(family, n)
     d = lcm(*(q.numerator for q in lam))
     cols = [[row[i] for row in a[i:]] for i in range(n)]  # column i from row i down
-    scales = [lcm(*(q.denominator for q in col)) for col in cols]
-    ints = [[q.numerator * (e // q.denominator) for q in col] for col, e in zip(cols, scales)]
+    ints, scales = zip(*map(_cleared, cols))
     b = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         weighted = [c * (d // q.numerator * q.denominator) for c, q in zip(ints[i], lam[i:])]

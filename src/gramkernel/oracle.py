@@ -50,6 +50,7 @@ def gram_from_moments(family: Family, n: int) -> GradedMatrix:
     return GradedMatrix(family, n, rows, family.moment_grade)
 
 
+# not families._cleared: the oracle shares no code with the construction
 def _cleared(entries: Matrix) -> tuple[list[list[int]], int]:
     """The integer matrix d * entries, with d the lcm of every denominator."""
     d = lcm(*(q.denominator for row in entries for q in row))

@@ -9,6 +9,7 @@ dropped tail is below 200**k * exp(-200) < 1e-40 for every power used here.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from gramkernel.approx import (
     SIN_PI,
     TARGETS,
     ApproxPolynomial,
+    MomentVector,
     TargetFunction,
     error_variance,
     eval_polynomial,
@@ -35,7 +37,7 @@ from gramkernel.approx import (
     variance_rows,
 )
 from gramkernel.exactscalar import PiLaurent, eval_pilaurent
-from gramkernel.families import ALL_FAMILIES, LAGUERRE, LEGENDRE_EVEN, LEGENDRE_ODD
+from gramkernel.families import ALL_FAMILIES, LAGUERRE, LEGENDRE_EVEN, LEGENDRE_ODD, GradedMatrix
 from gramkernel.kernelbuild import build_kernel
 
 ALL_TARGETS = (SIN_PI, COS_PI, EXP_NEG)
@@ -161,6 +163,50 @@ class TestProject:
         project(kernel, moments)  # grades -1 and +1 cancel
         with pytest.raises(ValueError):
             project(replace(kernel, sqrtpi_power=0), moments)
+
+
+def _summed_projection(kernel, moments):
+    """c = B m as one exact sum per row, the reference for :func:`project`."""
+    return tuple(sum(map(mul, moments.entries, row), 0) for row in kernel.entries)
+
+
+def _assert_projects_like_sums(kernel, moments):
+    got, want = project(kernel, moments).coefficients, _summed_projection(kernel, moments)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+rationals = st.one_of(st.just(Fraction(0)), st.fractions(-20, 20, max_denominator=30))
+# a zero, and sparse sums over negative and non-adjacent pi exponents
+pi_laurents = st.one_of(
+    st.just(PiLaurent(0)),
+    st.dictionaries(st.integers(-9, 5), rationals, max_size=4).map(PiLaurent),
+)
+
+
+@st.composite
+def kernels_and_moments(draw):
+    """A random rational kernel and moment vector, Fraction-only or mixed."""
+    family, n = draw(st.sampled_from(ALL_FAMILIES)), draw(st.integers(1, 6))
+    entries = tuple(tuple(draw(rationals) for _ in range(n)) for _ in range(n))
+    kernel = GradedMatrix(family, n, entries, -family.moment_grade)
+    scalars = draw(st.sampled_from((rationals, st.one_of(rationals, pi_laurents), pi_laurents)))
+    return kernel, MomentVector(family, tuple(draw(scalars) for _ in range(n)))
+
+
+class TestProjectMatchesFractionSums:
+    """The cleared integer product equals the exact sums in value and type."""
+
+    @given(kernels_and_moments())
+    @settings(max_examples=200, deadline=None)
+    def test_random_kernels_and_moments(self, case):
+        _assert_projects_like_sums(*case)
+
+    @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
+    def test_built_in_targets(self, target):
+        for n in range(1, 31):
+            kernel = build_kernel(target.natural_family, n)
+            _assert_projects_like_sums(kernel, function_moments(target, n))
 
 
 class TestTaylorPolynomial:

@@ -412,6 +412,8 @@ SNAPSHOT_ARGV = {
     "variance_sin-pi_3": ["variance", "--target", "sin-pi", "--max-size", "3"],
     "project_cos-pi_2": ["project", "--target", "cos-pi", "--size", "2"],
     "project_exp-neg_12": ["project", "--target", "exp-neg", "--size", "12"],
+    "project_sin-pi_20": ["project", "--target", "sin-pi", "--size", "20"],
+    "project_cos-pi_15": ["project", "--target", "cos-pi", "--size", "15"],
     "verify_2": ["verify", "--max-size", "2"],
 }
 SNAPSHOTS = [
