@@ -195,7 +195,8 @@ def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
 
     The moments split into one rational column per pi exponent that occurs
     (a ``Fraction`` sits at exponent 0), so c = B Q is one cleared integer
-    product.  Coefficients are ``PiLaurent`` if any moment is, else ``Fraction``.
+    product over the kernel's cached cleared rows.  Coefficients are
+    ``PiLaurent`` if any moment is, else ``Fraction``.
     """
     if kernel.family != moments.family:
         raise ValueError(
@@ -207,7 +208,7 @@ def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
         raise ValueError("sqrt(pi) grades do not cancel under projection")
     terms = [dict(m.items()) if isinstance(m, PiLaurent) else {0: m} for m in moments.entries]
     exps = sorted(set().union(*terms))
-    rows = _matmul(kernel.entries, [[t.get(e, 0) for e in exps] for t in terms])
+    rows = _matmul(kernel, [[t.get(e, 0) for e in exps] for t in terms])
     if any(isinstance(m, PiLaurent) for m in moments.entries):
         return ApproxPolynomial(kernel.family, tuple(PiLaurent(dict(zip(exps, r))) for r in rows))
     return ApproxPolynomial(kernel.family, tuple(r[0] for r in rows))

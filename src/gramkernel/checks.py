@@ -19,9 +19,12 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .approx import monomial_moment_vector, project
-from .families import ALL_FAMILIES, Family, GradedMatrix, _matmul, coeff_matrix, norm_vector
+from .families import (
+    ALL_FAMILIES, Family, GradedMatrix, _cleared, _matmul, coeff_matrix, norm_vector,
+)
 from .kernelbuild import build_kernel
 from .oracle import gram_from_moments, leading_inverses, leading_principal_minors
 
@@ -124,9 +127,17 @@ def check_oracle_equivalence(a: Artefacts) -> str:
 
 
 def check_gram_times_kernel(a: Artefacts) -> str:
-    """G * B == I exactly (the sqrt(pi) grades cancel)."""
-    return (_diff("grade of G B", 0, a.gram.sqrtpi_power + a.kernel.sqrtpi_power)
-            or _diff("G B vs I", _diagonal((1,) * a.n), _matmul(a.gram.entries, a.kernel.entries)))
+    """G * B == I exactly (the sqrt(pi) grades cancel).  With row i of G
+    cleared by d_i and column j of B by e_j, (G B)_ij is I's entry exactly
+    when the integer dot product is d_i e_j (i = j) or 0; the ``Fraction``
+    product is built only to name a mismatch."""
+    detail = _diff("grade of G B", 0, a.gram.sqrtpi_power + a.kernel.sqrtpi_power)
+    cols = [_cleared(col) for col in zip(*a.kernel.entries)]
+    if detail or all(sum(map(mul, row, col)) == (d_row * d_col if i == j else 0)
+                     for i, (row, d_row) in enumerate(a.gram.cleared_rows)
+                     for j, (col, d_col) in enumerate(cols)):
+        return detail
+    return _diff("G B vs I", _diagonal((1,) * a.n), _matmul(a.gram, a.kernel.entries))
 
 
 def check_orthogonality(a: Artefacts) -> str:

@@ -13,6 +13,9 @@ denominator below 10**30.
 ``verify`` writes one stderr line ``FAIL <check> family=<f> size=<n>: <detail>``
 per failing check, in every format, and its JSON rows of failing checks carry
 that ``detail``; a passing run writes nothing to stderr.
+``--out PATH`` writes the file PATH resolves to, through any symlinks: a
+regular or new file atomically (a temp file renamed over it), anything else,
+such as a FIFO or a device, in place.
 Exit codes: 0 success, 1 verification failed, 2 usage or I/O error (such as an
 ``--out`` path that cannot be written, a ``--samples`` count or window end out
 of bounds or a numeric option that is not an integer), 3 internal error (any
@@ -116,25 +119,37 @@ def _emit(args, payload: dict | None, header: list[str], rows: list[list[str]],
         sys.stdout.write(text)
         return
     try:
-        _write_atomically(args.out, text)
+        _write_out(args.out, text)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write a temp file beside ``path``, then rename it over ``path``.
+def _write_out(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path`` resolves to, through any symlinks.
 
-    Readers see the old file or the whole new one, never a partial one; on
-    failure the temp file is removed and the error propagates.
+    A regular or missing target gets a temp file beside it, renamed over it,
+    so readers see the old file or the whole new one, never a partial one;
+    on failure the temp file is removed and the error propagates.  Any other
+    target (a FIFO, a device) is written in place.
     """
     import os  # only --out needs it
+    import stat
 
-    tmp = f"{path}.{os.getpid()}.tmp"
+    target = os.path.realpath(path)
+    try:
+        in_place = not stat.S_ISREG(os.stat(target).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)
         raise

@@ -13,7 +13,8 @@ exact arithmetic:
 * ``monomial_moment`` -- the weighted moments that define the Gram matrix.
 
 Norms and moments are returned as rational cores: each true value is the
-core times ``sqrt(pi)**family.moment_grade``.
+core times ``sqrt(pi)**family.moment_grade``.  Rows of A and the moments
+do not depend on the matrix size, so each is computed once per process.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
 from operator import mul
 
@@ -94,6 +95,11 @@ class GradedMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
     sqrtpi_power: int = 0
 
+    @cached_property
+    def cleared_rows(self) -> list[tuple[list[int], int]]:
+        """Each row of ``entries`` cleared (see ``_cleared``), once per matrix."""
+        return [_cleared(row) for row in self.entries]
+
 
 def _cleared(line: Sequence) -> tuple[list[int], int]:
     """``line`` as integers over one denominator d, the lcm of its own."""
@@ -105,11 +111,13 @@ def _cleared(line: Sequence) -> tuple[list[int], int]:
 def _matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
     """Exact product of two rational matrices.  Each row of ``a`` and each
     column of ``b`` is cleared over one denominator, so an entry costs one
-    integer dot product and one ``Fraction``."""
+    integer dot product and one ``Fraction``.  A ``GradedMatrix`` ``a``
+    lends its cached cleared rows."""
     cols = [_cleared(col) for col in zip(*b)]
+    rows = a.cleared_rows if isinstance(a, GradedMatrix) else map(_cleared, a)
     return tuple(
         tuple(Fraction(sum(map(mul, row, col)), d_row * d_col) for col, d_col in cols)
-        for row, d_row in map(_cleared, a)
+        for row, d_row in rows
     )
 
 
@@ -135,6 +143,12 @@ def _coeff_entry(family: Family, i: int, j: int) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
+def _coeff_row(family: Family, i: int) -> tuple[Fraction, ...]:
+    """a_i1..a_ii: row i of A up to its diagonal, the same at every size."""
+    return tuple(_coeff_entry(family, i, j) for j in range(1, i + 1))
+
+
 def coeff_matrix(family: Family, n: int) -> GradedMatrix:
     """Exact expansion matrix for the first ``n`` polynomials of the family.
 
@@ -144,14 +158,9 @@ def coeff_matrix(family: Family, n: int) -> GradedMatrix:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows = tuple(
-        tuple(
-            _coeff_entry(family, i, j) if j <= i else Fraction(0)
-            for j in range(1, n + 1)
-        )
-        for i in range(1, n + 1)
-    )
-    return GradedMatrix(family, n, rows)
+    zero = (Fraction(0),)
+    return GradedMatrix(family, n, tuple(
+        _coeff_row(family, i) + zero * (n - i) for i in range(1, n + 1)))
 
 
 def norm_vector(family: Family, n: int) -> tuple[Fraction, ...]:
@@ -192,6 +201,7 @@ def printed_legendre_norm(family: Family, i: int) -> Fraction:
     return Fraction(4 * i - 3, 2) if family.offset == 0 else Fraction(4 * i - 1, 2)
 
 
+@lru_cache(maxsize=None)
 def monomial_moment(family: Family, k: int) -> Fraction:
     """Weighted moment ``integral over the domain of x**k * w(x) dx``, exact.
 

@@ -7,6 +7,7 @@ dropped tail is below 200**k * exp(-200) < 1e-40 for every power used here.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -154,8 +155,6 @@ class TestProject:
             project(kernel, function_moments(EXP_NEG, 2))
 
     def test_uncancelled_grade_rejected(self):
-        from dataclasses import replace
-
         from gramkernel.families import HERMITE_EVEN
 
         kernel = build_kernel(HERMITE_EVEN, 2)
@@ -201,6 +200,18 @@ class TestProjectMatchesFractionSums:
     @settings(max_examples=200, deadline=None)
     def test_random_kernels_and_moments(self, case):
         _assert_projects_like_sums(*case)
+
+    @given(kernels_and_moments(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_replaced_entries_are_cleared_afresh(self, case, data):
+        """The kernel's cleared rows are cached; a kernel replaced with
+        other entries projects with its own."""
+        kernel, moments = case
+        project(kernel, moments)
+        assert "cleared_rows" in vars(kernel)
+        entries = tuple(tuple(data.draw(rationals) for _ in range(kernel.n))
+                        for _ in range(kernel.n))
+        _assert_projects_like_sums(replace(kernel, entries=entries), moments)
 
     @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
     def test_built_in_targets(self, target):

@@ -3,6 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from gramkernel.families import (
     HERMITE_EVEN,
     HERMITE_ODD,
     LAGUERRE,
+    GradedMatrix,
     coeff_matrix,
     norm_vector,
 )
@@ -85,6 +87,65 @@ def test_integer_cleared_matmul_matches_fraction_sums(pair):
     assert all(type(q) is Fraction for row in product for q in row)
 
 
+def _exact_inverse(m):
+    """m**-1 by Gauss-Jordan with row swaps, or None if m is singular."""
+    n = len(m)
+    rows = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def _square(draw, n):
+    return tuple(tuple(draw(rationals) for _ in range(n)) for _ in range(n))
+
+
+@st.composite
+def gram_kernel_pairs(draw):
+    """Random rational G (full or diagonal) and B: unrelated, B = G**-1
+    exactly, or that inverse with one entry of G or B bumped.  A bump off
+    the diagonal of B against a diagonal G leaves the diagonal of G B exact."""
+    n = draw(st.integers(1, 5))
+    g, b = _square(draw, n), _square(draw, n)
+    if draw(st.booleans()):
+        g = checks._diagonal(draw(st.lists(rationals.filter(bool), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("random", "inverse", "bumped")))
+    if kind != "random":
+        b = _exact_inverse(g) or b
+    if kind == "bumped":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        bump = draw(st.fractions(-3, 3, max_denominator=9).filter(bool))
+        which = draw(st.sampled_from(("g", "b")))
+        rows = [list(row) for row in (g if which == "g" else b)]
+        rows[i][j] += bump
+        bumped = tuple(map(tuple, rows))
+        g, b = (bumped, b) if which == "g" else (g, bumped)
+    return g, b
+
+
+@given(gram_kernel_pairs())
+@settings(max_examples=200)
+def test_integer_gram_times_kernel_matches_fraction_product(pair):
+    """The integer G B = I check gives the verdict and detail of the naive
+    ``Fraction`` product, for any G and B, symmetric or not."""
+    g, b = pair
+    base = checks.build_artefacts(LAGUERRE, 1)
+    arts = replace(base, n=len(g), gram=GradedMatrix(LAGUERRE, len(g), g),
+                   kernel=GradedMatrix(LAGUERRE, len(b), b))
+    want = checks._diff("G B vs I", checks._diagonal((1,) * len(g)), _naive_matmul(g, b))
+    assert checks.check_gram_times_kernel(arts) == want
+    if not want:  # a pass is decided in integers alone
+        with mock.patch.object(checks, "_matmul", side_effect=AssertionError("built G B")):
+            assert checks.check_gram_times_kernel(arts) == ""
+
+
 def test_corruption_reaches_only_the_oracle_equivalence_check():
     results = checks.run_checks(3, inject_corruption=True)
     assert {r.name for r in results if not r.passed} == {"oracle-equivalence"}
@@ -149,6 +210,12 @@ NEGATIVE_CONTROLS = [
         lambda a: _bump_kernel(a, 0, 0),
         lambda a: f"G B vs I (1, 1): want 1, got {1 + a.gram.entries[0][0] * SEVENTH}",
         id="gram-kernel-identity-B11",
+    ),
+    pytest.param(
+        "gram-kernel-identity",
+        lambda a: replace(a, gram=_with_entry(a.gram, 1, 0, a.gram.entries[1][0] + SEVENTH)),
+        lambda a: f"G B vs I (2, 1): want 0, got {SEVENTH * a.kernel.entries[0][0]}",
+        id="gram-kernel-identity-G21",
     ),
     pytest.param(
         "orthogonality",

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import stat
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -389,8 +392,8 @@ class TestOutputBehaviour:
         assert [p.name for p in tmp_path.iterdir()] == ["cond.csv"]
 
     def test_out_failed_rename_leaves_no_file(self, tmp_path, capsys):
-        """The temp file is written, then the rename onto a directory fails:
-        exit 2, one error line, and nothing left beside the target."""
+        """Writing onto a directory fails: exit 2, one error line, and
+        nothing left beside the target."""
         target = tmp_path / "taken"
         target.mkdir()
         with pytest.raises(SystemExit) as excinfo:
@@ -402,6 +405,55 @@ class TestOutputBehaviour:
         assert captured.err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, capsys, existing):
+        """The link stays a link; the file it names gets the whole output,
+        and no temp file is left in the directory."""
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        if existing:
+            target.write_text("old contents\n")
+        link.symlink_to(target)
+        argv = ["verify", "--max-size", "2", "--format", "csv"]
+        want = run_cli(capsys, argv)[1]
+        assert run_cli(capsys, argv + ["--out", str(link)]) == (0, "")
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def _fifo_with_reader(self, tmp_path, read):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(read(fifo)), daemon=True)
+        reader.start()
+        return fifo, reader, received
+
+    def test_out_onto_a_fifo_writes_in_place(self, tmp_path, capsys):
+        """A FIFO is written through, not replaced by a regular file."""
+        argv = ["verify", "--max-size", "2", "--format", "csv"]
+        want = run_cli(capsys, argv)[1]
+        fifo, reader, received = self._fifo_with_reader(tmp_path, lambda p: p.read_text())
+        assert run_cli(capsys, argv + ["--out", str(fifo)]) == (0, "")
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert received == [want]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_out_write_error_in_place_is_io_error(self, tmp_path, capsys):
+        """A reader that hangs up unread: the output (larger than a pipe's
+        64 KiB buffer) cannot all be written, so exit 2 with one error line."""
+        fifo, reader, _ = self._fifo_with_reader(tmp_path, lambda p: p.open("rb").close())
+        with pytest.raises(SystemExit) as excinfo:
+            main(["kernel", "--family", "laguerre", "--size", "64", "--format", "csv",
+                  "--out", str(fifo)])
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.err == f"error: cannot write {fifo}: Broken pipe\n"
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
@@ -415,6 +467,7 @@ SNAPSHOT_ARGV = {
     "project_sin-pi_20": ["project", "--target", "sin-pi", "--size", "20"],
     "project_cos-pi_15": ["project", "--target", "cos-pi", "--size", "15"],
     "verify_2": ["verify", "--max-size", "2"],
+    "verify_12": ["verify", "--max-size", "12"],
 }
 SNAPSHOTS = [
     (f"{name}.{fmt}", argv + ["--format", fmt])
@@ -429,7 +482,6 @@ SNAPSHOTS = [
         "variance_exp-neg_16": ["variance", "--target", "exp-neg", "--max-size", "16"],
         "variance_sin-pi_10": ["variance", "--target", "sin-pi", "--max-size", "10"],
         "variance_cos-pi_10": ["variance", "--target", "cos-pi", "--max-size", "10"],
-        "verify_12": ["verify", "--max-size", "12"],
     }.items()
     for fmt in ("text", "json")
 ] + [
@@ -468,6 +520,17 @@ def test_failing_verify_matches_snapshot(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == _snapshot("verify_9_corrupt.json")
+    assert captured.err == _snapshot("verify_9_corrupt.stderr")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_failing_verify_matches_snapshot_in_text_and_csv(capsys, fmt):
+    """The same negative control in the other two layouts, with the same
+    stderr and exit code."""
+    code = main(["verify", "--max-size", "9", "--inject-corruption", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == _snapshot(f"verify_9_corrupt.{fmt}")
     assert captured.err == _snapshot("verify_9_corrupt.stderr")
 
 

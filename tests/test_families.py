@@ -6,7 +6,9 @@ high-precision quadrature, and the whole triple (A, lambda, moments) against
 the diagonalisation identity A G A^T = diag(lambda).
 """
 
+from dataclasses import fields, replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from mpmath import exp, inf, mp, mpf, quad
@@ -19,6 +21,8 @@ from gramkernel.families import (
     LAGUERRE,
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
+    GradedMatrix,
+    _coeff_entry,
     coeff_matrix,
     double_factorial,
     family_by_name,
@@ -114,9 +118,41 @@ class TestCoeffMatrixAgainstRecurrence:
                 else:
                     assert coeff == 0
 
+    def test_memoised_rows_match_the_closed_form_at_every_size(self, family):
+        """Rows are memoised by (family, row), not by size: after size 40
+        has filled the memo, every smaller A_n still holds the closed form."""
+        want = [[_coeff_entry(family, i, j) if j <= i else 0 for j in range(1, 41)]
+                for i in range(1, 41)]
+        for n in (40, *range(1, 40)):
+            got = coeff_matrix(family, n).entries
+            assert got == tuple(tuple(row[:n]) for row in want[:n])
+            assert all(type(q) is Fraction for row in got for q in row)
+
     def test_diagonal_never_vanishes(self, family):
         a = coeff_matrix(family, 20)
         assert all(a.entries[i][i] != 0 for i in range(20))
+
+
+class TestGradedMatrixClearedRows:
+    def test_fields_are_unchanged(self):
+        names = [f.name for f in fields(GradedMatrix)]
+        assert names == ["family", "n", "entries", "sqrtpi_power"]
+
+    def test_rows_are_integers_over_the_lcm_of_their_denominators(self):
+        a = coeff_matrix(HERMITE_EVEN, 6)
+        for row, (ints, d) in zip(a.entries, a.cleared_rows):
+            assert d == lcm(*(q.denominator for q in row))
+            assert [Fraction(x, d) for x in ints] == list(row)
+
+    def test_cache_does_not_change_equality_hash_or_repr(self):
+        """The rows are cached per instance, outside the dataclass fields;
+        a replaced matrix starts without them."""
+        cached = coeff_matrix(HERMITE_ODD, 5)
+        fresh = GradedMatrix(HERMITE_ODD, 5, cached.entries)
+        assert cached.cleared_rows
+        assert "cleared_rows" in vars(cached) and "cleared_rows" not in vars(fresh)
+        assert cached == fresh and hash(cached) == hash(fresh) and repr(cached) == repr(fresh)
+        assert "cleared_rows" not in vars(replace(cached))
 
 
 class TestLaguerreConstantTerm:
@@ -183,6 +219,13 @@ class TestMonomialMoment:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             monomial_moment(LAGUERRE, -1)
+
+    def test_memoised_values_equal_fresh_ones(self):
+        fresh = monomial_moment.__wrapped__
+        for family in ALL_FAMILIES:
+            for k in range(81):
+                got = monomial_moment(family, k)
+                assert got == fresh(family, k) and type(got) is Fraction
 
     def test_double_factorial_conventions(self):
         assert double_factorial(-1) == 1
