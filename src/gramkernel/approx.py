@@ -21,13 +21,13 @@ from operator import mul
 from typing import Callable, Iterator, Mapping
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
 
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
     Exact,
     PiLaurent,
     _check_precision,
+    _round_rational,
     eval_pilaurent,
     working_mpf,
 )
@@ -347,5 +347,5 @@ def eval_polynomial(
             den *= big_q
             acc = acc * big_p + c * den
         num, den = acc * p**offset, den * q**offset * scale
-        out.append(mp.make_mpf(from_rational(num, den, precision_bits, round_nearest)))
+        out.append(mp.make_mpf(_round_rational(num, den, precision_bits)))
     return out

@@ -9,6 +9,7 @@ renders it as a decimal afterwards.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .families import Family, coeff_matrix, norm_vector
@@ -41,20 +42,32 @@ def condition_table(family: Family, max_size: int) -> tuple[Fraction, ...]:
     every term a_ki a_kj / lambda_k of b_ij has the sign (-1)**(i+j): B is the
     checkerboard inverse of a totally positive moment matrix (S. Karlin,
     *Total Positivity*, 1968), and |B| = |A|^T Lambda**-1 |A|.  So size n
-    adds ``|a_n| * ||a_n||_1 / lambda_n`` to ``s``, the row sums of |B_n|,
-    and |g_in| (G is symmetric) plus one new row to ``r``, the row sums of
-    |G_n|; kappa_n is ``max(r) * max(s)``.
+    adds ``|a_n| * ||a_n||_1 / lambda_n`` to the row sums of |B_n|, and
+    |g_in| (G is symmetric) plus one new row to the row sums of |G_n|;
+    kappa_n is the product of their maxima.
+
+    Both vectors are integer numerators.  ``r`` is over D_G, the lcm of the
+    Gram matrix's denominators.  With row n of A cleared as c_n / e_n and
+    lambda_n = p_n / q_n, the term is ``|c_n| * t_n / u_n`` for
+    t_n = ||c_n||_1 q_n and u_n = e_n**2 p_n, so ``s`` is over the running
+    U_n = lcm(U_(n-1), u_n), rescaled by U_n / U_(n-1) at each size.  kappa_n
+    is one ``Fraction(max(r) * max(s), D_G * U_n)``: one gcd per size.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    a = coeff_matrix(family, max_size).entries
+    a = coeff_matrix(family, max_size).cleared_rows
     gram = gram_from_moments(family, max_size).entries
-    r, s, kappas = [], [], []
+    d_g = lcm(*(x.denominator for row in gram for x in row))
+    r, s, u, kappas = [], [], 1, []
     for n, lam_n in enumerate(norm_vector(family, max_size), start=1):
-        g = [abs(x) for x in gram[n - 1][:n]]
-        r = [ri + gi for ri, gi in zip(r, g)] + [sum(g, Fraction(0))]
-        a_n = [abs(x) for x in a[n - 1][:n]]
-        weight = sum(a_n, Fraction(0)) / lam_n
-        s = [si + ai * weight for si, ai in zip(s, a_n)] + [a_n[-1] * weight]
-        kappas.append(max(r) * max(s))
+        g = [abs(x.numerator) * (d_g // x.denominator) for x in gram[n - 1][:n]]
+        r = [ri + gi for ri, gi in zip(r, g)] + [sum(g)]
+        c_n, e_n = a[n - 1]
+        c_n = [abs(c) for c in c_n[:n]]
+        u_n = e_n * e_n * lam_n.numerator
+        grown = lcm(u, u_n)
+        scale, weight = grown // u, sum(c_n) * lam_n.denominator * (grown // u_n)
+        s = [si * scale + ci * weight for si, ci in zip(s, c_n)] + [c_n[-1] * weight]
+        u = grown
+        kappas.append(Fraction(max(r) * max(s), d_g * u))
     return tuple(kappas)

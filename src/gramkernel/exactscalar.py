@@ -15,17 +15,20 @@ is assembled from two exact carriers, and a value's type is its rationality:
   denominator, in a canonical form private to this module.
 
 Numeric evaluation (``mpmath`` at a caller-chosen binary precision) is the
-only lossy operation in the package and is confined to this module.
+only lossy operation in the package and is confined to this module.  Every
+rational is turned into a binary float by one helper, :func:`_round_rational`
+(integers p/q correctly rounded to nearest at any precision).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
 from mpmath import mp, mpf, nstr
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pos, normalize, round_nearest
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
@@ -157,10 +160,26 @@ def _reduced(low: int, nums, den: int) -> PiLaurent:
 Exact = Union[Fraction, PiLaurent]  # a Fraction exactly when no pi appears
 
 
+def _round_rational(p: int, q: int, prec: int) -> tuple:
+    """The raw mpf of p/q (q > 0) correctly rounded to nearest at ``prec`` bits.
+
+    One ``divmod`` gives a quotient of at least ``prec + 2`` bits; a nonzero
+    remainder becomes one sticky bit below it, so ``normalize`` rounds a true
+    tie to even and anything past it up.
+    """
+    if not p:
+        return fzero
+    shift = max(0, prec + 2 - p.bit_length() + q.bit_length())
+    man, rem = divmod(abs(p) << shift, q)
+    if rem:
+        man, shift = man << 1 | 1, shift + 1
+    return normalize(int(p < 0), man, -shift, man.bit_length(), prec, round_nearest)
+
+
 def working_mpf(x) -> mpf:
     """x at mpmath's working precision; a Fraction is correctly rounded."""
     if isinstance(x, Fraction):
-        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
+        return mp.make_mpf(_round_rational(x.numerator, x.denominator, mp.prec))
     return mpf(x)
 
 
@@ -171,23 +190,31 @@ def to_bigfloat(q: RationalLike, precision_bits: int = DEFAULT_PRECISION_BITS) -
         return working_mpf(Fraction(q))
 
 
+@lru_cache(maxsize=None)
+def _pi_power(wp: int, m: int) -> tuple:
+    """The raw mpf ``(+mp.pi)**m`` at working precision ``wp``, computed once."""
+    with mp.workprec(wp):
+        return ((+mp.pi) ** m)._mpf_
+
+
 def eval_pilaurent(p: Exact, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
     """Evaluate ``sum q_m * pi**m`` numerically; a Fraction is the sum ``q_0``.
 
-    pi is taken correctly rounded at the working precision; 16 guard bits
-    ahead of the final rounding keep the relative error well inside
-    ``2**(8 - precision_bits)`` per term.
+    At the working precision wp = ``precision_bits + 16`` each ``q_m`` is
+    rounded once from its integer numerator, multiplied by pi**m (pi
+    correctly rounded at wp) and added in ascending m; the sum is then
+    rounded to ``precision_bits``.  The 16 guard bits keep the relative error
+    well inside ``2**(8 - precision_bits)`` per term.
     """
     _check_precision(precision_bits)
-    if not isinstance(p, PiLaurent):
-        p = PiLaurent(p)
-    with mp.workprec(precision_bits + 16):
-        pi_val = +mp.pi
-        acc = mpf(0)
-        for m, q in p.items():
-            acc += working_mpf(q) * pi_val**m
-    with mp.workprec(precision_bits):
-        return +acc
+    low, nums, den = (p if isinstance(p, PiLaurent) else PiLaurent(p))._v
+    wp = precision_bits + 16
+    acc = fzero
+    for m, n in enumerate(nums, low):
+        if n:
+            term = mpf_mul(_round_rational(n, den, wp), _pi_power(wp, m), wp, round_nearest)
+            acc = mpf_add(acc, term, wp, round_nearest)
+    return mp.make_mpf(mpf_pos(acc, precision_bits, round_nearest))
 
 
 def decimal_str(q: RationalLike, sig_digits: int = SIG_DIGITS) -> str:

@@ -479,6 +479,9 @@ SNAPSHOTS = [
     for name, argv in {
         "cond_laguerre_32": ["cond", "--family", "laguerre", "--max-size", "32"],
         "cond_hermite-even_26": ["cond", "--family", "hermite-even", "--max-size", "26"],
+        "cond_legendre-even_24": ["cond", "--family", "legendre-even", "--max-size", "24"],
+        "cond_legendre-odd_28": ["cond", "--family", "legendre-odd", "--max-size", "28"],
+        "cond_hermite-odd_24": ["cond", "--family", "hermite-odd", "--max-size", "24"],
         "variance_exp-neg_16": ["variance", "--target", "exp-neg", "--max-size", "16"],
         "variance_sin-pi_10": ["variance", "--target", "sin-pi", "--max-size", "10"],
         "variance_cos-pi_10": ["variance", "--target", "cos-pi", "--max-size", "10"],

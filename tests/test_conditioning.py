@@ -100,6 +100,17 @@ class TestConditionTable:
         for size, kappa in enumerate(kappas, start=1):
             assert kappa == condition_number(family, size)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_largest_size_and_every_prefix(self, family):
+        """At n = 40, where the running denominator of the |B| row sums has
+        grown most, the last row is the matrix-level kappa; a shorter table
+        is a prefix of the longer one, and every row is a plain Fraction."""
+        kappas = condition_table(family, 40)
+        assert kappas[-1] == condition_number(family, 40)
+        assert all(type(k) is Fraction for k in kappas)
+        for n in (1, 2, 5, 17, 31, 39):
+            assert condition_table(family, n) == kappas[:n]
+
     def test_builds_no_kernel(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("condition_table built a kernel matrix")

@@ -7,9 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
+from gramkernel.approx import TARGETS, variance_rows
 from gramkernel.exactscalar import (
     PiLaurent,
+    _pi_power,
+    _round_rational,
     decimal_str,
     eval_pilaurent,
     to_bigfloat,
@@ -202,6 +206,98 @@ class TestEvalPiLaurent:
             with mp.workprec(600):
                 rel = abs(lo - hi) / abs(hi)
             assert rel < mpf(10) ** -60
+
+
+def _mpmath_eval_pilaurent(p, precision_bits):
+    """The plain mpmath loop eval_pilaurent must match bit for bit: a
+    Fraction per term, rounded by ``from_rational``, times pi raised anew."""
+    if not isinstance(p, PiLaurent):
+        p = PiLaurent(p)
+    with mp.workprec(precision_bits + 16):
+        pi_val = +mp.pi
+        acc = mpf(0)
+        for m, q in p.items():
+            q_val = mp.make_mpf(from_rational(q.numerator, q.denominator, mp.prec, round_nearest))
+            acc += q_val * pi_val**m
+    with mp.workprec(precision_bits):
+        return +acc
+
+
+def _cancelling_pilaurents(rng, count):
+    """Dense products minus a nearby value, with exponents up to +-160:
+    large terms whose sum is small, as in the variance tables."""
+    out = []
+    for _ in range(count):
+        u, v = (
+            PiLaurent({m: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                       for m in range(-80, 81, rng.randint(1, 4))})
+            for _ in range(2)
+        )
+        w = u * v
+        near = PiLaurent({m: q.limit_denominator(10**rng.randint(3, 12)) for m, q in w.items()})
+        out.append(w - near)
+    return out
+
+
+class TestEvalPiLaurentBitIdentity:
+    BITS = (128, 200, 256, 512, 1024)
+
+    def test_random_cancelling_sums(self):
+        for p in _cancelling_pilaurents(random.Random(16), 6):
+            assert p and min(m for m, _ in p.items()) < -100
+            for bits in self.BITS:
+                assert eval_pilaurent(p, bits)._mpf_ == _mpmath_eval_pilaurent(p, bits)._mpf_
+
+    def test_variance_table_values(self):
+        for target in TARGETS.values():
+            for pair in variance_rows(target, 24):
+                for value in pair:
+                    for bits in (128, 256, 1000):
+                        got = eval_pilaurent(value, bits)._mpf_
+                        assert got == _mpmath_eval_pilaurent(value, bits)._mpf_
+
+    @given(q=st.fractions(), bits=st.integers(min_value=128, max_value=1024))
+    @settings(max_examples=200)
+    def test_fractions(self, q, bits):
+        assert eval_pilaurent(q, bits)._mpf_ == _mpmath_eval_pilaurent(q, bits)._mpf_
+
+    def test_pi_power_is_mpmath_power(self):
+        for wp in (144, 272, 1040):
+            for m in (-160, -7, -1, 0, 1, 2, 3, 64, 161):
+                with mp.workprec(wp):
+                    want = ((+mp.pi) ** m)._mpf_
+                assert _pi_power(wp, m) == want
+
+
+@st.composite
+def exact_ties(draw):
+    """odd * 2**k / 2**j with ``odd`` of prec + 1 bits: exactly halfway
+    between two neighbouring prec-bit floats."""
+    prec = draw(st.integers(min_value=2, max_value=2048))
+    odd = draw(st.integers(min_value=2**prec, max_value=2 ** (prec + 1) - 1)) | 1
+    p = odd << draw(st.integers(min_value=0, max_value=64))
+    return draw(st.sampled_from((p, -p))), 1 << draw(st.integers(min_value=0, max_value=4096)), prec
+
+
+class TestRoundRational:
+    @given(p=st.integers(min_value=-2**2100, max_value=2**2100),
+           q=st.integers(min_value=1, max_value=2**2100),
+           prec=st.integers(min_value=2, max_value=2048))
+    @settings(max_examples=300)
+    def test_equals_from_rational(self, p, q, prec):
+        assert _round_rational(p, q, prec) == from_rational(p, q, prec, round_nearest)
+
+    @given(exact_ties())
+    @settings(max_examples=300)
+    def test_exact_ties(self, tie):
+        p, q, prec = tie
+        assert _round_rational(p, q, prec) == from_rational(p, q, prec, round_nearest)
+
+    def test_zero_and_small_signed_values(self):
+        for p in range(-40, 41):
+            for q in range(1, 20):
+                for prec in (2, 3, 5, 53):
+                    assert _round_rational(p, q, prec) == from_rational(p, q, prec, round_nearest)
 
 
 # positive integers of up to 400 bits, built from ten 40-bit limbs: drawn
