@@ -23,7 +23,6 @@ from .approx import (
     project,
     target_by_name,
     taylor_comparator,
-    taylor_polynomial,
     variance_rows,
 )
 from .checks import CheckResult, run_checks
@@ -47,7 +46,6 @@ from .families import (
     LEGENDRE_ODD,
     coeff_matrix,
     family_by_name,
-    monomial_moment,
     norm_vector,
     printed_legendre_norm,
 )
@@ -99,7 +97,6 @@ __all__ = [
     "inf_norm",
     "invert_exact",
     "leading_principal_minors",
-    "monomial_moment",
     "monomial_moment_vector",
     "norm_vector",
     "printed_legendre_norm",
@@ -107,7 +104,6 @@ __all__ = [
     "run_checks",
     "target_by_name",
     "taylor_comparator",
-    "taylor_polynomial",
     "to_bigfloat",
     "variance_rows",
 ]

@@ -27,6 +27,7 @@ from .exactscalar import (
     Exact,
     PiLaurent,
     _check_precision,
+    _mpf_ratio,
     _round_rational,
     eval_pilaurent,
     working_mpf,
@@ -261,14 +262,9 @@ def _prefix_variances(
         yield var
 
 
-def error_variance(
-    target: TargetFunction,
-    poly: ApproxPolynomial,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> tuple[Exact, mpf]:
+def error_variance(target: TargetFunction, poly: ApproxPolynomial) -> Exact:
     """Weighted squared L2 error of ``poly`` against the target, exact.
 
-    Returns the exact value together with its numeric rendering.
     The general form ``|f|^2 - 2 p.m + p^T G p`` is evaluated for every
     kind of polynomial, as the last of its prefix variances.
     """
@@ -281,7 +277,7 @@ def error_variance(
     gram = gram_from_moments(target.natural_family, n)
     for var in _prefix_variances(target, poly.coefficients, moments, gram):
         pass
-    return var, eval_pilaurent(var, precision_bits)
+    return var
 
 
 def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[Exact, Exact]]:
@@ -319,10 +315,7 @@ def _ratio(x, prec: int) -> tuple[int, int]:
     """Finite x as integers p/q: a Fraction exactly, else its mpf (rounded at ``prec``)."""
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    sign, man, exp, _ = (x if isinstance(x, mpf) else mpf(x, prec=prec))._mpf_
-    if not man and exp:
-        raise ValueError(f"cannot evaluate at non-finite x = {x}")
-    return (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+    return _mpf_ratio(x if isinstance(x, mpf) else mpf(x, prec=prec))
 
 
 def eval_polynomial(

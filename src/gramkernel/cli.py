@@ -2,11 +2,12 @@
 plot data, and the self-verification report, as text, CSV, or JSON.
 
 Exact rationals are serialized as ``p/q`` strings; pi-dependent exact values
-as canonical ``q*pi^m`` sums.  Decimals are rendered from the exact values and
-never feed back into any exact field: ``cond`` renders the exact kappas of
-``condition_table`` exactly, while
-``variance`` and ``plotdata`` evaluate at ``--precision-bits`` (default 256),
-the only commands that take it.
+as canonical ``q*pi^m`` sums.  Every decimal is an exact value rounded to 17
+significant digits by ``exactscalar``'s one renderer, and never feeds back
+into any exact field: ``variance`` and ``plotdata`` round the exact value of a
+float evaluated at ``--precision-bits`` (default 256), the only commands that
+take it.  A table's rows are built once, under one column list: the CSV
+header and the keys of the JSON ``data`` objects.
 ``plotdata --samples`` takes 2 to 65536 points (65536 take about 8 s), and
 its window ends ``--xmin``/``--xmax`` are at most 10**6 in magnitude with a
 denominator below 10**30.
@@ -48,7 +49,6 @@ from .conditioning import condition_table
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
-    SIG_DIGITS,
     decimal_str,
     eval_pilaurent,
     mpf_decimal_str,
@@ -102,10 +102,16 @@ def _window_end(text: str) -> Fraction:
                                      f"with a denominator below 10**30, got {text}")
 
 
-def _emit(args, payload: dict | None, header: list[str], rows: list[list[str]],
+def _emit(args, head: dict | None, header: list[str], rows: list[list],
           lines: list[str] | None) -> None:
-    """Write one command's result as JSON, CSV or text, to ``--out`` or stdout."""
+    """Write one command's result as JSON, CSV or text, to ``--out`` or stdout.
+
+    ``rows`` hold typed cells, None for a missing value (an empty CSV cell);
+    JSON's ``data`` is one object per row keyed by ``header``, unless ``head``
+    has its own."""
     if args.format == "json":
+        payload = head if "data" in head else {
+            **head, "data": [dict(zip(header, row)) for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
@@ -174,21 +180,13 @@ def cmd_kernel(args) -> int:
 
 def cmd_cond(args) -> int:
     family = family_by_name(args.family)
-    rows = [(size, str(kappa), decimal_str(kappa, SIG_DIGITS))
+    rows = [[size, str(kappa), decimal_str(kappa)]
             for size, kappa in enumerate(condition_table(family, args.max_size), start=1)]
     _emit(
         args,
-        {
-            "family": family.name,
-            "sizes": [size for size, _, _ in rows],
-            "grade": 0,
-            "data": [
-                {"size": size, "kappa_exact": exact, "kappa_decimal": dec}
-                for size, exact, dec in rows
-            ],
-        },
+        {"family": family.name, "sizes": [row[0] for row in rows], "grade": 0},
         ["size", "kappa_exact", "kappa_decimal"],
-        [[str(size), exact, dec] for size, exact, dec in rows],
+        rows,
         [f"family={family.name}", "size  kappa"]
         + [f"{size:>4}  {dec}  (= {exact})" for size, exact, dec in rows],
     )
@@ -197,33 +195,22 @@ def cmd_cond(args) -> int:
 
 def cmd_variance(args) -> int:
     target = target_by_name(args.target)
-    rows = variance_rows(target, args.max_size)
+    pairs = variance_rows(target, args.max_size)
     # pure rationals (Fraction values) are worth emitting exactly too
-    exact = all(isinstance(v, Fraction) for pair in rows for v in pair)
-    columns = ["taylor", "estimate"] + (["taylor_exact", "estimate_exact"] if exact else [])
-    table = []
-    for size, pair in enumerate(rows, start=1):
-        cells = [
-            mpf_decimal_str(eval_pilaurent(v, args.precision_bits), SIG_DIGITS) for v in pair
-        ]
-        if exact:
-            cells += [str(v) for v in pair]
-        table.append((size, cells))
-    lines = [f"target={target.name}", "size  taylor_variance  estimate_variance"]
-    for size, cells in table:
-        extra = f"  (exact {cells[2]}, {cells[3]})" if exact else ""
-        lines.append(f"{size:>4}  {cells[0]}  {cells[1]}{extra}")
+    exact = all(isinstance(v, Fraction) for pair in pairs for v in pair)
+    rows = [
+        [size] + [mpf_decimal_str(eval_pilaurent(v, args.precision_bits)) for v in pair]
+        + ([str(v) for v in pair] if exact else [])
+        for size, pair in enumerate(pairs, start=1)
+    ]
     _emit(
         args,
-        {
-            "target": target.name,
-            "sizes": [size for size, _ in table],
-            "grade": 0,
-            "data": [{"size": size, **dict(zip(columns, cells))} for size, cells in table],
-        },
-        ["size"] + columns,
-        [[str(size)] + cells for size, cells in table],
-        lines,
+        {"target": target.name, "sizes": [row[0] for row in rows], "grade": 0},
+        ["size", "taylor", "estimate"] + (["taylor_exact", "estimate_exact"] if exact else []),
+        rows,
+        [f"target={target.name}", "size  taylor_variance  estimate_variance"]
+        + [f"{size:>4}  {tay}  {est}" + ("  (exact {}, {})".format(*extra) if extra else "")
+           for size, tay, est, *extra in rows],
     )
     return 0
 
@@ -243,19 +230,14 @@ def cmd_project(args) -> int:
     for slot, poly in enumerate((estimate, taylor)):
         for idx, coeff in enumerate(poly.coefficients):
             by_power.setdefault(family.basis_power(idx + 1), [None, None])[slot] = str(coeff)
-    table = [(p, *by_power[p]) for p in sorted(by_power)]
+    rows = [[p, *by_power[p]] for p in sorted(by_power)]
     _emit(
         args,
-        {
-            "target": target.name,
-            "size": args.size,
-            "grade": 0,
-            "data": [{"power": p, "estimate": est, "taylor": tay} for p, est, tay in table],
-        },
+        {"target": target.name, "size": args.size, "grade": 0},
         ["power", "estimate", "taylor"],
-        [[str(p), est or "", tay or ""] for p, est, tay in table],
+        rows,
         [f"target={target.name} size={args.size}"]
-        + [f"x^{p}: estimate={est or '-'}  taylor={tay or '-'}" for p, est, tay in table],
+        + [f"x^{p}: estimate={est or '-'}  taylor={tay or '-'}" for p, est, tay in rows],
     )
     return 0
 
@@ -275,7 +257,7 @@ def cmd_plotdata(args) -> int:
         eval_polynomial(taylor, xs, args.precision_bits),
     )
     rows = [
-        [decimal_str(x, SIG_DIGITS)] + [mpf_decimal_str(v, SIG_DIGITS) for v in values]
+        [decimal_str(x)] + [mpf_decimal_str(v) for v in values]
         for x, *values in zip(xs, *columns)
     ]
     _emit(args, None, ["x", "f", "estimate", "taylor"], rows, None)

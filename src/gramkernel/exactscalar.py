@@ -18,16 +18,21 @@ Numeric evaluation (``mpmath`` at a caller-chosen binary precision) is the
 only lossy operation in the package and is confined to this module.  Every
 rational is turned into a binary float by one helper, :func:`_round_rational`
 (integers p/q correctly rounded to nearest at any precision).
+
+Every printed decimal comes from one renderer, :func:`_render`: an exact
+rational, or the exact binary value of an mpf, rounded by one correctly
+rounded ``decimal`` division.
 """
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
-from mpmath import mp, mpf, nstr
+from mpmath import mp, mpf
 from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pos, normalize, round_nearest
 
 DEFAULT_PRECISION_BITS = 256
@@ -217,49 +222,53 @@ def eval_pilaurent(p: Exact, precision_bits: int = DEFAULT_PRECISION_BITS) -> mp
     return mp.make_mpf(mpf_pos(acc, precision_bits, round_nearest))
 
 
-def decimal_str(q: RationalLike, sig_digits: int = SIG_DIGITS) -> str:
-    """Exact rational -> decimal string with ``sig_digits`` significant digits.
+@lru_cache(maxsize=None)
+def _context(sig_digits: int, rounding: str) -> Context:
+    """The decimal context for one digit count and rounding mode, built once;
+    its exponent range is the widest, so no finite value overflows."""
+    return Context(prec=sig_digits, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-    Rounding is half-to-even at the last kept digit, computed with integer
-    arithmetic only.  Trailing zeros are stripped, so values that terminate
-    within the budget render exactly ("9/2" -> "4.5").
+
+def _render(p: int, q: int, sig_digits: int, rounding: str, empty_fraction: str) -> str:
+    """p/q (q > 0) rounded to ``sig_digits`` significant digits under ``rounding``.
+
+    ``Decimal`` of an int is exact and ``Context.divide`` correctly rounded, so
+    these are the digits of the exact value.  With e the decimal exponent after
+    rounding, it prints fixed-point when -5 < e < ``sig_digits``, else as
+    ``d.ddd`` plus ``e{e:+d}``; trailing zeros are stripped, and an empty
+    fractional part prints as ``empty_fraction`` (zero as ``"0" + empty_fraction``).
     """
-    if sig_digits < 1:
-        raise ValueError("sig_digits must be >= 1")
-    q = Fraction(q)
-    if q == 0:
-        return "0"
-    sign = "-" if q < 0 else ""
-    a = abs(q)
-
-    # decimal exponent e with 10**e <= a < 10**(e+1), found in integers: with
-    # n, d of k, l digits, 10**(k-l-1) < a < 10**(k-l+1), so e is k-l or k-l-1
-    n, d = a.numerator, a.denominator
-    e = len(str(n)) - len(str(d))
-    if n * 10 ** max(-e, 0) < d * 10 ** max(e, 0):
-        e -= 1
-
-    shift = sig_digits - 1 - e
-    scaled, den = n * 10 ** max(shift, 0), d * 10 ** max(-shift, 0)
-    digits, rem = divmod(scaled, den)
-    if 2 * rem > den or (2 * rem == den and digits % 2 == 1):
-        digits += 1
-    if digits >= 10**sig_digits:  # rounding carried into a new leading digit
-        digits //= 10
-        e += 1
-
-    s = str(digits).rjust(sig_digits, "0")
-    if -4 <= e < sig_digits:
-        if e >= 0:
-            int_part, frac_part = s[: e + 1], s[e + 1 :].rstrip("0")
-            body = f"{int_part}.{frac_part}" if frac_part else int_part
-        else:
-            body = "0." + "0" * (-e - 1) + s.rstrip("0")
-        return sign + body
-    mantissa = s[0] + ("." + s[1:].rstrip("0") if s[1:].rstrip("0") else "")
-    return f"{sign}{mantissa}e{e:+d}"
+    ctx = _context(sig_digits, rounding)
+    if not p:
+        return "0" + empty_fraction
+    # both roundings are symmetric in the sign, so |p|/q is rounded
+    mantissa, _, exp = f"{ctx.divide(Decimal(abs(p)), Decimal(q)):e}".partition("e")
+    e, s = int(exp), mantissa.replace(".", "").rstrip("0")
+    if not -5 < e < sig_digits:
+        whole, frac, suffix = s[0], s[1:], f"e{e:+d}"
+    elif e >= 0:
+        s = s.ljust(e + 1, "0")
+        whole, frac, suffix = s[: e + 1], s[e + 1 :], ""
+    else:
+        whole, frac, suffix = "0", "0" * (-e - 1) + s, ""
+    return "-" * (p < 0) + whole + ("." + frac if frac else empty_fraction) + suffix
 
 
-def mpf_decimal_str(x: mpf, sig_digits: int = SIG_DIGITS) -> str:
-    """Decimal rendering of an mpmath float at the given significant digits."""
-    return nstr(x, sig_digits)
+def decimal_str(q: RationalLike, sig_digits: int = SIG_DIGITS) -> str:
+    """Exact rational -> decimal string with ``sig_digits`` significant digits,
+    rounded half to even: "9/2" -> "4.5", 288 -> "288", 10**-20 -> "1e-20"."""
+    return _render(*Fraction(q).as_integer_ratio(), sig_digits, ROUND_HALF_EVEN, "")
+
+
+def _mpf_ratio(x: mpf) -> tuple[int, int]:
+    """The exact value of a finite mpf as integers p/q, q a power of two."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError(f"non-finite value {x}")
+    return (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+
+
+def mpf_decimal_str(x: mpf) -> str:
+    """An mpf's exact binary value as a decimal string with ``SIG_DIGITS``
+    significant digits, rounded half away from zero: "1.0", "1.0e-20"."""
+    return _render(*_mpf_ratio(x), SIG_DIGITS, ROUND_HALF_UP, ".0")

@@ -124,7 +124,7 @@ def _matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
 def _coeff_entry(family: Family, i: int, j: int) -> Fraction:
     """a_ij (1-based, j <= i) from the family's closed form."""
     if family.measure == "laguerre":
-        return comb(i - 1, j - 1) * Fraction((-1) ** (j - 1), factorial(j - 1))
+        return Fraction((-1) ** (j - 1) * comb(i - 1, j - 1), factorial(j - 1))
     if family.measure == "legendre":
         # the rising product (b_j/2 + 1) ... (b_j/2 + i - 1), a ratio of
         # half-integer Gammas, is (b_j + 2i - 2)!! / (b_j!! * 2**(i-1))
@@ -136,10 +136,8 @@ def _coeff_entry(family: Family, i: int, j: int) -> Fraction:
     # hermite
     deg_i = family.basis_power(i)
     pow_j = family.basis_power(j)
-    return (
-        factorial(deg_i)
-        * Fraction((-1) ** (i - j), factorial(i - j))
-        * Fraction(2**pow_j, factorial(pow_j))
+    return Fraction(
+        (-1) ** (i - j) * factorial(deg_i) * 2**pow_j, factorial(i - j) * factorial(pow_j)
     )
 
 

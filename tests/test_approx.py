@@ -260,22 +260,22 @@ class TestTaylorComparator:
 
 class TestErrorVariance:
     def test_exp_kernel_size_two(self):
-        var, _ = error_variance(EXP_NEG, kernel_estimate(EXP_NEG, 2))
+        var = error_variance(EXP_NEG, kernel_estimate(EXP_NEG, 2))
         assert var == PiLaurent(Fraction(1, 48))
 
     def test_exp_taylor_size_two(self):
-        var, _ = error_variance(EXP_NEG, taylor_comparator(EXP_NEG, 2))
+        var = error_variance(EXP_NEG, taylor_comparator(EXP_NEG, 2))
         assert var == PiLaurent(Fraction(5, 6))
 
     def test_exp_kernel_size_one(self):
         # 1/3 - (1/2)^2
-        var, _ = error_variance(EXP_NEG, kernel_estimate(EXP_NEG, 1))
+        var = error_variance(EXP_NEG, kernel_estimate(EXP_NEG, 1))
         assert var == PiLaurent(Fraction(1, 12))
 
     def test_exp_variances_are_pure_rationals(self):
         for n in range(1, 9):
             for poly in (kernel_estimate(EXP_NEG, n), taylor_comparator(EXP_NEG, n)):
-                var, _ = error_variance(EXP_NEG, poly)
+                var = error_variance(EXP_NEG, poly)
                 assert type(var) is Fraction
 
     def test_family_mismatch_rejected(self):
@@ -288,7 +288,7 @@ class TestErrorVariance:
         for n in (1, 2, 4):
             kernel = build_kernel(target.natural_family, n)
             moments = function_moments(target, n)
-            var, _ = error_variance(target, project(kernel, moments))
+            var = error_variance(target, project(kernel, moments))
             mbm = PiLaurent()
             for i in range(n):
                 for j in range(n):
@@ -298,15 +298,16 @@ class TestErrorVariance:
     @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
     def test_positive(self, target):
         for n in range(1, 9):
-            var, num = error_variance(target, kernel_estimate(target, n))
+            var = error_variance(target, kernel_estimate(target, n))
             assert bool(var)
-            assert num > 0
-            var_t, num_t = error_variance(target, taylor_comparator(target, n))
-            assert num_t > 0
+            assert eval_pilaurent(var, 256) > 0
+            var_t = error_variance(target, taylor_comparator(target, n))
+            assert eval_pilaurent(var_t, 256) > 0
 
     @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
     def test_kernel_variance_strictly_improves(self, target):
-        nums = [error_variance(target, kernel_estimate(target, n))[1] for n in range(1, 9)]
+        nums = [eval_pilaurent(error_variance(target, kernel_estimate(target, n)), 256)
+                for n in range(1, 9)]
         assert all(b < a for a, b in zip(nums, nums[1:]))
 
     @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
@@ -314,7 +315,7 @@ class TestErrorVariance:
         """Any single-coefficient nudge of +/- 1/1000 strictly hurts."""
         n = 4
         est = kernel_estimate(target, n)
-        base, _ = error_variance(target, est)
+        base = error_variance(target, est)
         base_num = eval_pilaurent(base, 320)
         rng = random.Random(55001)
         for _ in range(20):
@@ -323,7 +324,7 @@ class TestErrorVariance:
             bumped = list(est.coefficients)
             bumped[idx] = bumped[idx] + PiLaurent(Fraction(sign, 1000))
             poly = ApproxPolynomial(est.family, tuple(bumped))
-            worse, _ = error_variance(target, poly)
+            worse = error_variance(target, poly)
             assert eval_pilaurent(worse, 320) > base_num
 
     def test_quadrature_oracle(self):
@@ -344,7 +345,7 @@ class TestErrorVariance:
                  lambda y: exp(-y)),
             ]
             for target, poly, interval, f in cases:
-                var, _ = error_variance(target, poly)
+                var = error_variance(target, poly)
                 got = eval_pilaurent(var, 300)
                 weight = (lambda y: exp(-y)) if target is EXP_NEG else (lambda y: mpf(1))
                 ref = quad(
@@ -498,8 +499,8 @@ class TestVarianceRows:
         rows = variance_rows(target, 14)
         assert len(rows) == 14
         for n, (taylor_var, estimate_var) in enumerate(rows, start=1):
-            assert taylor_var == error_variance(target, taylor_comparator(target, n))[0]
-            assert estimate_var == error_variance(target, kernel_estimate(target, n))[0]
+            assert taylor_var == error_variance(target, taylor_comparator(target, n))
+            assert estimate_var == error_variance(target, kernel_estimate(target, n))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -576,8 +577,8 @@ class TestTargetRecord:
         for n in range(1, 7):
             estimate = kernel_estimate(IDENTITY, n)
             assert estimate.coefficients == tuple(PiLaurent(int(k == 0)) for k in range(n))
-            var, num = error_variance(IDENTITY, estimate)
-            assert var == PiLaurent(0) and num == 0
-            tay_var, _ = error_variance(IDENTITY, taylor_comparator(IDENTITY, n))
+            var = error_variance(IDENTITY, estimate)
+            assert var == PiLaurent(0) and eval_pilaurent(var, 256) == 0
+            tay_var = error_variance(IDENTITY, taylor_comparator(IDENTITY, n))
             assert tay_var == PiLaurent(0)
         assert target_value(IDENTITY, [Fraction(1, 4)])[0] == mpf(1) / 4

@@ -488,6 +488,13 @@ SNAPSHOTS = [
     }.items()
     for fmt in ("text", "json")
 ] + [
+    (f"{name}.csv", argv + ["--format", "csv"])
+    for name, argv in {
+        "cond_laguerre_32": ["cond", "--family", "laguerre", "--max-size", "32"],
+        "variance_exp-neg_16": ["variance", "--target", "exp-neg", "--max-size", "16"],
+        "variance_sin-pi_10": ["variance", "--target", "sin-pi", "--max-size", "10"],
+    }.items()
+] + [
     ("plotdata_exp-neg_3.csv", ["plotdata", "--target", "exp-neg", "--size", "3",
                                 "--xmin", "0", "--xmax", "2", "--samples", "5"]),
     ("plotdata_sin-pi_2.csv", ["plotdata", "--target", "sin-pi", "--size", "2",
@@ -535,6 +542,40 @@ def test_failing_verify_matches_snapshot_in_text_and_csv(capsys, fmt):
     assert code == 1
     assert captured.out == _snapshot(f"verify_9_corrupt.{fmt}")
     assert captured.err == _snapshot("verify_9_corrupt.stderr")
+
+
+def test_renders_without_nstr(monkeypatch, capsys):
+    """Every decimal comes from the package's own renderer: with mpmath's
+    ``nstr`` (and the digit routine behind it) raising, a variance table and
+    a plotdata sample still print their snapshots."""
+    import mpmath
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nstr called")
+
+    monkeypatch.setattr(mpmath, "nstr", refuse)
+    monkeypatch.setattr(mpmath.ctx_mp, "to_str", refuse)
+    for filename in ("variance_sin-pi_3.text", "plotdata_sin-pi_2.csv"):
+        assert main(dict(SNAPSHOTS)[filename]) == 0
+        assert capsys.readouterr() == (_snapshot(filename), "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cond", "--family", "hermite-odd", "--max-size", "6"],
+    ["variance", "--target", "exp-neg", "--max-size", "5"],
+    ["variance", "--target", "sin-pi", "--max-size", "5"],
+    ["project", "--target", "cos-pi", "--size", "4"],
+], ids=lambda argv: "_".join(argv[:3:2]))
+def test_json_data_are_the_csv_rows_keyed_by_its_header(capsys, argv):
+    """One column list per table: each JSON ``data`` object holds the CSV
+    row's cells under the CSV header's names, in its order (values compared
+    as strings, null as an empty cell)."""
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert main(argv + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert [list(obj) for obj in data] == [header] * len(rows)
+    assert [["" if v is None else str(v) for v in obj.values()] for obj in data] == rows
 
 
 def _snapshot(filename):

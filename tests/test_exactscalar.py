@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpf, nstr
 from mpmath.libmp import from_rational, round_nearest
 
 from gramkernel.approx import TARGETS, variance_rows
@@ -16,6 +16,7 @@ from gramkernel.exactscalar import (
     _round_rational,
     decimal_str,
     eval_pilaurent,
+    mpf_decimal_str,
     to_bigfloat,
 )
 
@@ -367,3 +368,107 @@ class TestDecimalStr:
         q = Fraction(2916645511, 1792)
         s = decimal_str(q, 17)
         assert abs(Fraction(s) - q) < Fraction(1, 10**9)
+
+
+def _exact(x: mpf) -> Fraction:
+    """The exact binary value of a finite mpf, read off its raw fields."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _half_away(v: Fraction, digits: int = 17) -> Fraction:
+    """v rounded half away from zero to ``digits`` significant digits, in
+    Fraction and integer arithmetic only."""
+    if not v:
+        return v
+    a = abs(v)
+    e = len(str(a.numerator)) - len(str(a.denominator))
+    if a < Fraction(10) ** e:
+        e -= 1  # now 10**e <= a < 10**(e+1)
+    scale = Fraction(10) ** (digits - 1 - e)
+    n, rem = divmod(a * scale, 1)
+    return (1 if v > 0 else -1) * (n + (2 * rem >= 1)) / scale
+
+
+@st.composite
+def random_mpfs(draw):
+    """An mpf of 53-2048 bits with a fully random mantissa and a decimal
+    exponent within about +-300."""
+    bits = draw(st.integers(min_value=53, max_value=2048))
+    man = draw(st.randoms(use_true_random=False)).getrandbits(bits) | 1 << (bits - 1)
+    exp = draw(st.integers(min_value=-997, max_value=997)) - bits
+    with mp.workprec(bits):
+        return mpf((-man if draw(st.booleans()) else man, exp))
+
+
+@st.composite
+def near_ties(draw):
+    """A decimal string halfway between two 17-digit values -- a 5 at digit
+    18 -- then zeros and one digit, read at 128 bits: its binary value lies
+    just off the tie, on either side."""
+    digits = draw(st.text("0123456789", min_size=16, max_size=16))
+    zeros = draw(st.integers(min_value=0, max_value=12))
+    text = (f"{draw(st.sampled_from(('', '-')))}{draw(st.integers(1, 9))}.{digits}5{'0' * zeros}"
+            f"{draw(st.integers(0, 9))}e{draw(st.integers(-300, 300))}")
+    with mp.workprec(128):
+        return mpf(text)
+
+
+class TestMpfDecimalStr:
+    def test_rounds_the_exact_value_where_nstr_misrounds(self):
+        """Two near-ties that ``nstr`` rounds the wrong way: it truncates to a
+        few guard bits, so a value just past a decimal tie reads as below it."""
+        with mp.workprec(128):
+            fixed, scientific = mpf("594787115997649815000004e-16"), mpf("634535209798347565000003e-36")
+        assert mpf_decimal_str(fixed) == "59478711.599764982"
+        assert mpf_decimal_str(scientific) == "6.3453520979834757e-13"
+        for x in (fixed, scientific):
+            assert Fraction(mpf_decimal_str(x)) == _half_away(_exact(x))
+
+    @given(x=st.one_of(random_mpfs(), near_ties()))
+    @settings(max_examples=400, deadline=None)
+    def test_value_is_half_away_rounding_of_the_exact_value(self, x):
+        assert Fraction(mpf_decimal_str(x)) == _half_away(_exact(x))
+
+    @pytest.mark.parametrize("text, want", [
+        ("0", "0.0"),
+        ("1", "1.0"),
+        ("-1", "-1.0"),
+        ("1e-5", "1.0e-5"),
+        ("-1.5e-5", "-1.5e-5"),
+        ("1e-4", "0.0001"),
+        ("-1.25e-4", "-0.000125"),
+        ("1e16", "10000000000000000.0"),
+        ("-1.5e16", "-15000000000000000.0"),
+        ("1e17", "1.0e+17"),
+        ("2.5e17", "2.5e+17"),
+        ("9.99999999999999999999", "10.0"),
+        ("-9.99999999999999999999e16", "-1.0e+17"),
+        ("0.1", "0.1"),
+        ("1e300", "1.0e+300"),
+    ])
+    def test_spelling_at_the_format_edges(self, text, want):
+        """Zero, whole numbers, both signs, decimal exponents -5, -4, 16 and
+        17, and a carry into a new leading digit, spelled as ``nstr`` does."""
+        with mp.workprec(128):
+            x = mpf(text)
+        assert mpf_decimal_str(x) == want == nstr(x, 17)
+
+    def test_spelling_equals_nstr_wherever_nstr_is_right(self):
+        """On a seeded sample over decimal exponents -9..20 (both layouts),
+        the string is ``nstr``'s wherever ``nstr`` has the right digits."""
+        rng = random.Random(20261019)
+        compared = 0
+        for _ in range(3000):
+            bits = rng.randint(53, 512)
+            with mp.workprec(bits):
+                x = mpf((rng.getrandbits(bits) * rng.choice((1, -1)), rng.randint(-30, 66) - bits))
+            if Fraction(nstr(x, 17)) == _half_away(_exact(x)):
+                assert mpf_decimal_str(x) == nstr(x, 17)
+                compared += 1
+        assert compared > 2900
+
+    def test_non_finite_raises(self):
+        for x in (mpf("inf"), mpf("-inf"), mpf("nan")):
+            with pytest.raises(ValueError, match="non-finite"):
+                mpf_decimal_str(x)
