@@ -17,15 +17,21 @@ that ``detail``; a passing run writes nothing to stderr.
 ``--out PATH`` writes the file PATH resolves to, through any symlinks: a
 regular or new file atomically (a temp file renamed over it), anything else,
 such as a FIFO or a device, in place.
-Exit codes: 0 success, 1 verification failed, 2 usage or I/O error (such as an
-``--out`` path that cannot be written, a ``--samples`` count or window end out
-of bounds or a numeric option that is not an integer), 3 internal error (any
-other exception: one line ``internal error: TYPE: MESSAGE`` on stderr).
+Exit codes: 0 success, 1 verification failed, 2 usage or I/O error: an
+argument argparse refuses (such as a ``--samples`` count or window end out of
+bounds or a numeric option that is not an integer) or a :class:`UsageError`
+(``plotdata``'s ``xmin >= xmax``, an ``--out`` path that cannot be written;
+one line ``error: MESSAGE`` on stderr).  3 internal error: any other
+exception, ``ValueError`` and ``ZeroDivisionError`` included, is a fault of
+the program, not of the input (one line ``internal error: TYPE: MESSAGE``).
+Only the invoked subcommand's parser is built; the full parser is built only
+for root help, an unknown command or arguments the subcommand leaves over.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -58,6 +64,10 @@ from .kernelbuild import build_kernel
 
 MIN_SAMPLES, MAX_SAMPLES = 2, 65536
 MAX_WINDOW_END, MAX_WINDOW_DEN = 10**6, 10**30
+
+
+class UsageError(Exception):
+    """An input the command cannot act on, found after parsing: exit 2."""
 
 
 def _int_option(text: str, low: int, high: float, expected: str) -> int:
@@ -127,7 +137,7 @@ def _emit(args, head: dict | None, header: list[str], rows: list[list],
     try:
         _write_out(args.out, text)
     except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+        raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
 def _write_out(path: str, text: str) -> None:
@@ -246,7 +256,7 @@ def cmd_plotdata(args) -> int:
     target = target_by_name(args.target)
     xmin, xmax = args.xmin, args.xmax
     if not xmin < xmax:
-        raise ValueError(f"xmin must be < xmax, got {xmin} >= {xmax}")
+        raise UsageError(f"xmin must be < xmax, got {xmin} >= {xmax}")
     estimate, taylor = _estimate_and_taylor(target, args.size)
 
     step = (xmax - xmin) / (args.samples - 1)
@@ -294,76 +304,113 @@ def cmd_verify(args) -> int:
     return 1 if n_failed else 0
 
 
+def _common(p, precision=False):
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    if precision:
+        p.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
+    p.add_argument("--out", metavar="PATH", default=None)
+
+
+# Each subcommand's arguments are added by one function, which names its
+# command function when it runs, so a replaced ``cli.cmd_*`` is the one called.
+def _kernel_args(p):
+    p.add_argument("--family", choices=sorted(FAMILIES), required=True)
+    p.add_argument("--size", type=_positive_int, required=True)
+    _common(p)
+    p.set_defaults(func=cmd_kernel)
+
+
+def _cond_args(p):
+    p.add_argument("--family", choices=sorted(FAMILIES), required=True)
+    p.add_argument("--max-size", type=_positive_int, required=True)
+    _common(p)
+    p.set_defaults(func=cmd_cond)
+
+
+def _variance_args(p):
+    p.add_argument("--target", choices=sorted(TARGETS), required=True)
+    p.add_argument("--max-size", type=_positive_int, required=True)
+    _common(p, precision=True)
+    p.set_defaults(func=cmd_variance)
+
+
+def _project_args(p):
+    p.add_argument("--target", choices=sorted(TARGETS), required=True)
+    p.add_argument("--size", type=_positive_int, required=True)
+    _common(p)
+    p.set_defaults(func=cmd_project)
+
+
+def _plotdata_args(p):
+    p.add_argument("--target", choices=sorted(TARGETS), required=True)
+    p.add_argument("--size", type=_positive_int, required=True)
+    p.add_argument("--xmin", type=_window_end, default="0")
+    p.add_argument("--xmax", type=_window_end, default="10")
+    p.add_argument("--samples", type=_sample_count, default=512)
+    p.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
+    p.add_argument("--out", metavar="PATH", default=None)
+    p.set_defaults(func=cmd_plotdata, format="csv")
+
+
+def _verify_args(p):
+    p.add_argument("--max-size", type=_positive_int, required=True)
+    p.add_argument(
+        "--inject-corruption",
+        action="store_true",
+        help="test hook: corrupt one kernel entry so the checks must fail",
+    )
+    _common(p)
+    p.set_defaults(func=cmd_verify)
+
+
+_SUBCOMMANDS = {  # name -> (help, adds its arguments)
+    "kernel": ("exact kernel matrix B = G^-1", _kernel_args),
+    "cond": ("infinity-norm condition numbers", _cond_args),
+    "variance": ("error variances: Taylor vs kernel estimate", _variance_args),
+    "project": ("estimate and Taylor coefficients", _project_args),
+    "plotdata": ("CSV samples of f, estimate, and Taylor", _plotdata_args),
+    "verify": ("run the exact self-verification suites", _verify_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gramkernel",
         description="Exact reproducing-kernel tables over the classical weighted domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, precision=False):
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        if precision:
-            p.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
-        p.add_argument("--out", metavar="PATH", default=None)
-
-    p_kernel = sub.add_parser("kernel", help="exact kernel matrix B = G^-1")
-    p_kernel.add_argument("--family", choices=sorted(FAMILIES), required=True)
-    p_kernel.add_argument("--size", type=_positive_int, required=True)
-    add_common(p_kernel)
-    p_kernel.set_defaults(func=cmd_kernel)
-
-    p_cond = sub.add_parser("cond", help="infinity-norm condition numbers")
-    p_cond.add_argument("--family", choices=sorted(FAMILIES), required=True)
-    p_cond.add_argument("--max-size", type=_positive_int, required=True)
-    add_common(p_cond)
-    p_cond.set_defaults(func=cmd_cond)
-
-    p_var = sub.add_parser("variance", help="error variances: Taylor vs kernel estimate")
-    p_var.add_argument("--target", choices=sorted(TARGETS), required=True)
-    p_var.add_argument("--max-size", type=_positive_int, required=True)
-    add_common(p_var, precision=True)
-    p_var.set_defaults(func=cmd_variance)
-
-    p_proj = sub.add_parser("project", help="estimate and Taylor coefficients")
-    p_proj.add_argument("--target", choices=sorted(TARGETS), required=True)
-    p_proj.add_argument("--size", type=_positive_int, required=True)
-    add_common(p_proj)
-    p_proj.set_defaults(func=cmd_project)
-
-    p_plot = sub.add_parser("plotdata", help="CSV samples of f, estimate, and Taylor")
-    p_plot.add_argument("--target", choices=sorted(TARGETS), required=True)
-    p_plot.add_argument("--size", type=_positive_int, required=True)
-    p_plot.add_argument("--xmin", type=_window_end, default="0")
-    p_plot.add_argument("--xmax", type=_window_end, default="10")
-    p_plot.add_argument("--samples", type=_sample_count, default=512)
-    p_plot.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
-    p_plot.add_argument("--out", metavar="PATH", default=None)
-    p_plot.set_defaults(func=cmd_plotdata, format="csv")
-
-    p_verify = sub.add_parser("verify", help="run the exact self-verification suites")
-    p_verify.add_argument("--max-size", type=_positive_int, required=True)
-    p_verify.add_argument(
-        "--inject-corruption",
-        action="store_true",
-        help="test hook: corrupt one kernel entry so the checks must fail",
-    )
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named
+    subcommand's parser when that suffices: the parser the full one hands the
+    subcommand's arguments to, with the same prog, so the same help and
+    errors.  Root help, an unknown command and arguments the subcommand
+    leaves over are reported by the full parser, as before."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog=f"gramkernel {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.exit(2, f"error: {exc}\n")
+    except UsageError as exc:
+        code, message = 2, f"error: {exc}"
     except Exception as exc:  # a fault of the program, not of the input
-        message = str(exc).replace("\n", " ")
-        parser.exit(3, f"internal error: {type(exc).__name__}: {message}\n")
+        code, message = 3, f"internal error: {type(exc).__name__}: {exc}".replace("\n", " ")
+    # as in argparse's exit: a closed stderr loses the message, never the exit code
+    with contextlib.suppress(AttributeError, OSError):
+        sys.stderr.write(message + "\n")
+    sys.exit(code)
 
 
 if __name__ == "__main__":

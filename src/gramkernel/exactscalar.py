@@ -30,6 +30,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, ROUND_HALF_UP, Context,
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import eq
 from typing import Iterator, Mapping, Union
 
 from mpmath import mp, mpf
@@ -50,12 +51,42 @@ def _check_precision(precision_bits: int) -> None:
 
 
 def _exact_operand(op):
-    """Lift an int or Fraction operand to PiLaurent; any other type is NotImplemented."""
+    """Run ``op`` on the canonical triples of both operands; an int or Fraction
+    is read as its exponent-0 triple, not lifted to a PiLaurent, so each
+    operation makes one :func:`_reduced` call.  Any other type is NotImplemented."""
     def method(self, other):
+        if isinstance(other, PiLaurent):
+            return op(self._v, other._v)
         if isinstance(other, (int, Fraction)):
-            other = _reduced(0, (other.numerator,), other.denominator)
-        return op(self, other) if isinstance(other, PiLaurent) else NotImplemented
+            return op(self._v, (0, (other.numerator,) if other else (), other.denominator))
+        return NotImplemented
     return method
+
+
+def _negated(v: tuple) -> tuple:
+    low, nums, den = v
+    return low, tuple(-n for n in nums), den
+
+
+def _add(a: tuple, b: tuple) -> "PiLaurent":
+    (la, na, da), (lb, nb, db) = a, b
+    low, g = min(la, lb), gcd(da, db)
+    out = [0] * (max(la + len(na), lb + len(nb)) - low)
+    for start, nums, scale in ((la - low, na, db // g), (lb - low, nb, da // g)):
+        for i, n in enumerate(nums, start):
+            out[i] += n * scale
+    return _reduced(low, out, da // g * db)
+
+
+def _mul(a: tuple, b: tuple) -> "PiLaurent":
+    (la, na, da), (lb, nb, db) = a, b
+    nonzero_b = [(j, y) for j, y in enumerate(nb) if y]
+    out = [0] * (len(na) + len(nb) - 1)
+    for i, x in enumerate(na):
+        if x:
+            for j, y in nonzero_b:
+                out[i + j] += x * y
+    return _reduced(la + lb, out, da * db)
 
 
 class PiLaurent:
@@ -92,47 +123,17 @@ class PiLaurent:
         low, nums, den = self._v
         return ((low + i, Fraction(n, den)) for i, n in enumerate(nums) if n)
 
-    @_exact_operand
-    def __add__(self, other):
-        (la, na, da), (lb, nb, db) = self._v, other._v
-        low, g = min(la, lb), gcd(da, db)
-        out = [0] * (max(la + len(na), lb + len(nb)) - low)
-        for start, nums, scale in ((la - low, na, db // g), (lb - low, nb, da // g)):
-            for i, n in enumerate(nums, start):
-                out[i] += n * scale
-        return _reduced(low, out, da // g * db)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _exact_operand(_add)
+    __sub__ = _exact_operand(lambda a, b: _add(a, _negated(b)))
+    __rsub__ = _exact_operand(lambda a, b: _add(_negated(a), b))
+    __mul__ = __rmul__ = _exact_operand(_mul)
+    __eq__ = _exact_operand(eq)
 
     def __neg__(self):
         return self * -1
 
-    @_exact_operand
-    def __sub__(self, other):
-        return self + -other
-
-    @_exact_operand
-    def __rsub__(self, other):
-        return other + -self
-
-    @_exact_operand
-    def __mul__(self, other):
-        (la, na, da), (lb, nb, db) = self._v, other._v
-        out = [0] * (len(na) + len(nb) - 1)
-        for i, x in enumerate(na):
-            if x:
-                for j, y in enumerate(nb, i):
-                    out[j] += x * y
-        return _reduced(la + lb, out, da * db)
-
-    __rmul__ = __mul__
-
     def __bool__(self) -> bool:
         return bool(self._v[1])
-
-    @_exact_operand
-    def __eq__(self, other) -> bool:
-        return self._v == other._v
 
     def __hash__(self) -> int:
         # equal values hash equal: a pi-free value (low 0, at most one term) as its Fraction

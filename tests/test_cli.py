@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: formats, exact serialization, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -364,6 +365,25 @@ class TestOutputBehaviour:
         assert captured.out == ""
         assert captured.err == line + "\n"
 
+    @pytest.mark.parametrize("exc, line", [
+        (ValueError("grades do not cancel"), "internal error: ValueError: grades do not cancel"),
+        (ZeroDivisionError("division by zero"),
+         "internal error: ZeroDivisionError: division by zero"),
+    ], ids=["value", "zero-division"])
+    def test_construction_fault_exits_3_not_2(self, monkeypatch, capsys, exc, line):
+        """A ValueError or ZeroDivisionError from the construction is a fault
+        of the program, not a usage error: exit 3 with one stderr line."""
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_kernel", broken)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["kernel", "--family", "laguerre", "--size", "2"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 3
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
     def test_out_unwritable_is_io_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["cond", "--family", "laguerre", "--max-size", "3",
@@ -454,6 +474,88 @@ class TestOutputBehaviour:
         assert excinfo.value.code == 2
         assert captured.err == f"error: cannot write {fifo}: Broken pipe\n"
         assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+PLOT = ["plotdata", "--target", "exp-neg", "--size", "2"]
+PARSER_ARGV = [
+    # root help and everything that is not a subcommand
+    [], ["--help"], ["-h"], ["-h", "kernel"], ["jacobi"], ["KERNEL"], ["--"], ["--", "kernel"],
+    ["-x"], ["--version"],
+] + [[name, "--help"] for name in ("kernel", "cond", "variance", "project", "plotdata", "verify")] + [
+    ["kernel", "-h", "--size", "x"],
+    ["kernel"],
+    ["kernel", "--family", "laguerre"],
+    ["kernel", "--family", "jacobi", "--size", "2"],
+    ["kernel", "--family", "laguerre", "--size", "0"],
+    ["kernel", "--family", "laguerre", "--size", "x"],
+    ["kernel", "--fam", "laguerre", "--size", "2"],
+    ["kernel", "--family=laguerre", "--size=2"],
+    ["kernel", "--family", "laguerre", "--size", "2", "--form=json"],
+    ["kernel", "--family", "laguerre", "--size", "2", "--x=y"],
+    ["kernel", "--", "--size", "2"],
+    ["kernel", "--family", "laguerre", "--size", "2", "--", "x"],
+    ["kernel", "--family", "hermite-odd", "--size", "3"],
+    ["cond", "--family=laguerre", "--max-size=3", "--format=json"],
+    ["cond", "--family", "laguerre", "--max-size", "3", "extra"],
+    ["cond", "--family", "laguerre", "--max-size", "3", "--out", "/nonexistent/x"],
+    ["cond", "--family", "laguerre", "--max-size", "3", "--precision-bits", "256"],
+    ["kernel", "--family", "laguerre", "--size", "2", "--precision-bits", "256"],
+    ["project", "--target", "exp-neg", "--size", "2", "--precision-bits", "256"],
+    ["project", "--target", "cos-pi", "--size", "3"],
+    ["variance", "--target", "exp-neg", "--max-size", "2", "--precision-bits", "64"],
+    ["variance", "--target", "exp-neg", "--max-size", "2", "--precision-bits", "x"],
+    ["variance", "--target", "cosh", "--max-size", "2"],
+    ["variance", "--target", "sin-pi", "--max-size", "3", "--format", "csv"],
+    ["verify", "--max-size", "1", "--precision-bits", "256"],
+    ["verify", "--max-size", "2", "--inject"],
+    ["verify", "--max-size", "2", "--out"],
+    ["verify", "--max-size", "2", "--format", "csv"],
+    PLOT + ["--format", "json"],
+    PLOT + ["--samples", "1"], PLOT + ["--samples", "65537"], PLOT + ["--samples", "x"],
+    PLOT + ["--xmin=1e100000000"], PLOT + ["--xmax=abc"], PLOT + ["--xmin=1/0"],
+    PLOT + ["--xmax=-1000001"], PLOT + ["--xmin", "1", "--xmax", "0"],
+    PLOT + ["--xmin", "1", "--xmax", "1"],
+    PLOT + ["--xmin=-3/4", "--xmax=3/4", "--samples", "5"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-args")
+def test_parse_is_the_full_parsers(monkeypatch, capsys, argv):
+    """``main`` builds only the named subcommand's parser, yet every argv
+    gives the stdout, stderr and exit code of ``build_parser().parse_args``
+    followed by the command: help, every usage error and every fallback."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert got == _outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cond", "--family", "laguerre", "--max-size", "3"],
+    ["verify", "--max-size", "2"],
+], ids=lambda argv: argv[0])
+def test_a_subcommand_builds_one_parser(monkeypatch, capsys, argv):
+    """A successful invocation builds its own subcommand's parser and no
+    other: argparse set-up costs more than a small ``cond`` job's work."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built == [f"gramkernel {argv[0]}"]
 
 
 SNAPSHOT_DIR = Path(__file__).parent / "snapshots"

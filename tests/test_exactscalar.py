@@ -1,5 +1,6 @@
 """Exact scalar layer: rationals, pi-Laurent ring, numeric rendering."""
 
+import operator
 import random
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -143,6 +144,19 @@ class TestDenseForm:
         assert _as_dict(q - pb) == _sparse_add(scalar, neg_b)
         assert _as_dict(pb - q) == _sparse_add(b, {0: -q} if q else {})
         assert _as_dict(q * pa) == _as_dict(pa * q) == _sparse_mul(a, scalar)
+
+    @given(a=gappy, r=st.one_of(st.sampled_from((0, -1, Fraction(0), Fraction(-3, 2))),
+                                st.integers(), st.fractions(max_denominator=10**12)))
+    @settings(max_examples=200)
+    def test_rational_operand_equals_the_lifted_operation(self, a, r):
+        """An int or Fraction operand, on either side of ``+``, ``-`` and ``*``,
+        gives the canonical triple and hash of the operation with r lifted
+        to a PiLaurent first."""
+        p, lifted = PiLaurent(a), PiLaurent(r)
+        for op in (operator.add, operator.sub, operator.mul):
+            for got, want in ((op(p, r), op(p, lifted)), (op(r, p), op(lifted, p))):
+                assert type(got) is PiLaurent
+                assert got._v == want._v and hash(got) == hash(want)
 
     @given(a=gappy)
     def test_round_trip_through_items(self, a):
