@@ -21,6 +21,7 @@ from operator import mul
 from typing import Callable, Iterator, Mapping
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_cos, mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_sin, round_nearest
 
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
@@ -30,7 +31,6 @@ from .exactscalar import (
     _mpf_ratio,
     _round_rational,
     eval_pilaurent,
-    working_mpf,
 )
 from .families import (
     Family,
@@ -84,7 +84,8 @@ class TargetFunction:
       ``k <= k_max``, keyed by ``k``;
     * ``taylor_term(k)`` -- the exact Maclaurin coefficient of the k-th
       (0-based) basis element;
-    * ``value(x)`` -- f(x) at mpmath's working precision;
+    * ``value(x, prec)`` -- f at a raw mpf x, by libmp operations at ``prec``
+      bits, each rounded to nearest;
     * ``comparator_extra_terms`` -- Taylor terms the tabulated comparator
       keeps beyond ``size`` (see :func:`taylor_comparator`).
 
@@ -97,21 +98,27 @@ class TargetFunction:
     squared_integral: Exact
     moments: Callable[[int], Mapping[int, Exact]]
     taylor_term: Callable[[int], Exact]
-    value: Callable[[mpf], mpf]
+    value: Callable[[tuple, int], tuple]
     comparator_extra_terms: int = 0
+
+
+def _of_pi_x(mpf_f):
+    """x -> f(pi x) by the libmp steps of ``mp.f(mp.pi * x)``, each rounded to nearest."""
+    return lambda x, prec: mpf_f(
+        mpf_mul(mpf_pi(prec, round_nearest), x, prec, round_nearest), prec, round_nearest)
 
 
 SIN_PI = TargetFunction(
     "sin-pi", LEGENDRE_ODD, Fraction(1),
     moments=_sin_integrals,
     taylor_term=lambda k: PiLaurent.pi_power(2 * k + 1, Fraction((-1) ** k, factorial(2 * k + 1))),
-    value=lambda x: mp.sin(mp.pi * x),
+    value=_of_pi_x(mpf_sin),
 )
 COS_PI = TargetFunction(
     "cos-pi", LEGENDRE_EVEN, Fraction(1),
     moments=_cos_integrals,
     taylor_term=lambda k: PiLaurent.pi_power(2 * k, Fraction((-1) ** k, factorial(2 * k))),
-    value=lambda x: mp.cos(mp.pi * x),
+    value=_of_pi_x(mpf_cos),
     comparator_extra_terms=1,
 )
 EXP_NEG = TargetFunction(
@@ -119,7 +126,7 @@ EXP_NEG = TargetFunction(
     # integral_0^inf y**k e^-y * e^-y dy = k! / 2**(k+1)
     moments=lambda k_max: {k: Fraction(factorial(k), 2 ** (k + 1)) for k in range(k_max + 1)},
     taylor_term=lambda k: Fraction((-1) ** k, factorial(k)),
-    value=lambda x: mp.exp(-x),
+    value=lambda x, prec: mpf_exp(mpf_neg(x), prec, round_nearest),
 )
 
 TARGETS = {t.name: t for t in (SIN_PI, COS_PI, EXP_NEG)}
@@ -134,13 +141,21 @@ def target_by_name(name: str) -> TargetFunction:
         ) from None
 
 
+def sample_grid(xmin: Fraction, xmax: Fraction, samples: int) -> tuple[range, int]:
+    """``samples`` evenly spaced x from xmin = a/b to xmax = c/d, both included, as
+    numerators over one denominator: x_i = (a d n + i (c b - a d)) / (b d n), n = samples - 1."""
+    (a, b), (c, d), n = xmin.as_integer_ratio(), xmax.as_integer_ratio(), samples - 1
+    return range(a * d * n, c * b * n + 1, c * b - a * d), b * d * n
+
+
 def target_value(
-    target: TargetFunction, xs, precision_bits: int = DEFAULT_PRECISION_BITS
+    target: TargetFunction, nums, den: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[mpf]:
-    """Numeric f(x) at the requested precision, for every x in ``xs``."""
+    """f(x) at every x = num/den, num in ``nums`` (den > 0): x correctly rounded
+    to ``precision_bits``, then f at that precision."""
     _check_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        return [target.value(working_mpf(x)) for x in xs]
+    return [mp.make_mpf(target.value(_round_rational(num, den, precision_bits), precision_bits))
+            for num in nums]
 
 
 @dataclass(frozen=True)
@@ -311,34 +326,26 @@ def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[Exact, Ex
     return list(zip(tay, est))
 
 
-def _ratio(x, prec: int) -> tuple[int, int]:
-    """Finite x as integers p/q: a Fraction exactly, else its mpf (rounded at ``prec``)."""
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    return _mpf_ratio(x if isinstance(x, mpf) else mpf(x, prec=prec))
-
-
 def eval_polynomial(
-    poly: ApproxPolynomial, xs, precision_bits: int = DEFAULT_PRECISION_BITS
+    poly: ApproxPolynomial, nums, den: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[mpf]:
-    """The polynomial at every x in ``xs``, each rounded once to ``precision_bits``.
+    """The polynomial at every x = num/den, num in ``nums`` (den > 0), each rounded
+    once to ``precision_bits``.
 
-    The coefficients are rounded once, at ``precision_bits + 16``, to integers over
-    a power of two; integer Horner in ``(p/q)**stride`` is exact at each x = p/q.
+    Coefficient k, rounded once at ``precision_bits + 16`` and scaled by
+    ``den**(stride*(n-1-k))`` onto one shared denominator, is an integer: each
+    Horner step in ``num**stride`` is one exact integer multiply-add.
     """
     _check_precision(precision_bits)
     stride, offset, prec = poly.family.stride, poly.family.offset, precision_bits + 16
-    coeffs = [_ratio(eval_pilaurent(c, prec), prec) for c in reversed(poly.coefficients)]
-    scale = max(q for _, q in coeffs)
-    ints = [p * (scale // q) for p, q in coeffs]
+    coeffs = [_mpf_ratio(eval_pilaurent(c, prec)) for c in reversed(poly.coefficients)]
+    scale, den_stride = max(q for _, q in coeffs), den**stride
+    ints = [p * (scale // q) * den_stride**k for k, (p, q) in enumerate(coeffs)]
+    shared = scale * den_stride ** (len(ints) - 1) * den**offset
     out = []
-    for x in xs:
-        p, q = _ratio(x, prec)
-        big_p, big_q = p**stride, q**stride
-        acc, den = ints[0], 1
+    for num in nums:
+        num_stride, acc = num**stride, ints[0]
         for c in ints[1:]:
-            den *= big_q
-            acc = acc * big_p + c * den
-        num, den = acc * p**offset, den * q**offset * scale
-        out.append(mp.make_mpf(_round_rational(num, den, precision_bits)))
+            acc = acc * num_stride + c
+        out.append(mp.make_mpf(_round_rational(acc * num**offset, shared, precision_bits)))
     return out

@@ -8,12 +8,13 @@ dropped tail is below 200**k * exp(-200) < 1e-40 for every power used here.
 
 import random
 from dataclasses import replace
+from decimal import ROUND_HALF_EVEN
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import cos, exp, mp, mpf, pi, quad, sin
 from mpmath.libmp import from_rational, round_nearest
 
@@ -31,13 +32,22 @@ from gramkernel.approx import (
     function_moments,
     monomial_moment_vector,
     project,
+    sample_grid,
     target_by_name,
     target_value,
     taylor_comparator,
     taylor_polynomial,
     variance_rows,
 )
-from gramkernel.exactscalar import PiLaurent, eval_pilaurent
+from gramkernel.exactscalar import (
+    SIG_DIGITS,
+    PiLaurent,
+    _mpf_ratio,
+    _render,
+    decimal_str,
+    eval_pilaurent,
+    working_mpf,
+)
 from gramkernel.families import ALL_FAMILIES, LAGUERRE, LEGENDRE_EVEN, LEGENDRE_ODD, GradedMatrix
 from gramkernel.kernelbuild import build_kernel
 
@@ -49,8 +59,15 @@ IDENTITY = TargetFunction(
     "x", LEGENDRE_ODD, Fraction(2, 3),
     moments=lambda k_max: {k: Fraction(2, k + 2) for k in range(1, k_max + 1, 2)},
     taylor_term=lambda k: Fraction(1 if k == 0 else 0),
-    value=lambda x: x,
+    value=lambda x, prec: x,
 )
+
+
+def _grid(x):
+    """One point x, a Fraction or the exact value of an mpf, in the evaluators'
+    form ([num], den)."""
+    num, den = x.as_integer_ratio() if isinstance(x, Fraction) else _mpf_ratio(x)
+    return [num], den
 
 
 def kernel_estimate(target, n):
@@ -349,7 +366,7 @@ class TestErrorVariance:
                 got = eval_pilaurent(var, 300)
                 weight = (lambda y: exp(-y)) if target is EXP_NEG else (lambda y: mpf(1))
                 ref = quad(
-                    lambda y: (f(y) - eval_polynomial(poly, [y], 320)[0]) ** 2 * weight(y),
+                    lambda y: (f(y) - eval_polynomial(poly, *_grid(y), 320)[0]) ** 2 * weight(y),
                     interval,
                 )
                 assert abs(got - ref) <= abs(ref) * mpf(10) ** -30
@@ -370,21 +387,21 @@ def test_reproducing_property(family, n):
 class TestEvalPolynomial:
     def test_taylor_at_zero(self):
         tay = taylor_comparator(EXP_NEG, 8)
-        assert eval_polynomial(tay, [0])[0] == 1
+        assert eval_polynomial(tay, [0], 1)[0] == 1
 
     def test_estimate_at_zero(self):
         est = kernel_estimate(EXP_NEG, 8)
-        v = eval_polynomial(est, [0])[0]
+        v = eval_polynomial(est, [0], 1)[0]
         assert v == mpf(255) / 256
 
     def test_odd_polynomial_at_zero(self):
         est = kernel_estimate(SIN_PI, 3)
-        assert eval_polynomial(est, [0])[0] == 0
+        assert eval_polynomial(est, [0], 1)[0] == 0
 
     def test_estimate_at_one_matches_coefficient_sum(self):
         est = kernel_estimate(EXP_NEG, 8)
         exact = sum(est.coefficients, Fraction(0))
-        got = eval_polynomial(est, [1])[0]
+        got = eval_polynomial(est, [1], 1)[0]
         with mp.workprec(300):
             want = mpf(exact.numerator) / exact.denominator
             assert abs(got - want) < mpf(2) ** -240
@@ -392,8 +409,8 @@ class TestEvalPolynomial:
     def test_sin_estimate_tracks_function(self):
         est = kernel_estimate(SIN_PI, 6)
         with mp.workprec(256):
-            for x in (mpf(1) / 4, mpf(1) / 2, mpf(3) / 4):
-                assert abs(eval_polynomial(est, [x])[0] - sin(pi * x)) < mpf("1e-6")
+            for num, value in zip((1, 2, 3), eval_polynomial(est, [1, 2, 3], 4)):
+                assert abs(value - sin(pi * mpf(num) / 4)) < mpf("1e-6")
 
 
 @lru_cache(maxsize=None)
@@ -439,7 +456,8 @@ class TestEvalPolynomialIsExact:
     def test_one_rounding_of_the_rounded_coefficients(self, case):
         poly, x, bits = case
         rounded = [_exact(eval_pilaurent(c, bits + 16)) for c in poly.coefficients]
-        assert eval_polynomial(poly, [x], bits)[0] == _rounded(sum(_terms(poly, rounded, x)), bits)
+        want = _rounded(sum(_terms(poly, rounded, x)), bits)
+        assert eval_polynomial(poly, *_grid(x), bits)[0] == want
 
     @given(polynomial_points(targets=(EXP_NEG,)))
     @settings(max_examples=150, deadline=None)
@@ -452,13 +470,97 @@ class TestEvalPolynomialIsExact:
         poly, x, bits = case
         terms = _terms(poly, poly.coefficients, x)
         exact, slack = sum(terms), sum(map(abs, terms)) / 2 ** (bits + 15)
-        got = eval_polynomial(poly, [x], bits)[0]
+        got = eval_polynomial(poly, *_grid(x), bits)[0]
         assert _rounded(exact - slack, bits) <= got <= _rounded(exact + slack, bits)
 
     @pytest.mark.parametrize("x", [mpf("inf"), mpf("-inf"), mpf("nan"), float("inf")], ids=str)
     def test_non_finite_x_raises(self, x):
+        """A non-finite x has no (num, den) to evaluate at: reading it raises."""
         with pytest.raises(ValueError, match="non-finite"):
-            eval_polynomial(taylor_comparator(EXP_NEG, 3), [Fraction(1), x])
+            eval_polynomial(taylor_comparator(EXP_NEG, 3), *_grid(mpf(x)))
+
+
+# The per-sample reference for plotdata's grid: x as xmin + i*step in
+# Fractions, f by mpmath's wrappers under mp.workprec, and Horner in Fractions
+# over the exact coefficients as eval_pilaurent rounds them.
+REFERENCE_F = {
+    "sin-pi": lambda x: mp.sin(mp.pi * x),
+    "cos-pi": lambda x: mp.cos(mp.pi * x),
+    "exp-neg": lambda x: mp.exp(-x),
+}
+
+
+def _reference_columns(target, size, xmin, xmax, samples, bits):
+    step = (xmax - xmin) / (samples - 1)
+    xs = [xmin + i * step for i in range(samples)]
+    with mp.workprec(bits):
+        columns = [[REFERENCE_F[target.name](working_mpf(x)) for x in xs]]
+    for kind in ("estimate", "taylor"):
+        poly = _poly(target, size, kind)
+        stride, offset = poly.family.stride, poly.family.offset
+        rounded = [_exact(eval_pilaurent(c, bits + 16)) for c in reversed(poly.coefficients)]
+        column = []
+        for x in xs:
+            acc = Fraction(0)
+            for c in rounded:
+                acc = acc * x**stride + c
+            column.append(_rounded(acc * x**offset, bits))
+        columns.append(column)
+    return columns
+
+
+@st.composite
+def window_ends(draw, magnitudes=(1, 3, 20)):
+    """A window end: integer, or with a denominator up to 10**29."""
+    den = draw(st.sampled_from((1, 7, 100, 10**6, 10**29)) | st.integers(1, 10**29))
+    bound = draw(st.sampled_from(magnitudes)) * den
+    return Fraction(draw(st.integers(-bound, bound)), den)
+
+
+@st.composite
+def plot_windows(draw):
+    xmin, xmax = draw(window_ends()), draw(window_ends())
+    assume(xmin != xmax)
+    return min(xmin, xmax), max(xmin, xmax), draw(st.integers(2, 257))
+
+
+class TestPlotGrid:
+    """plotdata's one integer grid: every sample a numerator over one shared
+    denominator, evaluated with no Fraction or mpmath wrapper per sample."""
+
+    @given(st.sampled_from(ALL_TARGETS), st.integers(1, 20), plot_windows(),
+           st.integers(128, 1024))
+    @settings(max_examples=80, deadline=None)
+    def test_columns_equal_the_per_sample_reference(self, target, size, window, bits):
+        xmin, xmax, samples = window
+        nums, den = sample_grid(xmin, xmax, samples)
+        got = [target_value(target, nums, den, bits),
+               eval_polynomial(_poly(target, size, "estimate"), nums, den, bits),
+               eval_polynomial(_poly(target, size, "taylor"), nums, den, bits)]
+        want = _reference_columns(target, size, xmin, xmax, samples, bits)
+        for got_column, want_column in zip(got, want):
+            assert [v._mpf_ for v in got_column] == [v._mpf_ for v in want_column]
+
+    @given(plot_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_grid_runs_from_xmin_to_xmax(self, window):
+        xmin, xmax, samples = window
+        nums, den = sample_grid(xmin, xmax, samples)
+        assert len(nums) == samples and den > 0
+        assert Fraction(nums[0], den) == xmin and Fraction(nums[-1], den) == xmax
+        step = (xmax - xmin) / (samples - 1)
+        for i in (1, samples // 2, samples - 2):
+            assert Fraction(nums[i], den) == xmin + i * step
+
+    @given(window_ends(magnitudes=(1, 10**6)), st.integers(1, 10**40))
+    @example(Fraction(100000000000000005, 10**20), 3)  # 17-digit ties, to even: down
+    @example(Fraction(-123456789012345625, 10**20), 10**30 + 1)
+    @example(Fraction(100000000000000015, 10**20), 7)  # up
+    @example(Fraction(999999999999999995, 10**20), 1)  # up, carrying into a new digit
+    @settings(max_examples=200, deadline=None)
+    def test_unreduced_x_renders_as_the_reduced_fraction(self, x, k):
+        num, den = x.as_integer_ratio()
+        assert _render(num * k, den * k, SIG_DIGITS, ROUND_HALF_EVEN, "") == decimal_str(x)
 
 
 class TestTargets:
@@ -485,9 +587,9 @@ class TestTargets:
             assert abs(ref - mpf(1) / 3) < mpf(10) ** -40
 
     def test_target_values(self):
-        assert target_value(EXP_NEG, [0])[0] == 1
-        assert abs(target_value(SIN_PI, [mpf(1) / 2])[0] - 1) < mpf("1e-70")
-        assert abs(target_value(COS_PI, [1])[0] + 1) < mpf("1e-70")
+        assert target_value(EXP_NEG, [0], 1)[0] == 1
+        assert abs(target_value(SIN_PI, [1], 2)[0] - 1) < mpf("1e-70")
+        assert abs(target_value(COS_PI, [1], 1)[0] + 1) < mpf("1e-70")
 
 
 class TestVarianceRows:
@@ -581,4 +683,4 @@ class TestTargetRecord:
             assert var == PiLaurent(0) and eval_pilaurent(var, 256) == 0
             tay_var = error_variance(IDENTITY, taylor_comparator(IDENTITY, n))
             assert tay_var == PiLaurent(0)
-        assert target_value(IDENTITY, [Fraction(1, 4)])[0] == mpf(1) / 4
+        assert target_value(IDENTITY, [1], 4)[0] == mpf(1) / 4
