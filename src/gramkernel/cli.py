@@ -24,13 +24,12 @@ bounds or a numeric option that is not an integer) or a :class:`UsageError`
 one line ``error: MESSAGE`` on stderr).  3 internal error: any other
 exception, ``ValueError`` and ``ZeroDivisionError`` included, is a fault of
 the program, not of the input (one line ``internal error: TYPE: MESSAGE``).
-Only the invoked subcommand's parser is built; the full parser is built only
-for root help, an unknown command or arguments the subcommand leaves over.
+A well-formed argv is read from the option table alone; argparse runs only for
+help, errors and unusual spellings, and prints exactly what it always printed.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import io
@@ -40,6 +39,7 @@ import sys
 from decimal import ROUND_HALF_EVEN
 from fractions import Fraction
 from math import inf
+from types import SimpleNamespace
 
 from .approx import (
     eval_polynomial,
@@ -83,6 +83,8 @@ def _int_option(text: str, low: int, high: float, expected: str) -> int:
             return value
     except ValueError:
         pass
+    import argparse  # only a refused value needs it
+
     raise argparse.ArgumentTypeError(f"{expected}, got {text}")
 
 
@@ -112,6 +114,8 @@ def _window_end(text: str) -> Fraction:
             return value
     except (ValueError, ZeroDivisionError):
         pass
+    import argparse  # only a refused value needs it
+
     raise argparse.ArgumentTypeError(f"must be a number of magnitude at most {MAX_WINDOW_END} "
                                      f"with a denominator below 10**30, got {text}")
 
@@ -308,99 +312,98 @@ def cmd_verify(args) -> int:
     return 1 if n_failed else 0
 
 
-def _common(p, precision=False):
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    if precision:
-        p.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
-    p.add_argument("--out", metavar="PATH", default=None)
+# Each subcommand's options are ``(flag, add_argument kwargs)`` pairs in help
+# order; its command function is looked up by name when argv is parsed, so a
+# replaced ``cli.cmd_*`` is the one called.
+_FAMILY = ("--family", {"choices": sorted(FAMILIES), "required": True})
+_TARGET = ("--target", {"choices": sorted(TARGETS), "required": True})
+_SIZE = ("--size", {"type": _positive_int, "required": True})
+_MAX_SIZE = ("--max-size", {"type": _positive_int, "required": True})
+_FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text"})
+_PRECISION = ("--precision-bits", {"type": _precision, "default": DEFAULT_PRECISION_BITS})
+_OUT = ("--out", {"metavar": "PATH", "default": None})
 
-
-# Each subcommand's arguments are added by one function, which names its
-# command function when it runs, so a replaced ``cli.cmd_*`` is the one called.
-def _kernel_args(p):
-    p.add_argument("--family", choices=sorted(FAMILIES), required=True)
-    p.add_argument("--size", type=_positive_int, required=True)
-    _common(p)
-    p.set_defaults(func=cmd_kernel)
-
-
-def _cond_args(p):
-    p.add_argument("--family", choices=sorted(FAMILIES), required=True)
-    p.add_argument("--max-size", type=_positive_int, required=True)
-    _common(p)
-    p.set_defaults(func=cmd_cond)
-
-
-def _variance_args(p):
-    p.add_argument("--target", choices=sorted(TARGETS), required=True)
-    p.add_argument("--max-size", type=_positive_int, required=True)
-    _common(p, precision=True)
-    p.set_defaults(func=cmd_variance)
-
-
-def _project_args(p):
-    p.add_argument("--target", choices=sorted(TARGETS), required=True)
-    p.add_argument("--size", type=_positive_int, required=True)
-    _common(p)
-    p.set_defaults(func=cmd_project)
-
-
-def _plotdata_args(p):
-    p.add_argument("--target", choices=sorted(TARGETS), required=True)
-    p.add_argument("--size", type=_positive_int, required=True)
-    p.add_argument("--xmin", type=_window_end, default="0")
-    p.add_argument("--xmax", type=_window_end, default="10")
-    p.add_argument("--samples", type=_sample_count, default=512)
-    p.add_argument("--precision-bits", type=_precision, default=DEFAULT_PRECISION_BITS)
-    p.add_argument("--out", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_plotdata, format="csv")
-
-
-def _verify_args(p):
-    p.add_argument("--max-size", type=_positive_int, required=True)
-    p.add_argument(
-        "--inject-corruption",
-        action="store_true",
-        help="test hook: corrupt one kernel entry so the checks must fail",
-    )
-    _common(p)
-    p.set_defaults(func=cmd_verify)
-
-
-_SUBCOMMANDS = {  # name -> (help, adds its arguments)
-    "kernel": ("exact kernel matrix B = G^-1", _kernel_args),
-    "cond": ("infinity-norm condition numbers", _cond_args),
-    "variance": ("error variances: Taylor vs kernel estimate", _variance_args),
-    "project": ("estimate and Taylor coefficients", _project_args),
-    "plotdata": ("CSV samples of f, estimate, and Taylor", _plotdata_args),
-    "verify": ("run the exact self-verification suites", _verify_args),
+_SUBCOMMANDS = {  # name -> (help, command function's name, options, other defaults)
+    "kernel": ("exact kernel matrix B = G^-1", "cmd_kernel", (_FAMILY, _SIZE, _FORMAT, _OUT), {}),
+    "cond": ("infinity-norm condition numbers", "cmd_cond",
+             (_FAMILY, _MAX_SIZE, _FORMAT, _OUT), {}),
+    "variance": ("error variances: Taylor vs kernel estimate", "cmd_variance",
+                 (_TARGET, _MAX_SIZE, _FORMAT, _PRECISION, _OUT), {}),
+    "project": ("estimate and Taylor coefficients", "cmd_project",
+                (_TARGET, _SIZE, _FORMAT, _OUT), {}),
+    "plotdata": ("CSV samples of f, estimate, and Taylor", "cmd_plotdata", (
+        _TARGET, _SIZE, ("--xmin", {"type": _window_end, "default": "0"}),
+        ("--xmax", {"type": _window_end, "default": "10"}),
+        ("--samples", {"type": _sample_count, "default": 512}), _PRECISION, _OUT),
+        {"format": "csv"}),
+    "verify": ("run the exact self-verification suites", "cmd_verify", (
+        _MAX_SIZE, ("--inject-corruption", {
+            "action": "store_true", "default": False,
+            "help": "test hook: corrupt one kernel entry so the checks must fail"}),
+        _FORMAT, _OUT), {}),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # only help, errors and unusual spellings build a parser
+
     parser = argparse.ArgumentParser(
         prog="gramkernel",
         description="Exact reproducing-kernel tables over the classical weighted domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, func, options, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=globals()[func], **defaults)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the named
-    subcommand's parser when that suffices: the parser the full one hands the
-    subcommand's arguments to, with the same prog, so the same help and
-    errors.  Root help, an unknown command and arguments the subcommand
-    leaves over are reported by the full parser, as before."""
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog=f"gramkernel {argv[0]}")
-        _SUBCOMMANDS[argv[0]][1](parser)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` without ``command``, for an argv
+    of a subcommand and its flags, each spelled in full and given at most
+    once as ``--flag value`` or ``--flag=value``, with every value valid and
+    every required flag given.  None for the rest, which argparse reads."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, func, options, defaults = _SUBCOMMANDS[argv[0]]
+    specs, given = dict(options), {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        spec = specs.get(flag)
+        if spec is None or flag in given or eq and "action" in spec:
+            return None
+        if "action" in spec:  # store_true, which takes no value
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # a missing value reads as "-"
+        # argparse may read a spaced "-..." as a flag, and drops a "--" value
+        if value == "--" or not eq and value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except Exception:  # argparse reports what a type refuses
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        given[flag] = value
+    namespace = {"func": globals()[func], **defaults}
+    for flag, spec in options:
+        if flag not in given and spec.get("required"):
+            return None
+        default = spec.get("default")
+        if isinstance(default, str):  # as argparse, through the type
+            default = spec.get("type", str)(default)
+        namespace[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**namespace)
+
+
+def _parse(argv: list[str]):
+    """``build_parser().parse_args(argv)``, from the option table when ``_read`` can."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

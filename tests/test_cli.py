@@ -1,20 +1,27 @@
 """End-to-end CLI behaviour: formats, exact serialization, exit codes."""
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gramkernel import cli
+from gramkernel.approx import TARGETS
 from gramkernel.cli import main
+from gramkernel.families import FAMILIES
 
 
 def run_cli(capsys, argv):
@@ -516,6 +523,12 @@ PARSER_ARGV = [
     PLOT + ["--xmax=-1000001"], PLOT + ["--xmin", "1", "--xmax", "0"],
     PLOT + ["--xmin", "1", "--xmax", "1"],
     PLOT + ["--xmin=-3/4", "--xmax=3/4", "--samples", "5"],
+    # the edges of what the option-table reader accepts
+    ["kernel", "--family", "laguerre", "--size", "2", "--size", "3"],
+    PLOT + ["--xmin", "-1", "--xmax", "1"],
+    ["verify", "--max-size", "2", "--inject-corruption=1"],
+    ["cond", "--family", "laguerre", "--max-size", "3", "--out="],
+    ["kernel", "--family=", "--size", "2"],
 ]
 
 
@@ -529,9 +542,10 @@ def _outcome(capsys, argv):
 
 @pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-args")
 def test_parse_is_the_full_parsers(monkeypatch, capsys, argv):
-    """``main`` builds only the named subcommand's parser, yet every argv
-    gives the stdout, stderr and exit code of ``build_parser().parse_args``
-    followed by the command: help, every usage error and every fallback."""
+    """``main`` reads a well-formed argv from the option table and hands the
+    rest to argparse, yet every argv gives the stdout, stderr and exit code
+    of ``build_parser().parse_args`` followed by the command: help, every
+    usage error, every unusual spelling and every fallback."""
     monkeypatch.setenv("COLUMNS", "80")
     got = _outcome(capsys, argv)
     monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
@@ -542,9 +556,9 @@ def test_parse_is_the_full_parsers(monkeypatch, capsys, argv):
     ["cond", "--family", "laguerre", "--max-size", "3"],
     ["verify", "--max-size", "2"],
 ], ids=lambda argv: argv[0])
-def test_a_subcommand_builds_one_parser(monkeypatch, capsys, argv):
-    """A successful invocation builds its own subcommand's parser and no
-    other: argparse set-up costs more than a small ``cond`` job's work."""
+def test_a_valid_invocation_builds_no_parser(monkeypatch, capsys, argv):
+    """A well-formed invocation is read from the option table: argparse's
+    first use costs more than a small ``cond`` job's work."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -555,7 +569,86 @@ def test_a_subcommand_builds_one_parser(monkeypatch, capsys, argv):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(argv) == 0
     capsys.readouterr()
-    assert built == [f"gramkernel {argv[0]}"]
+    assert built == []
+
+
+def test_a_valid_invocation_imports_no_argparse():
+    """In a fresh process, a valid invocation leaves argparse, and the
+    gettext and locale modules its first use pulls in, unimported."""
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from gramkernel.cli import main\n"
+            "assert main(['cond', '--family', 'laguerre', '--max-size', '3']) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _own_flags(name):
+    return [flag for flag, _ in cli._SUBCOMMANDS[name][2]]
+
+
+ALL_FLAGS = sorted({flag for name in cli._SUBCOMMANDS for flag in _own_flags(name)})
+GOOD_VALUES = {
+    "--family": sorted(FAMILIES), "--target": sorted(TARGETS),
+    "--size": ["1", "3"], "--max-size": ["2", "3"], "--format": ["text", "csv", "json"],
+    "--precision-bits": ["64", "256"], "--out": ["x.csv", "-"],
+    "--xmin": ["1/2", "3", "-1", "2e-1"], "--xmax": ["4", "7/2", "-1/4"],
+    "--samples": ["5", "512"], "--inject-corruption": ["1"],
+}
+ODD_VALUES = ["", "-1", "-1/2", "--", "-h", "--size", "x", "0", "1e100000000", "jacobi", "a=b"]
+STRAYS = ["-h", "--help", "--", "extra", "-x", "", "--x=y", "-"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand's argv from its own flags, their abbreviations and other
+    commands' flags, in ``=`` and spaced forms, repeated or bare, with values
+    good and odd, strays among them; most start from every required flag."""
+    name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    own = _own_flags(name)
+    flags = st.sampled_from(own * 8 + ALL_FLAGS + [f[:n] for f in own for n in (3, 5)])
+    argv = [name]
+    if draw(st.integers(0, 3)):
+        for flag, spec in cli._SUBCOMMANDS[name][2]:
+            if spec.get("required"):
+                argv += [flag, draw(st.sampled_from(GOOD_VALUES[flag]))]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(flags)
+        value = draw(st.sampled_from(GOOD_VALUES.get(flag, []) * 6 + ODD_VALUES))
+        argv += draw(st.sampled_from([[flag, value]] * 3 + [[f"{flag}={value}"]] * 3
+                                     + [[flag], [draw(st.sampled_from(STRAYS))]]))
+    return argv
+
+
+@functools.lru_cache(maxsize=None)
+def _full_parser():
+    return cli.build_parser()
+
+
+def _full_parse(argv):
+    """``vars`` of the full parser's namespace without ``command``, or None
+    where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = vars(_full_parser().parse_args(argv))
+        except SystemExit:
+            return None
+    del namespace["command"]
+    return namespace
+
+
+@given(argvs())
+@example(["cond", "--family", "laguerre", "--max-size", "2", "--out=--"])
+@settings(max_examples=2000, deadline=None)
+def test_read_is_the_full_parsers_or_none(argv):
+    """The option-table reader accepts an argv only where argparse accepts
+    it, and then gives argparse's namespace; no command runs."""
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == _full_parse(argv)
 
 
 SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
