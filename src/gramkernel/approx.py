@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from operator import mul
-from typing import Callable, Iterator, Mapping
+from math import factorial, lcm
+from typing import Callable, Iterator, Mapping, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_cos, mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_sin, round_nearest
@@ -29,7 +28,9 @@ from .exactscalar import (
     PiLaurent,
     _check_precision,
     _mpf_ratio,
+    _reduced,
     _round_rational,
+    _triple,
     eval_pilaurent,
 )
 from .families import (
@@ -38,7 +39,6 @@ from .families import (
     LAGUERRE,
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
-    _matmul,
     coeff_matrix,
     moment_cores,
     norm_vector,
@@ -206,13 +206,41 @@ def monomial_moment_vector(family: Family, n: int, power: int) -> MomentVector:
     return MomentVector(family, moment_cores(family, n, power))
 
 
+def _dots(rows, values: Sequence[Exact]) -> list[Exact]:
+    """``sum_i ints[i] * values[i] / d`` for each cleared row ``(ints, d)``
+    of ``rows`` (see ``GradedMatrix.cleared_rows``), over the first
+    ``len(ints)`` values.
+
+    The values are split into integer rows over their pi exponents on one
+    common denominator, so each result is integer dot products and one
+    reduction.  A result is a ``Fraction`` when none of the values it reads
+    is a ``PiLaurent``, as a sum of their products would be, else a
+    ``PiLaurent``.
+    """
+    triples = [_triple(v) for v in values]
+    low = min([0] + [t[0] for t in triples])
+    den = lcm(*[t[2] for t in triples])
+    cols = [[(lo - low + j, n * (den // d)) for j, n in enumerate(nums) if n]
+            for lo, nums, d in triples]
+    width = max([1 - low] + [lo - low + len(nums) for lo, nums, _ in triples])
+    first_pi = next((i for i, v in enumerate(values) if isinstance(v, PiLaurent)), len(values))
+    out = []
+    for ints, d in rows:
+        acc = [0] * width
+        for a, col in zip(ints, cols):
+            if a:
+                for j, n in col:
+                    acc[j] += a * n
+        pi_read = min(len(ints), len(values)) > first_pi
+        out.append(_reduced(low, acc, d * den) if pi_read else Fraction(acc[-low], d * den))
+    return out
+
+
 def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
     """Kernel estimate c = B m, the weighted least-squares projection.
 
-    The moments split into one rational column per pi exponent that occurs
-    (a ``Fraction`` sits at exponent 0), so c = B Q is one cleared integer
-    product over the kernel's cached cleared rows.  Coefficients are
-    ``PiLaurent`` if any moment is, else ``Fraction``.
+    One :func:`_dots` over the kernel's cached cleared rows.  Coefficients
+    are ``PiLaurent`` if any moment is, else ``Fraction``.
     """
     if kernel.family != moments.family:
         raise ValueError(
@@ -222,12 +250,7 @@ def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
         raise ValueError(f"kernel size {kernel.n} != moment vector length {len(moments)}")
     if kernel.sqrtpi_power + moments.family.moment_grade != 0:
         raise ValueError("sqrt(pi) grades do not cancel under projection")
-    terms = [dict(m.items()) if isinstance(m, PiLaurent) else {0: m} for m in moments.entries]
-    exps = sorted(set().union(*terms))
-    rows = _matmul(kernel, [[t.get(e, 0) for e in exps] for t in terms])
-    if any(isinstance(m, PiLaurent) for m in moments.entries):
-        return ApproxPolynomial(kernel.family, tuple(PiLaurent(dict(zip(exps, r))) for r in rows))
-    return ApproxPolynomial(kernel.family, tuple(r[0] for r in rows))
+    return ApproxPolynomial(kernel.family, tuple(_dots(kernel.cleared_rows, moments.entries)))
 
 
 def taylor_polynomial(target: TargetFunction, n: int) -> ApproxPolynomial:
@@ -262,18 +285,21 @@ def _prefix_variances(
 ) -> Iterator[Exact]:
     """Error variance of every prefix ``p_1..p_k`` of ``coefficients``.
 
-    Adding term k to ``|f|^2 - 2 p.m + p^T G p`` adds
-    ``p_k (2 sum_{l<k} p_l g_kl + p_k g_kk - 2 m_k)``, so each prefix costs
-    O(k) over the one before.  ``moments`` and ``gram`` must be at least as
-    long as ``coefficients``.
+    Adding term k to ``|f|^2 - 2 p.m + p^T G p`` adds ``p_k x_k`` with
+    ``x_k = 2 sum_{l<k} p_l g_kl + p_k g_kk - 2 m_k``.  Every x_k is one
+    :func:`_dots` row over ``p_0, m_0, p_1, m_1, ...`` built from the Gram
+    matrix's cleared rows, so each prefix costs two exact operations over
+    the one before.  ``moments`` and ``gram`` must be at least as long as
+    ``coefficients``.
     """
     if gram.sqrtpi_power != 0:
         raise AssertionError("built-in targets live on grade-0 Gram matrices")
+    values = [v for pair in zip(coefficients, moments.entries) for v in pair]
+    rows = [([a for g in ints[:k] for a in (2 * g, 0)] + [ints[k], -2 * d], d)
+            for k, (ints, d) in enumerate(gram.cleared_rows[: len(coefficients)])]
     var = target.squared_integral
-    for k, p_k in enumerate(coefficients):
-        row = gram.entries[k]
-        cross = sum(map(mul, coefficients[:k], row), 0)
-        var = var + p_k * (cross * 2 + p_k * row[k] - moments.entries[k] * 2)
+    for p_k, x_k in zip(coefficients, _dots(rows, values)):
+        var = var + p_k * x_k
         yield var
 
 
@@ -302,7 +328,8 @@ def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[Exact, Ex
     prefix variance of :func:`taylor_comparator`; the estimate column
     follows Bessel's identity ``var_n = var_{n-1} - (a_n . m)**2 / lambda_n``
     from the orthogonal-polynomial rows ``a_n`` and norms ``lambda_n``,
-    which equals the general form at ``c = B_n m``.  Moments, Gram matrix
+    which equals the general form at ``c = B_n m``; the projections
+    ``a_n . m`` are one :func:`_dots`.  Moments, Gram matrix
     and coefficient matrix are each built once, at the largest size.
     """
     if max_size < 1:
@@ -315,13 +342,11 @@ def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[Exact, Ex
     extra = target.comparator_extra_terms
     tay = list(_prefix_variances(target, taylor, moments, gram))[extra:]
 
-    a = coeff_matrix(fam, max_size).entries
-    lam = norm_vector(fam, max_size)
-    est = []
-    var = target.squared_integral
-    for k in range(max_size):
-        proj = sum(map(mul, moments.entries[: k + 1], a[k]), 0)
-        var = var - proj * proj * (1 / lam[k])
+    a = coeff_matrix(fam, max_size).cleared_rows
+    projections = _dots([(ints[: k + 1], d) for k, (ints, d) in enumerate(a)], moments.entries)
+    est, var = [], target.squared_integral
+    for proj, lam in zip(projections, norm_vector(fam, max_size)):
+        var = var - proj * proj * (1 / lam)
         est.append(var)
     return list(zip(tay, est))
 

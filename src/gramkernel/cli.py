@@ -4,10 +4,13 @@ plot data, and the self-verification report, as text, CSV, or JSON.
 Exact rationals are serialized as ``p/q`` strings; pi-dependent exact values
 as canonical ``q*pi^m`` sums.  Every decimal is an exact value rounded to 17
 significant digits by ``exactscalar``'s one renderer, and never feeds back
-into any exact field: ``variance`` and ``plotdata`` round the exact value of a
-float evaluated at ``--precision-bits`` (default 256), the only commands that
-take it.  A table's rows are built once, under one column list: the CSV
-header and the keys of the JSON ``data`` objects.
+into any exact field.  ``cond`` and ``variance`` print every decimal
+correctly rounded from the exact value; ``variance`` certifies a pi-Laurent
+value by integer enclosures in Ziv's loop, and ``--precision-bits`` (default
+256) is only the precision that loop starts from, so no printed byte
+depends on it.  ``plotdata`` rounds the exact value of a float evaluated at
+``--precision-bits``.  A table's rows are built once, under one column
+list: the CSV header and the keys of the JSON ``data`` objects.
 ``plotdata --samples`` takes 2 to 65536 points (65536 take about 5 s), and
 its window ends ``--xmin``/``--xmax`` are at most 10**6 in magnitude with a
 denominator below 10**30.
@@ -59,8 +62,8 @@ from .exactscalar import (
     MIN_PRECISION_BITS,
     SIG_DIGITS,
     _render,
+    certified_decimal_str,
     decimal_str,
-    eval_pilaurent,
     mpf_decimal_str,
 )
 from .families import FAMILIES, family_by_name
@@ -216,8 +219,14 @@ def cmd_variance(args) -> int:
     pairs = variance_rows(target, args.max_size)
     # pure rationals (Fraction values) are worth emitting exactly too
     exact = all(isinstance(v, Fraction) for pair in pairs for v in pair)
+    bits = [args.precision_bits] * 2  # each column starts at the precision its last row needed
+
+    def decimal(column, value):
+        text, bits[column] = certified_decimal_str(value, bits[column])
+        return text
+
     rows = [
-        [size] + [mpf_decimal_str(eval_pilaurent(v, args.precision_bits)) for v in pair]
+        [size] + [decimal(column, v) for column, v in enumerate(pair)]
         + ([str(v) for v in pair] if exact else [])
         for size, pair in enumerate(pairs, start=1)
     ]
@@ -320,7 +329,10 @@ _TARGET = ("--target", {"choices": sorted(TARGETS), "required": True})
 _SIZE = ("--size", {"type": _positive_int, "required": True})
 _MAX_SIZE = ("--max-size", {"type": _positive_int, "required": True})
 _FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text"})
-_PRECISION = ("--precision-bits", {"type": _precision, "default": DEFAULT_PRECISION_BITS})
+_PRECISION = ("--precision-bits", {
+    "type": _precision, "default": DEFAULT_PRECISION_BITS,
+    "help": "binary precision of plotdata's evaluation; for variance, only where its "
+            "certified rendering starts (default 256, minimum 128)"})
 _OUT = ("--out", {"metavar": "PATH", "default": None})
 
 _SUBCOMMANDS = {  # name -> (help, command function's name, options, other defaults)
@@ -347,6 +359,15 @@ _SUBCOMMANDS = {  # name -> (help, command function's name, options, other defau
 def build_parser():
     import argparse  # only help, errors and unusual spellings build a parser
 
+    class OneValue(argparse.Action):
+        """Store one value; argparse drops a ``--flag=--`` value, leaving [],
+        past ``type`` and ``choices``, and that is refused here."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(
         prog="gramkernel",
         description="Exact reproducing-kernel tables over the classical weighted domains.",
@@ -355,7 +376,7 @@ def build_parser():
     for name, (help_text, func, options, defaults) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, spec in options:
-            p.add_argument(flag, **spec)
+            p.add_argument(flag, **{"action": OneValue, **spec})
         p.set_defaults(func=globals()[func], **defaults)
     return parser
 

@@ -19,6 +19,11 @@ only lossy operation in the package and is confined to this module.  Every
 rational is turned into a binary float by one helper, :func:`_round_rational`
 (integers p/q correctly rounded to nearest at any precision).
 
+Certified rendering needs no float: :func:`enclose` brackets a pi-Laurent
+value between integer ratios from an integer bracket of pi
+(:func:`_pi_bracket`), and :func:`certified_decimal_str` tightens it in
+Ziv's loop until both ends print alike.
+
 Every printed decimal comes from one renderer, :func:`_render`: an exact
 rational, or the exact binary value of an mpf, rounded by one correctly
 rounded ``decimal`` division.
@@ -50,15 +55,21 @@ def _check_precision(precision_bits: int) -> None:
         )
 
 
+def _triple(x: Union[RationalLike, "PiLaurent"]) -> tuple:
+    """The canonical triple of a PiLaurent (see :func:`_reduced`); an int or
+    Fraction is read as its exponent-0 triple, not lifted to a PiLaurent."""
+    if isinstance(x, PiLaurent):
+        return x._v
+    return 0, (x.numerator,) if x else (), x.denominator
+
+
 def _exact_operand(op):
-    """Run ``op`` on the canonical triples of both operands; an int or Fraction
-    is read as its exponent-0 triple, not lifted to a PiLaurent, so each
-    operation makes one :func:`_reduced` call.  Any other type is NotImplemented."""
+    """Run ``op`` on the canonical triples of both operands, so each operation
+    makes one :func:`_reduced` call.  Any type but PiLaurent, int and Fraction
+    is NotImplemented."""
     def method(self, other):
-        if isinstance(other, PiLaurent):
-            return op(self._v, other._v)
-        if isinstance(other, (int, Fraction)):
-            return op(self._v, (0, (other.numerator,) if other else (), other.denominator))
+        if isinstance(other, (PiLaurent, int, Fraction)):
+            return op(self._v, _triple(other))
         return NotImplemented
     return method
 
@@ -96,7 +107,8 @@ class PiLaurent:
     canonical triple ``(low, nums, den)`` for ``sum_i nums[i] * pi**(low+i)
     / den`` (see :func:`_reduced`), so ``==`` is one tuple comparison and
     ``+``/``*`` are integer alignment or convolution and one gcd.
-    Instances are immutable; :func:`eval_pilaurent` is the only step that rounds.
+    Instances are immutable; only :func:`eval_pilaurent` rounds them, and
+    :func:`enclose` brackets them outward.
     """
 
     __slots__ = ("_v",)
@@ -259,6 +271,92 @@ def decimal_str(q: RationalLike, sig_digits: int = SIG_DIGITS) -> str:
     """Exact rational -> decimal string with ``sig_digits`` significant digits,
     rounded half to even: "9/2" -> "4.5", 288 -> "288", 10**-20 -> "1e-20"."""
     return _render(*Fraction(q).as_integer_ratio(), sig_digits, ROUND_HALF_EVEN, "")
+
+
+@lru_cache(maxsize=None)
+def _pi_bracket(p: int) -> tuple[int, int]:
+    """Integers lo < hi with lo <= pi * 2**p <= hi, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) at w = p + 32 bits.
+
+    Proof.  atan(1/x) = sum_k (-1)**k / ((2k+1) x**(2k+1)) alternates with
+    decreasing terms.  With t_k = floor(2**w / x**(2k+1)) (so t_{k+1} =
+    t_k // x**2, since nested floors of positive integers compose), term k
+    times 2**w is taken as s_k = t_k // (2k+1), within [0, 1) of its true
+    value.  The sum stops at the first t_K = 0: each omitted term is then
+    below 1 in magnitude, and so is their alternating sum.  Hence
+    S_x = sum_{k<K} (-1)**k s_k is within K + 1 of 2**w atan(1/x), and
+    16 S_5 - 4 S_239 within E = 16 (K_5 + 1) + 4 (K_239 + 1) of pi * 2**w.
+    Flooring its low end and ceiling its high end at 2**-32 keeps pi inside;
+    lo < hi as pi * 2**p is no integer.
+    """
+    total = err = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        t, k, s = (1 << p + 32) // x, 0, 0
+        while t:
+            s += (-1) ** k * (t // (2 * k + 1))
+            t //= x * x
+            k += 1
+        total, err = total + weight * s, err + abs(weight) * (k + 1)
+    return (total - err) >> 32, -((err - total) >> 32)
+
+
+def enclose(value: Exact, p: int) -> tuple[int, int, int, int]:
+    """Integers ``(n_lo, n_hi, d_lo, d_hi)``, 0 < d_lo, such that the value
+    is N / D for some N in [n_lo, n_hi] and D in [d_lo, d_hi].
+
+    With ``sum_i nums[i] * pi**(low+i) / den`` the canonical triple, N is
+    2**p times the polynomial ``sum_i nums[i] * pi**i`` (times pi**low when
+    low > 0), by an interval Horner on :func:`_pi_bracket` whose every step
+    floors the low end and ceils the high end; D is 2**p * den (times
+    pi**-low when low < 0) bracketed the same way, so nothing is divided.
+    When the nonzero numerators sit at exponents of one parity, Horner steps
+    in pi**2, half as many steps.  The width shrinks like 2**-p.
+    """
+    low, nums, den = _triple(value)
+    nums = nums or (0,)
+    pi_lo, pi_hi = _pi_bracket(p)
+    step = 2 if not any(nums[1::2]) else 1
+    s_lo, s_hi = (pi_lo, pi_hi) if step == 1 else (pi_lo * pi_lo >> p, -(-pi_hi * pi_hi >> p))
+
+    def times(lo, hi, c_lo, c_hi):  # [lo, hi] * [c_lo, c_hi] / 2**p outward, for 0 < c_lo
+        return lo * (c_lo if lo >= 0 else c_hi) >> p, -(-hi * (c_hi if hi >= 0 else c_lo) >> p)
+
+    coeffs = nums[::step]
+    n_lo = n_hi = coeffs[-1] << p
+    for n in reversed(coeffs[:-1]):
+        n_lo, n_hi = times(n_lo, n_hi, s_lo, s_hi)
+        n_lo, n_hi = n_lo + (n << p), n_hi + (n << p)
+    d_lo = d_hi = den << p
+    for c_lo, c_hi in [(s_lo, s_hi)] * (abs(low) // step) + [(pi_lo, pi_hi)] * (abs(low) % step):
+        if low > 0:
+            n_lo, n_hi = times(n_lo, n_hi, c_lo, c_hi)
+        else:
+            d_lo, d_hi = times(d_lo, d_hi, c_lo, c_hi)
+    return n_lo, n_hi, d_lo, d_hi
+
+
+def certified_decimal_str(value: Exact, precision_bits: int) -> tuple[str, int]:
+    """The exact value rounded half away from zero to ``SIG_DIGITS``
+    significant digits ("1.0", "1.0e-20"), and the precision that decided it.
+
+    A value free of pi is rendered exactly, zero as "0.0".  Otherwise, in
+    Ziv's loop (A. Ziv, ACM TOMS 17(3), 1991), both ends of
+    ``enclose(value, p)`` are rendered as exact rationals from p =
+    ``precision_bits`` on; once they agree, rounding is monotone, so the
+    value between them renders the same.  Else p grows by half.  A value
+    with a pi term is transcendental (pi is), so it is no decimal tie and
+    nonzero, and the loop ends.
+    """
+    low, nums, den = _triple(value)
+    if low == 0 and len(nums) <= 1:
+        return _render(sum(nums), den, SIG_DIGITS, ROUND_HALF_UP, ".0"), precision_bits
+    p = precision_bits
+    while True:
+        n_lo, n_hi, d_lo, d_hi = enclose(value, p)
+        text = _render(n_lo, d_hi if n_lo >= 0 else d_lo, SIG_DIGITS, ROUND_HALF_UP, ".0")
+        if text == _render(n_hi, d_lo if n_hi >= 0 else d_hi, SIG_DIGITS, ROUND_HALF_UP, ".0"):
+            return text, p
+        p = p * 3 // 2
 
 
 def _mpf_ratio(x: mpf) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import cos, exp, mp, mpf, pi, quad, sin
 from mpmath.libmp import from_rational, round_nearest
 
-from gramkernel import checks, exactscalar
+from gramkernel import approx, checks, exactscalar, families
 from gramkernel.approx import (
     COS_PI,
     EXP_NEG,
@@ -235,6 +235,29 @@ class TestProjectMatchesFractionSums:
         for n in range(1, 31):
             kernel = build_kernel(target.natural_family, n)
             _assert_projects_like_sums(kernel, function_moments(target, n))
+
+
+@st.composite
+def rows_and_values(draw):
+    """Rational rows of any length up to one past the values, and values
+    that are Fraction-only, mixed or PiLaurent-only."""
+    n = draw(st.integers(0, 6))
+    scalars = draw(st.sampled_from((rationals, st.one_of(rationals, pi_laurents), pi_laurents)))
+    rows = draw(st.lists(st.lists(rationals, max_size=n + 1), max_size=4))
+    return rows, [draw(scalars) for _ in range(n)]
+
+
+class TestClearedDots:
+    @given(rows_and_values())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_exact_sums_in_value_and_type(self, case):
+        """Each cleared row's result is the sum of its products with the
+        values it reads: a Fraction exactly when none of them is a PiLaurent."""
+        rows, values = case
+        got = approx._dots([families._cleared(row) for row in rows], values)
+        want = [sum(map(mul, row, values), Fraction(0)) for row in rows]
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
 
 
 class TestTaylorPolynomial:

@@ -319,6 +319,15 @@ class TestOutputBehaviour:
         assert exact(lo) == exact(hi)
         assert len(exact(lo)) == 6
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_precision_bits_only_sets_where_rendering_starts(self, capsys, fmt):
+        """Each decimal is rounded from the exact value, so the start
+        precision changes no byte, even where 128 bits cannot decide."""
+        base = ["variance", "--target", "sin-pi", "--max-size", "16", "--format", fmt]
+        _, lo = run_cli(capsys, base + ["--precision-bits", "128"])
+        _, hi = run_cli(capsys, base + ["--precision-bits", "512"])
+        assert lo == hi
+
     def test_low_precision_rejected(self, capsys):
         assert run_cli_expect_exit(
             capsys,
@@ -530,6 +539,14 @@ PARSER_ARGV = [
     ["cond", "--family", "laguerre", "--max-size", "3", "--out="],
     ["kernel", "--family=", "--size", "2"],
 ]
+# argparse drops a "--" value after "=", past its type and choices
+DASH_DASH_VALUES = [
+    ["cond", "--family=--", "--max-size", "2"],
+    ["cond", "--family", "laguerre", "--max-size=--"],
+    ["variance", "--target", "exp-neg", "--max-size", "2", "--precision-bits=--"],
+    ["cond", "--family", "laguerre", "--max-size", "2", "--format=--"],
+]
+PARSER_ARGV += DASH_DASH_VALUES
 
 
 def _outcome(capsys, argv):
@@ -550,6 +567,17 @@ def test_parse_is_the_full_parsers(monkeypatch, capsys, argv):
     got = _outcome(capsys, argv)
     monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
     assert got == _outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", DASH_DASH_VALUES, ids=" ".join)
+def test_a_dash_dash_value_is_a_usage_error(capsys, argv):
+    """``--flag=--`` is refused with exit 2 and argparse's usage line, not
+    stored as an empty list that fails later with exit 3."""
+    code, out, err = _outcome(capsys, argv)
+    flag = next(a for a in argv if a.endswith("=--"))[:-3]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: gramkernel ")
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: expected one argument")
 
 
 @pytest.mark.parametrize("argv", [
@@ -669,7 +697,7 @@ SNAPSHOTS = [
     for name, argv in SNAPSHOT_ARGV.items()
     for fmt in ("text", "csv", "json")
 ] + [
-    # benchmark sizes; trig sizes stay <= 10, where the printed digits are right
+    # benchmark sizes
     (f"{name}.{fmt}", argv + ["--format", fmt])
     for name, argv in {
         "cond_laguerre_32": ["cond", "--family", "laguerre", "--max-size", "32"],
@@ -688,6 +716,9 @@ SNAPSHOTS = [
         "cond_laguerre_32": ["cond", "--family", "laguerre", "--max-size", "32"],
         "variance_exp-neg_16": ["variance", "--target", "exp-neg", "--max-size", "16"],
         "variance_sin-pi_10": ["variance", "--target", "sin-pi", "--max-size", "10"],
+        # past size 10 only certified rendering prints these digits
+        "variance_sin-pi_16": ["variance", "--target", "sin-pi", "--max-size", "16"],
+        "variance_cos-pi_16": ["variance", "--target", "cos-pi", "--max-size", "16"],
     }.items()
 ] + [
     ("plotdata_exp-neg_3.csv", ["plotdata", "--target", "exp-neg", "--size", "3",

@@ -6,15 +6,18 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, nstr
 from mpmath.libmp import from_rational, round_nearest
+from refdecimal import bounds, render
 
 from gramkernel.approx import TARGETS, variance_rows
 from gramkernel.exactscalar import (
     PiLaurent,
+    _pi_bracket,
     _pi_power,
     _round_rational,
+    certified_decimal_str,
     decimal_str,
     eval_pilaurent,
     mpf_decimal_str,
@@ -486,3 +489,48 @@ class TestMpfDecimalStr:
         for x in (mpf("inf"), mpf("-inf"), mpf("nan")):
             with pytest.raises(ValueError, match="non-finite"):
                 mpf_decimal_str(x)
+
+
+def test_pi_bracket_holds_pi_at_every_precision():
+    """lo < hi within 2 of each other and around pi * 2**p, pi taken from
+    mpmath at 2p bits, for every p from 8 to 4096."""
+    for p in range(8, 4097):
+        lo, hi = _pi_bracket.__wrapped__(p)  # uncached, so the cache stays small
+        with mp.workprec(2 * p):
+            assert lo <= mp.pi * mpf(2) ** p <= hi, p
+        assert 0 < hi - lo <= 2, p
+
+
+@st.composite
+def cancelling_values(draw):
+    """A PiLaurent with a pi term minus a rational within 2**-bits of it, so
+    up to about 2000 bits cancel; nonzero, since pi is transcendental."""
+    terms = draw(st.dictionaries(st.integers(-8, 8), st.fractions(-50, 50, max_denominator=10**6),
+                                 min_size=1, max_size=6))
+    value = PiLaurent(terms)
+    if not any(m for m, _ in value.items()):
+        value = value + PiLaurent.pi_power(draw(st.sampled_from((-3, -2, -1, 1, 2))))
+    bits = draw(st.integers(0, 2000))
+    lo, _ = bounds(value, bits + 64)
+    return value - Fraction(lo.numerator * 2**bits // lo.denominator, 2**bits)
+
+
+class TestCertifiedDecimal:
+    @given(value=cancelling_values(), start=st.sampled_from((128, 256, 1000)))
+    @example(value=PiLaurent({-4: 3, -2: Fraction(-1, 7), 2: 5}) - Fraction(227, 7), start=128)
+    @example(value=PiLaurent({-3: 1, 1: Fraction(-1, 9)}) + Fraction(1, 3), start=128)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_an_exact_bracket_at_4096_bits(self, value, start):
+        lo, hi = bounds(value, 4096)
+        want = render(lo, half_even=False)
+        assert render(hi, half_even=False) == want, "the 4096-bit bracket must decide"
+        text, bits = certified_decimal_str(value, start)
+        assert text == want
+        assert bits >= start
+
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(0), "0.0"), (PiLaurent(), "0.0"), (Fraction(-3, 2), "-1.5"),
+        (PiLaurent(Fraction(1, 3)), "0.33333333333333333"), (PiLaurent({1: 1}), "3.1415926535897932"),
+        (PiLaurent({-1: -2}), "-0.63661977236758134")])
+    def test_exact_and_simple_values(self, value, text):
+        assert certified_decimal_str(value, 128) == (text, 128)
