@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
 
 from mpmath import mp, mpf
@@ -224,15 +225,18 @@ def _dots(rows, values: Sequence[Exact]) -> list[Exact]:
             for lo, nums, d in triples]
     width = max([1 - low] + [lo - low + len(nums) for lo, nums, _ in triples])
     first_pi = next((i for i, v in enumerate(values) if isinstance(v, PiLaurent)), len(values))
+    rational = [col[0][1] if col else 0 for col in cols[:first_pi]]  # Fractions: exponent 0 only
     out = []
     for ints, d in rows:
+        if min(len(ints), len(values)) <= first_pi:  # reads no PiLaurent
+            out.append(Fraction(sum(map(mul, ints, rational)), d * den))
+            continue
         acc = [0] * width
         for a, col in zip(ints, cols):
             if a:
                 for j, n in col:
                     acc[j] += a * n
-        pi_read = min(len(ints), len(values)) > first_pi
-        out.append(_reduced(low, acc, d * den) if pi_read else Fraction(acc[-low], d * den))
+        out.append(_reduced(low, acc, d * den))
     return out
 
 
