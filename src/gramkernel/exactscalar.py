@@ -286,8 +286,8 @@ def _pi_bracket(p: int) -> tuple[int, int]:
     below 1 in magnitude, and so is their alternating sum.  Hence
     S_x = sum_{k<K} (-1)**k s_k is within K + 1 of 2**w atan(1/x), and
     16 S_5 - 4 S_239 within E = 16 (K_5 + 1) + 4 (K_239 + 1) of pi * 2**w.
-    Flooring its low end and ceiling its high end at 2**-32 keeps pi inside;
-    lo < hi as pi * 2**p is no integer.
+    So lo = floor((16 S_5 - 4 S_239 - E) / 2**32) and hi = ceil((16 S_5 -
+    4 S_239 + E) / 2**32) hold pi * 2**p; lo < hi as pi * 2**p is no integer.
     """
     total = err = 0
     for weight, x in ((16, 5), (-4, 239)):
@@ -297,7 +297,7 @@ def _pi_bracket(p: int) -> tuple[int, int]:
             t //= x * x
             k += 1
         total, err = total + weight * s, err + abs(weight) * (k + 1)
-    return (total - err) >> 32, -((err - total) >> 32)
+    return (total - err) >> 32, -((-total - err) >> 32)
 
 
 def enclose(value: Exact, p: int) -> tuple[int, int, int, int]:

@@ -492,13 +492,22 @@ class TestMpfDecimalStr:
 
 
 def test_pi_bracket_holds_pi_at_every_precision():
-    """lo < hi within 2 of each other and around pi * 2**p, pi taken from
-    mpmath at 2p bits, for every p from 8 to 4096."""
-    for p in range(8, 4097):
+    """lo < pi * 2**p < hi with hi - lo 1 or 2, pi taken from mpmath at 2p
+    bits, for every p from 8 to 4096, for the precisions above 4096 that
+    Ziv's loop reaches from 128 and from 256 bits, and at p = 11790, the
+    first p where pi * 2**p lies within Machin's error bound above an
+    integer (frac 7.9e-6 against a bound of 1.0e-5), so a high end taken
+    from the low end of that bound falls below pi."""
+    ziv = [11790]
+    for p in (128, 256):
+        while p <= 12000:
+            ziv, p = ziv + [p] * (p > 4096), p * 3 // 2
+    for p in [*range(8, 4097), *ziv]:
         lo, hi = _pi_bracket.__wrapped__(p)  # uncached, so the cache stays small
         with mp.workprec(2 * p):
-            assert lo <= mp.pi * mpf(2) ** p <= hi, p
-        assert 0 < hi - lo <= 2, p
+            pi_scaled = mp.pi * mpf(2) ** p
+            assert lo < pi_scaled < hi, p
+        assert hi - lo in (1, 2), p
 
 
 @st.composite
