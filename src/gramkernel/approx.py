@@ -20,16 +20,20 @@ from math import factorial, lcm
 from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
 
-from mpmath import mp, mpf
 from mpmath.libmp import mpf_cos, mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_sin, round_nearest
 
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
+    SIG_DIGITS,
     Exact,
     PiLaurent,
     _check_precision,
-    _mpf_ratio,
+    _format_decimal,
+    _pi_bracket,
+    _raw_ratio,
     _reduced,
+    _render,
+    _round_decimal,
     _round_rational,
     _triple,
     eval_pilaurent,
@@ -85,8 +89,11 @@ class TargetFunction:
       ``k <= k_max``, keyed by ``k``;
     * ``taylor_term(k)`` -- the exact Maclaurin coefficient of the k-th
       (0-based) basis element;
+    * ``grid(nums, den)`` -- integers ``(lo, hi, q)`` with lo/q <= f(x) <= hi/q
+      at every x = num/den, num in the range ``nums``, by a recurrence along
+      the grid;
     * ``value(x, prec)`` -- f at a raw mpf x, by libmp operations at ``prec``
-      bits, each rounded to nearest;
+      bits, each rounded to nearest, where ``grid`` cannot decide a decimal;
     * ``comparator_extra_terms`` -- Taylor terms the tabulated comparator
       keeps beyond ``size`` (see :func:`taylor_comparator`).
 
@@ -99,8 +106,125 @@ class TargetFunction:
     squared_integral: Exact
     moments: Callable[[int], Mapping[int, Exact]]
     taylor_term: Callable[[int], Exact]
+    grid: Callable[[range, int], Iterator[tuple[int, int, int]]]
     value: Callable[[tuple, int], tuple]
     comparator_extra_terms: int = 0
+
+
+def _cis_pi(t: Fraction, w: int) -> tuple[int, int, int]:
+    """Integers (C, S, E) with |(C, S) - 2**w (cos pi t, sin pi t)| <= E,
+    Euclidean, for a rational t.
+
+    Proof, in units of 2**-w.  With k the integer nearest 2t, t' = t - k/2
+    is in [-1/4, 1/4], and (cos, sin)(pi t) is (cos, sin)(pi |t'|) with the
+    sine negated when t' < 0, then turned by k quarter turns: exact sign
+    changes and swaps.  As lo <= pi 2**w <= lo + 2 (:func:`_pi_bracket`),
+    A = floor(|t'| lo) is within 2 of 2**w pi |t'|, so a = A / 2**w <= pi/4
+    < 0.79, and (cos a, sin a) is within 2 of the value at pi |t'|, as
+    x -> (cos x, sin x) has speed 1.  T_0 = 2**w and T_j = floor(T_{j-1} A /
+    (j 2**w)) err from 2**w a**j / j! by at most 0.79 e + 1 if T_{j-1} errs
+    by e, so never by 5 or more.  The sums stop at the first T_K = 0: its
+    true term is then below 5, and the true terms from K on shrink by 0.79
+    per step, so the omitted tail is below 5 / 0.21 < 24.  The K kept terms
+    err by at most 5K, so E = 5K + 26.
+    """
+    k = round(2 * t)
+    t -= Fraction(k, 2)
+    big = abs(t.numerator) * _pi_bracket(w)[0] // t.denominator
+    c = s = j = 0
+    term = 1 << w
+    while term:
+        if j & 1:
+            s += -term if j & 2 else term
+        else:
+            c += -term if j & 2 else term
+        j += 1
+        term = term * big // (j << w)
+    if t < 0:
+        s = -s
+    for _ in range(k % 4):
+        c, s = -s, c
+    return c, s, 5 * j + 26
+
+
+def _cis_pi_grid(nums: range, den: int) -> Iterator[tuple[int, int, int, int]]:
+    """(C, S, R, W) at every x = num/den, num in ``nums``, with
+    |(C, S) - 2**W (cos pi x, sin pi x)| <= R, Euclidean, W = 128 + the
+    bit length of the sample count.
+
+    The grid turns by one fixed rotation r = cis(pi step / den) per sample.
+    Both the first value and r are :func:`_cis_pi`'s, within E_0 and E_r
+    units (of 2**-W).  Proof that sample i is within R_i = E_0 + i (E_r + 3):
+    with z_i the true value and Z_i, Q the integer vectors, Z_i Q / 2**W -
+    2**W z_i r = (Z_i - 2**W z_i) Q / 2**W + z_i (Q - 2**W r), whose norm is
+    at most R_i (1 + E_r 2**-W) + E_r, as |z_i| = 1 and |Q| <= 2**W + E_r;
+    flooring both coordinates adds less than sqrt(2).  With R_i E_r < 2**W
+    (both stay below 2**40 here), R_{i+1} = R_i + E_r + 3 holds.
+    """
+    w = 128 + len(nums).bit_length()
+    c, s, radius = _cis_pi(Fraction(nums.start, den), w)
+    rc, rs, step_error = _cis_pi(Fraction(nums.step, den), w)
+    for _ in nums:
+        yield c, s, radius, w
+        c, s, radius = (c * rc - s * rs) >> w, (c * rs + s * rc) >> w, radius + step_error + 3
+
+
+def _exp_neg(y: Fraction, w: int) -> tuple[int, int, int]:
+    """Integers (M, k, a), 2**(w-1) <= M < 2**w, with M 2**k = exp(-y) (1 + d)
+    and |d| <= a 2**(1-w), for a rational y.
+
+    Proof, in units u' = 2**(1-v) of the relative error at v = w + j + 8
+    bits, where |y| / 2**j < 1/2.  Z = floor(|z| 2**v) for z = y / 2**j, and
+    T_0 = 2**v, T_i = floor(T_{i-1} Z / (i 2**v)) err from 2**v |z|**i / i!
+    by less than 2 (each step halves the error and adds below 1); the sum
+    of (-sign z)**i T_i stops at the first T_K = 0, so it errs from
+    2**v exp(-Z / 2**v) by at most 2K + 4 (the tail is below 2 + 1 + ...)
+    and from 2**v exp(-z) by 2 more (exp' < 2 on |x| < 1/2).  As exp(-z) >
+    1/2, that is a relative error of at most a_0 = 2K + 6 units.  Each of
+    the j squarings floors the square to v bits, so (1 + d)**2 (1 - f) with
+    0 <= f < u' bounds the new error by 2a + 1 + a**2 u' units, so by
+    2a + 2 + floor(a**2 u').  Flooring to w bits at the end adds below one
+    unit of 2**(1-w): a = floor(a 2**(w - v)) + 2.
+    """
+    j = (-(-abs(y.numerator) // y.denominator)).bit_length() + 1
+    v = w + j + 8
+    big = (abs(y.numerator) << v) // (y.denominator << j)
+    m = i = 0
+    term = 1 << v
+    while term:
+        m += -term if y > 0 and i & 1 else term
+        i += 1
+        term = term * big // (i << v)
+    k, a = -v, 2 * i + 6
+    for _ in range(j):
+        m *= m
+        shift = m.bit_length() - v
+        m, k, a = m >> shift, 2 * k + shift, 2 * a + 2 + (a * a >> v - 1)
+    return m >> j + 8, k + j + 8, (a >> j + 8) + 2
+
+
+def _exp_neg_grid(nums: range, den: int) -> Iterator[tuple[int, int, int]]:
+    """Enclosures (lo, hi, q) of exp(-x) at every x = num/den, num in ``nums``.
+
+    The grid multiplies by one fixed ratio exp(-step / den) per sample, in
+    mantissa and exponent form at W = 128 + the bit length of the sample
+    count, so exp(10**6) and exp(-10**6) are in range.  Both the first value
+    and the ratio are :func:`_exp_neg`'s, within a_0 and b units of 2**(1-W)
+    relative.  Each product floored to W bits gives (1 + d)(1 + e)(1 - f),
+    0 <= f < 2**(1-W), so sample i is within a_i = a_0 + i (b + 1) units
+    while a_i b 2**(1-W) <= 1, which holds as both stay below 2**40.  With
+    M 2**k = v (1 + d), |d| <= a 2**(1-W) <= 1/2 and M < 2**W, v lies in
+    [(M - 2a) 2**k, (M + 4a) 2**k].
+    """
+    w = 128 + len(nums).bit_length()
+    m, k, a = _exp_neg(Fraction(nums.start, den), w)
+    ratio, ratio_k, b = _exp_neg(Fraction(nums.step, den), w)
+    for _ in nums:
+        lo, hi = m - 4 * a, m + 4 * a
+        yield (lo << k, hi << k, 1) if k >= 0 else (lo, hi, 1 << -k)
+        m *= ratio
+        shift = m.bit_length() - w
+        m, k, a = m >> shift, k + ratio_k + shift, a + b + 1
 
 
 def _of_pi_x(mpf_f):
@@ -113,12 +237,14 @@ SIN_PI = TargetFunction(
     "sin-pi", LEGENDRE_ODD, Fraction(1),
     moments=_sin_integrals,
     taylor_term=lambda k: PiLaurent.pi_power(2 * k + 1, Fraction((-1) ** k, factorial(2 * k + 1))),
+    grid=lambda nums, den: ((s - r, s + r, 1 << w) for _, s, r, w in _cis_pi_grid(nums, den)),
     value=_of_pi_x(mpf_sin),
 )
 COS_PI = TargetFunction(
     "cos-pi", LEGENDRE_EVEN, Fraction(1),
     moments=_cos_integrals,
     taylor_term=lambda k: PiLaurent.pi_power(2 * k, Fraction((-1) ** k, factorial(2 * k))),
+    grid=lambda nums, den: ((c - r, c + r, 1 << w) for c, _, r, w in _cis_pi_grid(nums, den)),
     value=_of_pi_x(mpf_cos),
     comparator_extra_terms=1,
 )
@@ -127,6 +253,7 @@ EXP_NEG = TargetFunction(
     # integral_0^inf y**k e^-y * e^-y dy = k! / 2**(k+1)
     moments=lambda k_max: {k: Fraction(factorial(k), 2 ** (k + 1)) for k in range(k_max + 1)},
     taylor_term=lambda k: Fraction((-1) ** k, factorial(k)),
+    grid=_exp_neg_grid,
     value=lambda x, prec: mpf_exp(mpf_neg(x), prec, round_nearest),
 )
 
@@ -150,13 +277,27 @@ def sample_grid(xmin: Fraction, xmax: Fraction, samples: int) -> tuple[range, in
 
 
 def target_value(
-    target: TargetFunction, nums, den: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> list[mpf]:
-    """f(x) at every x = num/den, num in ``nums`` (den > 0): x correctly rounded
-    to ``precision_bits``, then f at that precision."""
+    target: TargetFunction, nums: range, den: int, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> list[str]:
+    """f(x) at every x = num/den, num in the range ``nums`` (den > 0), as the
+    decimal ``plotdata`` prints.
+
+    Where both ends of the sample's enclosure (``target.grid``) render alike,
+    that is f(x) correctly rounded.  Elsewhere, in practice only at the exact
+    zeros of sin and cos, it is the exact value of ``target.value`` at x
+    correctly rounded to ``precision_bits``, computed at that precision.
+    """
     _check_precision(precision_bits)
-    return [mp.make_mpf(target.value(_round_rational(num, den, precision_bits), precision_bits))
-            for num in nums]
+    out = []
+    for num, (lo, hi, q) in zip(nums, target.grid(nums, den)):
+        if lo > 0 or hi < 0:
+            digits = _round_decimal(lo, q, SIG_DIGITS, False)
+            if digits == _round_decimal(hi, q, SIG_DIGITS, False):
+                out.append(_format_decimal(lo < 0, *digits, ".0"))
+                continue
+        raw = target.value(_round_rational(num, den, precision_bits), precision_bits)
+        out.append(_render(*_raw_ratio(raw), SIG_DIGITS, False, ".0"))
+    return out
 
 
 @dataclass(frozen=True)
@@ -357,18 +498,23 @@ def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[Exact, Ex
 
 def eval_polynomial(
     poly: ApproxPolynomial, nums, den: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> list[mpf]:
-    """The polynomial at every x = num/den, num in ``nums`` (den > 0), each rounded
-    once to ``precision_bits``.
+) -> list[tuple[int, int]]:
+    """The polynomial at every x = num/den, num in ``nums`` (den > 0), as
+    integers (p, q), q > 0: the exact value p/q when every coefficient is a
+    ``Fraction``, else the value rounded once to ``precision_bits``, q a
+    power of two.
 
-    Coefficient k, rounded once at ``precision_bits + 16`` and scaled by
-    ``den**(stride*(n-1-k))`` onto one shared denominator, is an integer: each
-    Horner step in ``num**stride`` is one exact integer multiply-add.
+    A ``PiLaurent`` coefficient is first rounded once at ``precision_bits +
+    16``.  Each coefficient, scaled by ``den**(stride*(n-1-k))`` onto one
+    shared denominator, is then an integer: each Horner step in
+    ``num**stride`` is one exact integer multiply-add.
     """
     _check_precision(precision_bits)
     stride, offset, prec = poly.family.stride, poly.family.offset, precision_bits + 16
-    coeffs = [_mpf_ratio(eval_pilaurent(c, prec)) for c in reversed(poly.coefficients)]
-    scale, den_stride = max(q for _, q in coeffs), den**stride
+    exact = all(isinstance(c, Fraction) for c in poly.coefficients)
+    coeffs = [c.as_integer_ratio() if exact else _raw_ratio(eval_pilaurent(c, prec)._mpf_)
+              for c in reversed(poly.coefficients)]
+    scale, den_stride = lcm(*(q for _, q in coeffs)), den**stride
     ints = [p * (scale // q) * den_stride**k for k, (p, q) in enumerate(coeffs)]
     shared = scale * den_stride ** (len(ints) - 1) * den**offset
     out = []
@@ -376,5 +522,6 @@ def eval_polynomial(
         num_stride, acc = num**stride, ints[0]
         for c in ints[1:]:
             acc = acc * num_stride + c
-        out.append(mp.make_mpf(_round_rational(acc * num**offset, shared, precision_bits)))
+        acc *= num**offset
+        out.append((acc, shared) if exact else _raw_ratio(_round_rational(acc, shared, precision_bits)))
     return out

@@ -8,10 +8,13 @@ into any exact field.  ``cond`` and ``variance`` print every decimal
 correctly rounded from the exact value; ``variance`` certifies a pi-Laurent
 value by integer enclosures in Ziv's loop, and ``--precision-bits`` (default
 256) is only the precision that loop starts from, so no printed byte
-depends on it.  ``plotdata`` rounds the exact value of a float evaluated at
-``--precision-bits``.  A table's rows are built once, under one column
-list: the CSV header and the keys of the JSON ``data`` objects.
-``plotdata --samples`` takes 2 to 65536 points (65536 take about 5 s), and
+depends on it.  ``plotdata`` prints x and exp-neg's polynomials correctly
+rounded from their exact values and f from a proved enclosure; the sin-pi
+and cos-pi polynomials, and f where no enclosure decides (its exact zeros),
+come from a float at ``--precision-bits``.  A table's rows are built once,
+under one column list: the CSV header and the keys of the JSON ``data``
+objects.  ``plotdata --samples`` takes 2 to 65536 points (65536 take about
+3 s of CPU), and
 its window ends ``--xmin``/``--xmax`` are at most 10**6 in magnitude with a
 denominator below 10**30.
 ``verify`` writes one stderr line ``FAIL <check> family=<f> size=<n>: <detail>``
@@ -39,7 +42,6 @@ import io
 import json
 import re
 import sys
-from decimal import ROUND_HALF_EVEN
 from fractions import Fraction
 from math import inf
 from types import SimpleNamespace
@@ -64,7 +66,6 @@ from .exactscalar import (
     _render,
     certified_decimal_str,
     decimal_str,
-    mpf_decimal_str,
 )
 from .families import FAMILIES, family_by_name
 from .kernelbuild import build_kernel
@@ -284,8 +285,9 @@ def cmd_plotdata(args) -> int:
     )
     # x = num/den unreduced: its correctly rounded digits are decimal_str's
     rows = [
-        [_render(num, den, SIG_DIGITS, ROUND_HALF_EVEN, "")] + [mpf_decimal_str(v) for v in values]
-        for num, *values in zip(nums, *columns)
+        [_render(num, den, SIG_DIGITS, True, ""), f]
+        + [_render(p, q, SIG_DIGITS, False, ".0") for p, q in values]
+        for num, f, *values in zip(nums, *columns)
     ]
     _emit(args, None, ["x", "f", "estimate", "taylor"], rows, None)
     return 0

@@ -25,13 +25,12 @@ value between integer ratios from an integer bracket of pi
 Ziv's loop until both ends print alike.
 
 Every printed decimal comes from one renderer, :func:`_render`: an exact
-rational, or the exact binary value of an mpf, rounded by one correctly
-rounded ``decimal`` division.
+rational, or the exact binary value of a float, rounded in integers by one
+``divmod`` against a power of ten.
 """
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -39,7 +38,7 @@ from operator import eq
 from typing import Iterator, Mapping, Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pos, normalize, round_nearest
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pos, round_nearest
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
@@ -179,19 +178,26 @@ Exact = Union[Fraction, PiLaurent]  # a Fraction exactly when no pi appears
 
 
 def _round_rational(p: int, q: int, prec: int) -> tuple:
-    """The raw mpf of p/q (q > 0) correctly rounded to nearest at ``prec`` bits.
+    """The raw mpf of p/q (q > 0) correctly rounded to nearest at ``prec`` bits,
+    ties to even.
 
-    One ``divmod`` gives a quotient of at least ``prec + 2`` bits; a nonzero
-    remainder becomes one sticky bit below it, so ``normalize`` rounds a true
-    tie to even and anything past it up.
+    One ``divmod`` gives a quotient of ``prec + 1`` or ``prec + 2`` bits; the
+    bits below the first ``prec`` and the remainder decide the rounding, and
+    the trailing zeros of the result are dropped, as an mpf's mantissa is odd.
     """
     if not p:
         return fzero
-    shift = max(0, prec + 2 - p.bit_length() + q.bit_length())
-    man, rem = divmod(abs(p) << shift, q)
-    if rem:
-        man, shift = man << 1 | 1, shift + 1
-    return normalize(int(p < 0), man, -shift, man.bit_length(), prec, round_nearest)
+    a = abs(p)
+    shift = prec + 1 - a.bit_length() + q.bit_length()
+    man, rem = divmod(a << shift, q) if shift >= 0 else divmod(a, q << -shift)
+    extra = man.bit_length() - prec
+    low, half = man & ((1 << extra) - 1), 1 << extra - 1
+    man >>= extra
+    if low > half or low == half and (rem or man & 1):
+        man += 1
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return int(p < 0), man, zeros + extra - shift, man.bit_length()
 
 
 def working_mpf(x) -> mpf:
@@ -235,42 +241,88 @@ def eval_pilaurent(p: Exact, precision_bits: int = DEFAULT_PRECISION_BITS) -> mp
     return mp.make_mpf(mpf_pos(acc, precision_bits, round_nearest))
 
 
-@lru_cache(maxsize=None)
-def _context(sig_digits: int, rounding: str) -> Context:
-    """The decimal context for one digit count and rounding mode, built once;
-    its exponent range is the widest, so no finite value overflows."""
-    return Context(prec=sig_digits, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_LOG10_2 = 0x4D104D427DE7FBCC  # floor(log10(2) * 2**64)
+_small_pow10 = lru_cache(maxsize=None)(lambda s: 10**s)  # for 0 <= s < 1024
+_LARGE = [0, 1]  # the last power of ten above 10**1023 made: s, 10**s
 
 
-def _render(p: int, q: int, sig_digits: int, rounding: str, empty_fraction: str) -> str:
-    """p/q (q > 0) rounded to ``sig_digits`` significant digits under ``rounding``.
+def _pow10(s: int) -> int:
+    """10**s for s >= 0.  One above 10**1023 is made from the last such one
+    when their exponents differ by less than 1024, as along a grid of
+    exp(-x) for x near 10**6, so it costs one short product or quotient."""
+    if s < 1024:
+        return _small_pow10(s)
+    last, power = _LARGE
+    if 0 <= s - last < 1024:
+        power *= _small_pow10(s - last)
+    elif 0 < last - s < 1024:
+        power //= _small_pow10(last - s)
+    else:
+        power = 10**s
+    _LARGE[:] = s, power
+    return power
 
-    ``Decimal`` of an int is exact and ``Context.divide`` correctly rounded, so
-    these are the digits of the exact value.  With e the decimal exponent after
-    rounding, it prints fixed-point when -5 < e < ``sig_digits``, else as
-    ``d.ddd`` plus ``e{e:+d}``; trailing zeros are stripped, and an empty
-    fractional part prints as ``empty_fraction`` (zero as ``"0" + empty_fraction``).
+
+def _round_decimal(p: int, q: int, sig_digits: int, half_even: bool) -> tuple[str, int]:
+    """|p|/q (p != 0, q > 0) rounded to ``sig_digits`` significant digits,
+    ties half to even or half away from zero: the digits, and the decimal
+    exponent e of the first.
+
+    With b the difference of the bit lengths of |p| and q, |p|/q lies in
+    (2**(b-1), 2**(b+1)), so its decimal exponent lies in [e, e + 2] for
+    e = floor((b-1) L) - 1, where L = ``_LOG10_2`` / 2**64 is within 2**-64
+    of log10 2.  One ``divmod`` by 10**(e + 1 - ``sig_digits``) leaves a
+    quotient m of ``sig_digits`` to ``sig_digits + 2`` digits; its extra
+    digits and the remainder decide the rounding.
     """
-    ctx = _context(sig_digits, rounding)
+    a = abs(p)
+    e = ((a.bit_length() - q.bit_length() - 1) * _LOG10_2 >> 64) - 1
+    s = e + 1 - sig_digits
+    a, d = (a, q * _pow10(s)) if s >= 0 else (a * _pow10(-s), q)
+    m, r = divmod(a, d)
+    digits = str(m)
+    extra = len(digits) - sig_digits
+    if extra:
+        m, tail = divmod(m, _pow10(extra))
+        r, d, e = tail * d + r, d * _pow10(extra), e + extra
+    r += r
+    if r > d or r == d and (m & 1 or not half_even):
+        m += 1
+        if m == _pow10(sig_digits):
+            m, e = m // 10, e + 1
+        return str(m), e
+    return digits[:sig_digits], e
+
+
+def _format_decimal(negative: bool, digits: str, e: int, empty_fraction: str) -> str:
+    """``digits`` with the first at decimal exponent e: fixed-point when
+    -5 < e < ``len(digits)``, else as ``d.ddd`` plus ``e{e:+d}``; trailing zeros
+    are stripped, and an empty fractional part prints as ``empty_fraction``."""
+    sig_digits, digits = len(digits), digits.rstrip("0")
+    if not -5 < e < sig_digits:
+        body = digits[0] + ("." + digits[1:] if digits[1:] else empty_fraction) + f"e{e:+d}"
+    elif e < 0:
+        body = "0." + "0" * (-e - 1) + digits
+    elif len(digits) > e + 1:
+        body = digits[: e + 1] + "." + digits[e + 1 :]
+    else:
+        body = digits.ljust(e + 1, "0") + empty_fraction
+    return "-" + body if negative else body
+
+
+def _render(p: int, q: int, sig_digits: int, half_even: bool, empty_fraction: str) -> str:
+    """p/q (q > 0) rounded to ``sig_digits`` significant digits by
+    :func:`_round_decimal` and printed by :func:`_format_decimal`; zero is
+    ``"0" + empty_fraction``."""
     if not p:
         return "0" + empty_fraction
-    # both roundings are symmetric in the sign, so |p|/q is rounded
-    mantissa, _, exp = f"{ctx.divide(Decimal(abs(p)), Decimal(q)):e}".partition("e")
-    e, s = int(exp), mantissa.replace(".", "").rstrip("0")
-    if not -5 < e < sig_digits:
-        whole, frac, suffix = s[0], s[1:], f"e{e:+d}"
-    elif e >= 0:
-        s = s.ljust(e + 1, "0")
-        whole, frac, suffix = s[: e + 1], s[e + 1 :], ""
-    else:
-        whole, frac, suffix = "0", "0" * (-e - 1) + s, ""
-    return "-" * (p < 0) + whole + ("." + frac if frac else empty_fraction) + suffix
+    return _format_decimal(p < 0, *_round_decimal(p, q, sig_digits, half_even), empty_fraction)
 
 
 def decimal_str(q: RationalLike, sig_digits: int = SIG_DIGITS) -> str:
     """Exact rational -> decimal string with ``sig_digits`` significant digits,
     rounded half to even: "9/2" -> "4.5", 288 -> "288", 10**-20 -> "1e-20"."""
-    return _render(*Fraction(q).as_integer_ratio(), sig_digits, ROUND_HALF_EVEN, "")
+    return _render(*Fraction(q).as_integer_ratio(), sig_digits, True, "")
 
 
 @lru_cache(maxsize=None)
@@ -349,25 +401,25 @@ def certified_decimal_str(value: Exact, precision_bits: int) -> tuple[str, int]:
     """
     low, nums, den = _triple(value)
     if low == 0 and len(nums) <= 1:
-        return _render(sum(nums), den, SIG_DIGITS, ROUND_HALF_UP, ".0"), precision_bits
+        return _render(sum(nums), den, SIG_DIGITS, False, ".0"), precision_bits
     p = precision_bits
     while True:
         n_lo, n_hi, d_lo, d_hi = enclose(value, p)
-        text = _render(n_lo, d_hi if n_lo >= 0 else d_lo, SIG_DIGITS, ROUND_HALF_UP, ".0")
-        if text == _render(n_hi, d_lo if n_hi >= 0 else d_hi, SIG_DIGITS, ROUND_HALF_UP, ".0"):
+        text = _render(n_lo, d_hi if n_lo >= 0 else d_lo, SIG_DIGITS, False, ".0")
+        if text == _render(n_hi, d_lo if n_hi >= 0 else d_hi, SIG_DIGITS, False, ".0"):
             return text, p
         p = p * 3 // 2
 
 
-def _mpf_ratio(x: mpf) -> tuple[int, int]:
-    """The exact value of a finite mpf as integers p/q, q a power of two."""
-    sign, man, exp, _ = x._mpf_
+def _raw_ratio(raw: tuple) -> tuple[int, int]:
+    """The exact value of a finite raw mpf as integers p/q, q a power of two."""
+    sign, man, exp, _ = raw
     if not man and exp:
-        raise ValueError(f"non-finite value {x}")
+        raise ValueError(f"non-finite value {mp.make_mpf(raw)}")
     return (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
 
 
 def mpf_decimal_str(x: mpf) -> str:
     """An mpf's exact binary value as a decimal string with ``SIG_DIGITS``
     significant digits, rounded half away from zero: "1.0", "1.0e-20"."""
-    return _render(*_mpf_ratio(x), SIG_DIGITS, ROUND_HALF_UP, ".0")
+    return _render(*_raw_ratio(x._mpf_), SIG_DIGITS, False, ".0")

@@ -13,10 +13,19 @@ half away from zero with ``.0`` after a whole number (every other column).
 
 ``bounds(value, bits)`` is a rational bracket of a ``PiLaurent`` from a
 rational bracket of pi of width ``2**-bits``, term by term.
+
+``function_reference(target, x)`` is the decimal of f(x) for a ``plotdata``
+target at a rational x, by ``mpmath``'s ``sinpi``, ``cospi`` and ``exp`` at
+4096 and at 8192 bits, accepted only when both agree.
+
+``decimal_render(p, q, sig_digits, half_even, empty_fraction)`` is the
+package's renderer as it was written on ``decimal``: one correctly rounded
+``Context.divide`` and the digits of its ``e`` format.
 """
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, log10
@@ -62,8 +71,13 @@ def _mpmath_sum(value, bits: int) -> Fraction:
         acc = mpmath.mpf(0)
         for m, q in value.items():
             acc += mpmath.mpf(q.numerator) / q.denominator * mpmath.pi**m
-        man, exp = acc.man_exp
-    return Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
+    return _exact(acc)
+
+
+def _exact(x) -> Fraction:
+    """The exact value of a finite mpf."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -107,3 +121,37 @@ def bounds(value, bits: int) -> tuple[Fraction, Fraction]:
         lo_sum += n * (w_lo if n > 0 else w_hi)
         hi_sum += n * (w_hi if n > 0 else w_lo)
     return Fraction(lo_sum, den << bits), Fraction(hi_sum, den << bits)
+
+
+FUNCTIONS = {"sin-pi": mpmath.sinpi, "cos-pi": mpmath.cospi, "exp-neg": lambda x: mpmath.exp(-x)}
+
+
+@lru_cache(maxsize=None)
+def function_reference(target: str, x: Fraction) -> str:
+    """f(x) rounded half away from zero, as ``plotdata`` prints it (see the module)."""
+    texts = set()
+    for bits in PRECISIONS:
+        with mpmath.workprec(bits):
+            value = FUNCTIONS[target](mpmath.mpf(x.numerator) / x.denominator)
+        texts.add(render(_exact(value), False))
+    if len(texts) != 1:
+        raise AssertionError(f"oracle undecided for {target} at {x}: {sorted(texts)}")
+    return texts.pop()
+
+
+def decimal_render(p: int, q: int, sig_digits: int, half_even: bool, empty_fraction: str) -> str:
+    """p/q (q > 0) to ``sig_digits`` digits by ``decimal`` (see the module)."""
+    ctx = Context(prec=sig_digits, rounding=ROUND_HALF_EVEN if half_even else ROUND_HALF_UP,
+                  Emax=MAX_EMAX, Emin=MIN_EMIN)
+    if not p:
+        return "0" + empty_fraction
+    mantissa, _, exp = f"{ctx.divide(Decimal(abs(p)), Decimal(q)):e}".partition("e")
+    e, s = int(exp), mantissa.replace(".", "").rstrip("0")
+    if not -5 < e < sig_digits:
+        whole, frac, suffix = s[0], s[1:], f"e{e:+d}"
+    elif e >= 0:
+        s = s.ljust(e + 1, "0")
+        whole, frac, suffix = s[: e + 1], s[e + 1 :], ""
+    else:
+        whole, frac, suffix = "0", "0" * (-e - 1) + s, ""
+    return "-" * (p < 0) + whole + ("." + frac if frac else empty_fraction) + suffix

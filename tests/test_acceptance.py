@@ -41,7 +41,7 @@ from gramkernel.approx import (
 from gramkernel.checks import run_checks
 from gramkernel.cli import main as cli_main
 from gramkernel.conditioning import condition_number
-from gramkernel.exactscalar import PiLaurent, _mpf_ratio, decimal_str, eval_pilaurent
+from gramkernel.exactscalar import PiLaurent, _raw_ratio, decimal_str, eval_pilaurent, to_bigfloat
 from gramkernel.families import (
     ALL_FAMILIES,
     HERMITE_EVEN,
@@ -225,8 +225,9 @@ def test_criterion_4_trig_variance_tables():
                         assert allowed < deviation < abs(ref_num) * mpf("3e-6")
                         residual = quad(
                             lambda y: (sin(pi * y)
-                                       - eval_polynomial(poly, [_mpf_ratio(y)[0]],
-                                                         _mpf_ratio(y)[1], 330)[0]) ** 2,
+                                       - to_bigfloat(Fraction(*eval_polynomial(
+                                           poly, [_raw_ratio(y._mpf_)[0]], _raw_ratio(y._mpf_)[1], 330)[0]),
+                                           330)) ** 2,
                             [-1, 0, 1],
                         )
                         assert abs(value - residual) <= abs(residual) * mpf(10) ** -30

@@ -6,9 +6,9 @@ truncated at x = 200: the integrands carry exp(-x) or exp(-2x), so the
 dropped tail is below 200**k * exp(-200) < 1e-40 for every power used here.
 """
 
+import math
 import random
 from dataclasses import replace
-from decimal import ROUND_HALF_EVEN
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import cos, exp, mp, mpf, pi, quad, sin
 from mpmath.libmp import from_rational, round_nearest
+from refdecimal import FUNCTIONS
 
 from gramkernel import approx, checks, exactscalar, families
 from gramkernel.approx import (
@@ -42,10 +43,11 @@ from gramkernel.approx import (
 from gramkernel.exactscalar import (
     SIG_DIGITS,
     PiLaurent,
-    _mpf_ratio,
+    _raw_ratio,
     _render,
     decimal_str,
     eval_pilaurent,
+    mpf_decimal_str,
     working_mpf,
 )
 from gramkernel.families import ALL_FAMILIES, LAGUERRE, LEGENDRE_EVEN, LEGENDRE_ODD, GradedMatrix
@@ -59,6 +61,7 @@ IDENTITY = TargetFunction(
     "x", LEGENDRE_ODD, Fraction(2, 3),
     moments=lambda k_max: {k: Fraction(2, k + 2) for k in range(1, k_max + 1, 2)},
     taylor_term=lambda k: Fraction(1 if k == 0 else 0),
+    grid=lambda nums, den: ((num, num, den) for num in nums),
     value=lambda x, prec: x,
 )
 
@@ -66,8 +69,13 @@ IDENTITY = TargetFunction(
 def _grid(x):
     """One point x, a Fraction or the exact value of an mpf, in the evaluators'
     form ([num], den)."""
-    num, den = x.as_integer_ratio() if isinstance(x, Fraction) else _mpf_ratio(x)
+    num, den = x.as_integer_ratio() if isinstance(x, Fraction) else _raw_ratio(x._mpf_)
     return [num], den
+
+
+def _values(poly, nums, den, bits=256) -> list[Fraction]:
+    """``eval_polynomial``'s values as Fractions."""
+    return [Fraction(p, q) for p, q in eval_polynomial(poly, nums, den, bits)]
 
 
 def kernel_estimate(target, n):
@@ -389,7 +397,7 @@ class TestErrorVariance:
                 got = eval_pilaurent(var, 300)
                 weight = (lambda y: exp(-y)) if target is EXP_NEG else (lambda y: mpf(1))
                 ref = quad(
-                    lambda y: (f(y) - eval_polynomial(poly, *_grid(y), 320)[0]) ** 2 * weight(y),
+                    lambda y: (f(y) - working_mpf(_values(poly, *_grid(y), 320)[0])) ** 2 * weight(y),
                     interval,
                 )
                 assert abs(got - ref) <= abs(ref) * mpf(10) ** -30
@@ -410,30 +418,26 @@ def test_reproducing_property(family, n):
 class TestEvalPolynomial:
     def test_taylor_at_zero(self):
         tay = taylor_comparator(EXP_NEG, 8)
-        assert eval_polynomial(tay, [0], 1)[0] == 1
+        assert _values(tay, [0], 1) == [1]
 
     def test_estimate_at_zero(self):
         est = kernel_estimate(EXP_NEG, 8)
-        v = eval_polynomial(est, [0], 1)[0]
-        assert v == mpf(255) / 256
+        assert _values(est, [0], 1) == [Fraction(255, 256)]
 
     def test_odd_polynomial_at_zero(self):
         est = kernel_estimate(SIN_PI, 3)
-        assert eval_polynomial(est, [0], 1)[0] == 0
+        assert _values(est, [0], 1) == [0]
 
     def test_estimate_at_one_matches_coefficient_sum(self):
         est = kernel_estimate(EXP_NEG, 8)
         exact = sum(est.coefficients, Fraction(0))
-        got = eval_polynomial(est, [1], 1)[0]
-        with mp.workprec(300):
-            want = mpf(exact.numerator) / exact.denominator
-            assert abs(got - want) < mpf(2) ** -240
+        assert _values(est, [1], 1) == [exact]
 
     def test_sin_estimate_tracks_function(self):
         est = kernel_estimate(SIN_PI, 6)
         with mp.workprec(256):
-            for num, value in zip((1, 2, 3), eval_polynomial(est, [1, 2, 3], 4)):
-                assert abs(value - sin(pi * mpf(num) / 4)) < mpf("1e-6")
+            for num, value in zip((1, 2, 3), _values(est, [1, 2, 3], 4)):
+                assert abs(working_mpf(value) - sin(pi * mpf(num) / 4)) < mpf("1e-6")
 
 
 @lru_cache(maxsize=None)
@@ -471,30 +475,26 @@ def polynomial_points(draw, targets=ALL_TARGETS):
 
 
 class TestEvalPolynomialIsExact:
-    """Each value is the correctly rounded value of the polynomial on its
-    coefficients as rounded once at ``bits + 16``; nothing else rounds."""
+    """A pi-Laurent polynomial's value is the correctly rounded value of the
+    polynomial on its coefficients as rounded once at ``bits + 16``; nothing
+    else rounds.  A rational polynomial's value is exact."""
 
-    @given(polynomial_points())
+    @given(polynomial_points(targets=(SIN_PI, COS_PI)))
     @settings(max_examples=150, deadline=None)
     def test_one_rounding_of_the_rounded_coefficients(self, case):
         poly, x, bits = case
         rounded = [_exact(eval_pilaurent(c, bits + 16)) for c in poly.coefficients]
-        want = _rounded(sum(_terms(poly, rounded, x)), bits)
-        assert eval_polynomial(poly, *_grid(x), bits)[0] == want
+        want = _exact(_rounded(sum(_terms(poly, rounded, x)), bits))
+        (p, q), = eval_polynomial(poly, *_grid(x), bits)
+        assert Fraction(p, q) == want and q & (q - 1) == 0
 
     @given(polynomial_points(targets=(EXP_NEG,)))
     @settings(max_examples=150, deadline=None)
     def test_rational_coefficients_round_like_the_exact_value(self, case):
-        """Fraction coefficients: each is rounded within ``2**-(bits + 15)``
-        of itself, so the value lies between the correct roundings of the
-        exact value minus and plus that error over all terms.  Wherever the
-        error cannot reach a rounding boundary, the two are one value: the
-        exact value correctly rounded."""
+        """Fraction coefficients are not rounded at all: the value is the
+        exact value of the polynomial at x, at every precision."""
         poly, x, bits = case
-        terms = _terms(poly, poly.coefficients, x)
-        exact, slack = sum(terms), sum(map(abs, terms)) / 2 ** (bits + 15)
-        got = eval_polynomial(poly, *_grid(x), bits)[0]
-        assert _rounded(exact - slack, bits) <= got <= _rounded(exact + slack, bits)
+        assert _values(poly, *_grid(x), bits) == [sum(_terms(poly, poly.coefficients, x))]
 
     @pytest.mark.parametrize("x", [mpf("inf"), mpf("-inf"), mpf("nan"), float("inf")], ids=str)
     def test_non_finite_x_raises(self, x):
@@ -505,7 +505,7 @@ class TestEvalPolynomialIsExact:
 
 # The per-sample reference for plotdata's grid: x as xmin + i*step in
 # Fractions, f by mpmath's wrappers under mp.workprec, and Horner in Fractions
-# over the exact coefficients as eval_pilaurent rounds them.
+# over the exact coefficients, as eval_pilaurent rounds them where they hold pi.
 REFERENCE_F = {
     "sin-pi": lambda x: mp.sin(mp.pi * x),
     "cos-pi": lambda x: mp.cos(mp.pi * x),
@@ -521,13 +521,16 @@ def _reference_columns(target, size, xmin, xmax, samples, bits):
     for kind in ("estimate", "taylor"):
         poly = _poly(target, size, kind)
         stride, offset = poly.family.stride, poly.family.offset
-        rounded = [_exact(eval_pilaurent(c, bits + 16)) for c in reversed(poly.coefficients)]
+        exact = target is EXP_NEG
+        rounded = [c if exact else _exact(eval_pilaurent(c, bits + 16))
+                   for c in reversed(poly.coefficients)]
         column = []
         for x in xs:
             acc = Fraction(0)
             for c in rounded:
                 acc = acc * x**stride + c
-            column.append(_rounded(acc * x**offset, bits))
+            value = acc * x**offset
+            column.append(value if exact else _exact(_rounded(value, bits)))
         columns.append(column)
     return columns
 
@@ -555,14 +558,22 @@ class TestPlotGrid:
            st.integers(128, 1024))
     @settings(max_examples=80, deadline=None)
     def test_columns_equal_the_per_sample_reference(self, target, size, window, bits):
+        """The polynomial columns equal the reference exactly.  An f decimal
+        is its enclosure's where both ends render alike, and then also the
+        reference float's wherever that float lies in the enclosure (rounding
+        is monotone); elsewhere it is the reference float's."""
         xmin, xmax, samples = window
         nums, den = sample_grid(xmin, xmax, samples)
-        got = [target_value(target, nums, den, bits),
-               eval_polynomial(_poly(target, size, "estimate"), nums, den, bits),
-               eval_polynomial(_poly(target, size, "taylor"), nums, den, bits)]
-        want = _reference_columns(target, size, xmin, xmax, samples, bits)
-        for got_column, want_column in zip(got, want):
-            assert [v._mpf_ for v in got_column] == [v._mpf_ for v in want_column]
+        f, *want = _reference_columns(target, size, xmin, xmax, samples, bits)
+        for kind, want_column in zip(("estimate", "taylor"), want):
+            assert _values(_poly(target, size, kind), nums, den, bits) == want_column
+        texts = target_value(target, nums, den, bits)
+        for text, ref, (lo, hi, q) in zip(texts, f, target.grid(nums, den)):
+            ends = {_render(lo, q, SIG_DIGITS, False, ".0"), _render(hi, q, SIG_DIGITS, False, ".0")}
+            if len(ends) == 1 and not Fraction(lo, q) <= _exact(ref) <= Fraction(hi, q):
+                assert ends == {text}
+            else:
+                assert text == mpf_decimal_str(ref)
 
     @given(plot_windows())
     @settings(max_examples=150, deadline=None)
@@ -583,7 +594,67 @@ class TestPlotGrid:
     @settings(max_examples=200, deadline=None)
     def test_unreduced_x_renders_as_the_reduced_fraction(self, x, k):
         num, den = x.as_integer_ratio()
-        assert _render(num * k, den * k, SIG_DIGITS, ROUND_HALF_EVEN, "") == decimal_str(x)
+        assert _render(num * k, den * k, SIG_DIGITS, True, "") == decimal_str(x)
+
+
+def _enclosure_faults(target, nums, den, enclosures) -> list[tuple[int, str]]:
+    """(i, fault) for every sample whose enclosure (lo, hi, q) misses f(x) by
+    mpmath at 4096 bits, or is wider than the proof in ``approx`` allows: with
+    W = 128 + the bit length of the sample count and at most 40 series terms
+    (for W <= 160), a trig value is within R_i <= 229 (i + 1) units of
+    2**-W, and exp(-x) within 16 (i + 1) units of a mantissa of W bits, so of
+    2**(7-W) (i + 1) lo relative to lo."""
+    w = 128 + len(nums).bit_length()
+    out = []
+    for i, (num, (lo, hi, q)) in enumerate(zip(nums, enclosures)):
+        with mp.workprec(4096):
+            value = _exact(FUNCTIONS[target.name](mpf(num) / den))
+        if not Fraction(lo, q) <= value <= Fraction(hi, q):
+            out.append((i, "misses f"))
+        if (hi - lo) * (1 << w) > (i + 1) * (229 * 2 * q if target is not EXP_NEG else lo << 7):
+            out.append((i, "wider than proved"))
+    return out
+
+
+@st.composite
+def enclosure_windows(draw):
+    """A target, and a window with end denominators up to 10**6 and 2-600 samples."""
+    target = draw(st.sampled_from(ALL_TARGETS))
+    bound = draw(st.sampled_from((1, 20, 10**6)))
+    ends = [Fraction(draw(st.integers(-bound * den, bound * den)), den)
+            for den in (draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))]
+    assume(ends[0] != ends[1])
+    return target, min(ends), max(ends), draw(st.integers(2, 600))
+
+
+class TestGridEnclosures:
+    """``target.grid`` brackets f at every sample within its proved width."""
+
+    @given(enclosure_windows())
+    @example((COS_PI, Fraction(-1, 2), Fraction(1, 2), 512))  # the benchmark's exact zeros
+    @example((EXP_NEG, Fraction(-10**6), Fraction(-999999), 100))  # e**(10**6) and on
+    @example((EXP_NEG, Fraction(999999), Fraction(10**6), 2))
+    @settings(max_examples=30, deadline=None)
+    def test_each_enclosure_holds_f_within_its_proved_width(self, case):
+        target, xmin, xmax, samples = case
+        nums, den = sample_grid(xmin, xmax, samples)
+        assert _enclosure_faults(target, nums, den, target.grid(nums, den)) == []
+
+    @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
+    def test_an_enclosure_narrowed_or_widened_by_one_unit_fails(self, target):
+        """Negative control of the check: one end moved one unit past f(x),
+        or the width one unit over the proved bound, is reported."""
+        nums, den = sample_grid(Fraction(-7, 3), Fraction(5, 2), 9)
+        good = list(target.grid(nums, den))
+        lo, hi, q = good[4]
+        with mp.workprec(4096):
+            scaled = _exact(FUNCTIONS[target.name](mpf(nums[4]) / den)) * q
+        w = 128 + len(nums).bit_length()
+        bound = 5 * (229 * 2 * q if target is not EXP_NEG else lo << 7) >> w
+        for bad, fault in (((math.floor(scaled) + 1, hi, q), "misses f"),
+                           ((lo, math.ceil(scaled) - 1, q), "misses f"),
+                           ((hi - bound - 1, hi, q), "wider than proved")):
+            assert (4, fault) in _enclosure_faults(target, nums, den, good[:4] + [bad] + good[5:])
 
 
 class TestTargets:
@@ -610,9 +681,11 @@ class TestTargets:
             assert abs(ref - mpf(1) / 3) < mpf(10) ** -40
 
     def test_target_values(self):
-        assert target_value(EXP_NEG, [0], 1)[0] == 1
-        assert abs(target_value(SIN_PI, [1], 2)[0] - 1) < mpf("1e-70")
-        assert abs(target_value(COS_PI, [1], 1)[0] + 1) < mpf("1e-70")
+        assert target_value(EXP_NEG, range(1), 1) == ["1.0"]
+        assert target_value(SIN_PI, range(1, 2), 2) == ["1.0"]
+        assert target_value(COS_PI, range(1, 2), 1) == ["-1.0"]
+        assert target_value(EXP_NEG, range(-3, 4, 3), 1) == [
+            "20.085536923187668", "1.0", "0.049787068367863943"]
 
 
 class TestVarianceRows:
@@ -706,4 +779,4 @@ class TestTargetRecord:
             assert var == PiLaurent(0) and eval_pilaurent(var, 256) == 0
             tay_var = error_variance(IDENTITY, taylor_comparator(IDENTITY, n))
             assert tay_var == PiLaurent(0)
-        assert target_value(IDENTITY, [1], 4)[0] == mpf(1) / 4
+        assert target_value(IDENTITY, range(1, 2), 4) == ["0.25"]

@@ -736,6 +736,10 @@ SNAPSHOTS = [
         ("sin-pi_8", "sin-pi", "8", "-41/50", "91/100", []),
         ("cos-pi_12", "cos-pi", "12", "-2/5", "2/5", []),
     )
+] + [
+    # 36 estimates that are exact 17-digit ties, each printed half away from zero
+    ("plotdata_exp-neg_3_257.csv", ["plotdata", "--target", "exp-neg", "--size", "3",
+                                    "--xmin=3/4", "--xmax=899/100", "--samples", "257"]),
 ]
 
 
@@ -747,6 +751,16 @@ def test_output_matches_snapshot_byte_for_byte(capsys, filename, argv):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == _snapshot(filename)
+
+
+def test_item_12_cos_pi_zero_still_prints_the_float_noise(capsys):
+    """At an exact zero of cos(pi x) no enclosure decides a decimal, so f
+    falls back to the 256-bit float, which prints rounding noise: the known
+    fault of ROADMAP item 12, pinned so its fix changes this line knowingly."""
+    assert main(["plotdata", "--target", "cos-pi", "--size", "4", "--xmin", "0", "--xmax", "1",
+                 "--samples", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[2].split(",")[:2] == ["0.5", "5.4845872048967604e-78"]
 
 
 def test_failing_verify_matches_snapshot(capsys):

@@ -1,5 +1,8 @@
-"""Every decimal that ``variance`` and ``cond`` print is the correctly rounded
-rendering of its exact value, by the independent oracle in ``refdecimal``.
+"""Every decimal that ``variance`` and ``cond`` print, and every exact
+``plotdata`` decimal (x, exp-neg's estimate and Taylor, f away from its
+zeros), is the correctly rounded rendering of its exact value, by the
+independent oracle in ``refdecimal``; the package's integer renderer equals
+the ``decimal`` one it replaced.
 
 The commands run in-process through ``main`` and are read back from their
 CSV.  A negative control mutates the package's renderer and shows that the
@@ -9,26 +12,26 @@ same comparison fails.
 import contextlib
 import csv
 import io
-from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from refdecimal import reference
+from hypothesis import assume, example, given, settings, strategies as st
+from refdecimal import decimal_render, function_reference, reference
 
-from gramkernel import exactscalar
-from gramkernel.approx import TARGETS, variance_rows
+from gramkernel import approx, cli, exactscalar
+from gramkernel.approx import EXP_NEG, TARGETS, function_moments, project, taylor_comparator, variance_rows
 from gramkernel.cli import main
 from gramkernel.families import FAMILIES
+from gramkernel.kernelbuild import build_kernel
 
 # 1.00000000000000005: a decimal tie at 17 digits whose rules disagree
 TIE = Fraction(100000000000000005, 10**17)
 
 
-def _csv_rows(argv):
+def _csv_rows(argv, fmt=("--format", "csv")):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(argv + ["--format", "csv"]) == 0
+        assert main(argv + list(fmt)) == 0
     return list(csv.reader(io.StringIO(buf.getvalue())))[1:]
 
 
@@ -50,6 +53,113 @@ def cond_mismatches(family, size):
     assert len(rows) == size
     return [(row[0], row[2], reference(Fraction(row[1]), True)) for row in rows
             if row[2] != reference(Fraction(row[1]), True)]
+
+
+def _plotdata_rows(target, size, xmin, xmax, samples):
+    """(x, row) per sample of a ``plotdata`` run, x exact."""
+    rows = _csv_rows(["plotdata", "--target", target, "--size", str(size), f"--xmin={xmin}",
+                      f"--xmax={xmax}", "--samples", str(samples)], fmt=())
+    assert len(rows) == samples
+    step = (xmax - xmin) / (samples - 1)
+    return [(xmin + i * step, row) for i, row in enumerate(rows)]
+
+
+def exp_neg_plot_mismatches(size, xmin, xmax, samples):
+    """(x, column, printed, oracle) for every exp-neg ``plotdata`` x, estimate
+    and Taylor decimal that is not the oracle's rendering of its exact value,
+    the polynomial at x on ``project``'s and the Taylor comparator's exact
+    coefficients."""
+    family = EXP_NEG.natural_family
+    polys = (project(build_kernel(family, size), function_moments(EXP_NEG, size)),
+             taylor_comparator(EXP_NEG, size))
+    out = []
+    for x, row in _plotdata_rows("exp-neg", size, xmin, xmax, samples):
+        wants = [reference(x, True)] + [
+            reference(sum(c * x ** family.basis_power(k) for k, c in enumerate(p.coefficients, 1)))
+            for p in polys]
+        out += [(x, column, got, want) for column, got, want
+                in zip(("x", "estimate", "taylor"), (row[0], row[2], row[3]), wants) if got != want]
+    return out
+
+
+def _is_zero(target, x):
+    return target == "sin-pi" and x.denominator == 1 or target == "cos-pi" and x.denominator == 2
+
+
+@st.composite
+def small_windows(draw):
+    """Window ends with denominators up to 1000 and 2-17 samples."""
+    ends = [Fraction(draw(st.integers(-200 * den, 200 * den)), den)
+            for den in (draw(st.integers(1, 1000)), draw(st.integers(1, 1000)))]
+    assume(ends[0] != ends[1])
+    return min(ends), max(ends), draw(st.integers(2, 17))
+
+
+@given(size=st.integers(1, 30), window=small_windows())
+@example(size=3, window=(Fraction(2111, 200), Fraction(110), 17))  # two exact ties
+@settings(max_examples=25, deadline=None)
+def test_exp_neg_plotdata_decimals_are_the_oracles(size, window):
+    assert exp_neg_plot_mismatches(size, *window) == []
+
+
+def test_exp_neg_plotdata_prints_exact_ties_half_away_from_zero():
+    """The 257-sample window whose dyadic estimates hold 36 exact ties: each
+    prints its upper digit, as the exact value 0.522144830322265625 at
+    x = 2503/3200 does."""
+    window = (Fraction(3, 4), Fraction(899, 100), 257)
+    assert exp_neg_plot_mismatches(3, *window) == []
+    assert dict(_plotdata_rows("exp-neg", 3, *window))[Fraction(2503, 3200)][2] == \
+        "0.52214483032226563"
+
+
+@given(target=st.sampled_from(sorted(TARGETS)), size=st.integers(1, 8), window=small_windows())
+@settings(max_examples=25, deadline=None)
+def test_plotdata_f_decimals_are_the_oracles(target, size, window):
+    """Every f decimal away from f's exact zeros, where ``plotdata`` still
+    prints a float's rounding noise (ROADMAP item 12)."""
+    xmin, xmax, samples = window
+    if target != "exp-neg":
+        xmin, xmax = xmin / 10, xmax / 10  # about five periods
+    assert [(x, row[1]) for x, row in _plotdata_rows(target, size, xmin, xmax, samples)
+            if not _is_zero(target, x) and row[1] != function_reference(target, x)] == []
+
+
+@st.composite
+def render_operands(draw):
+    """(p, q) with p/q an exact 17-digit tie, a decade carry, a value at the
+    fixed/scientific switch, zero, or operands of 1 to 2000 digits."""
+    kind = draw(st.sampled_from(("tie", "carry", "switch", "zero", "digits")))
+    scale = 10 ** draw(st.integers(0, 40))
+    if kind == "tie":  # d.dddddddddddddddd5 * 10**e
+        p = (10 * draw(st.integers(10**16, 10**17 - 1)) + 5) * 10 ** draw(st.integers(0, 30))
+        q = 10 ** draw(st.integers(0, 60))
+    elif kind == "carry":  # 9.99999999999999995 * 10**e and nearby
+        p = (10**18 - 5 + draw(st.integers(-2, 2))) * 10 ** draw(st.integers(0, 30))
+        q = 10 ** draw(st.integers(0, 60))
+    elif kind == "switch":  # about 10**-5, 10**-4, 10**16 and 10**17
+        e = draw(st.sampled_from((-6, -5, -4, 15, 16, 17)))
+        p = 10**18 * scale + draw(st.integers(-10, 10)) * scale // 10 ** draw(st.integers(0, 3))
+        q = 10 ** (18 - e) * scale
+    elif kind == "zero":
+        p, q = 0, draw(st.integers(1, 10**40))
+    else:
+        p = draw(st.integers(0, 10 ** draw(st.integers(1, 2000))))
+        q = draw(st.integers(1, 10 ** draw(st.integers(1, 2000))))
+    return p * draw(st.sampled_from((1, -1))), q
+
+
+@given(render_operands(), st.sampled_from((17, 17, 16, 1, 2, 30)), st.booleans())
+@example((100000000000000005, 10**17), 17, True)  # a tie, to even: down
+@example((100000000000000015, 10**17), 17, True)  # to even: up
+@example((-999999999999999995, 10**13), 17, False)  # -99999.9999999999995: carries to 1e5
+@example((99999999999999999, 10**22), 17, False)  # 9.9999999999999999e-6 rounds to 1.0e-5
+@example((999999999999999995, 10), 17, True)  # 99999999999999999.5: to even, 1e17
+@settings(max_examples=1500, deadline=None)
+def test_integer_renderer_equals_the_decimal_one(operands, sig_digits, half_even):
+    p, q = operands
+    for empty in ("", ".0"):
+        assert exactscalar._render(p, q, sig_digits, half_even, empty) == \
+            decimal_render(p, q, sig_digits, half_even, empty)
 
 
 @given(target=st.sampled_from(sorted(TARGETS)), size=st.integers(1, 40))
@@ -75,12 +185,11 @@ def test_a_tie_renders_in_each_columns_rule():
 def _mutate_renderer(monkeypatch, other_rounding=False, digits=None):
     real = exactscalar._render
 
-    def mutated(p, q, sig_digits, rounding, empty_fraction):
-        if other_rounding:
-            rounding = ROUND_HALF_UP if rounding == ROUND_HALF_EVEN else ROUND_HALF_EVEN
-        return real(p, q, digits or sig_digits, rounding, empty_fraction)
+    def mutated(p, q, sig_digits, half_even, empty_fraction):
+        return real(p, q, digits or sig_digits, half_even != other_rounding, empty_fraction)
 
-    monkeypatch.setattr(exactscalar, "_render", mutated)
+    for module in (exactscalar, approx, cli):  # every module that binds it
+        monkeypatch.setattr(module, "_render", mutated)
 
 
 def test_a_renderer_with_16_digits_fails_the_oracle(monkeypatch):
@@ -88,6 +197,7 @@ def test_a_renderer_with_16_digits_fails_the_oracle(monkeypatch):
     for target in sorted(TARGETS):
         assert variance_mismatches(target, 14)
     assert cond_mismatches("laguerre", 10)
+    assert exp_neg_plot_mismatches(3, Fraction(1, 3), Fraction(7), 9)
 
 
 @pytest.mark.parametrize("column", ["variance", "cond"])

@@ -1,6 +1,6 @@
 """Each table builds its inputs once, at its largest size, not once per size,
-and ``plotdata`` rounds each exact polynomial coefficient once, not once per
-sample."""
+and ``plotdata`` rounds each pi-Laurent polynomial coefficient once, not once
+per sample, and no rational one."""
 
 import sys
 
@@ -58,3 +58,12 @@ def test_plotdata_rounds_each_coefficient_once(monkeypatch, capsys, samples):
     capsys.readouterr()
     # 4 estimate coefficients + 5 Taylor terms, one call per column
     assert calls == {"eval_pilaurent": 9, "eval_polynomial": 2, "target_value": 1}
+
+
+def test_plotdata_rounds_no_rational_coefficient(monkeypatch, capsys):
+    """exp-neg's coefficients are Fractions: its columns are exact, and
+    nothing is rounded."""
+    calls = count_calls(monkeypatch, ("eval_pilaurent", "eval_polynomial", "target_value"))
+    assert main(["plotdata", "--target", "exp-neg", "--size", "4", "--samples", "9"]) == 0
+    capsys.readouterr()
+    assert calls == {"eval_pilaurent": 0, "eval_polynomial": 2, "target_value": 1}
