@@ -16,27 +16,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
-
-from mpmath.libmp import mpf_cos, mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_sin, round_nearest
 
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
     SIG_DIGITS,
     Exact,
     PiLaurent,
+    _certified_digits,
     _check_precision,
     _format_decimal,
     _pi_bracket,
     _raw_ratio,
     _reduced,
     _render,
-    _round_decimal,
     _round_rational,
     _triple,
-    eval_pilaurent,
+    enclose,
 )
 from .families import (
     Family,
@@ -92,10 +91,14 @@ class TargetFunction:
     * ``grid(nums, den)`` -- integers ``(lo, hi, q)`` with lo/q <= f(x) <= hi/q
       at every x = num/den, num in the range ``nums``, by a recurrence along
       the grid;
-    * ``value(x, prec)`` -- f at a raw mpf x, by libmp operations at ``prec``
-      bits, each rounded to nearest, where ``grid`` cannot decide a decimal;
+    * ``value(x, w)`` -- such integers at one rational x, from a series at
+      ``w`` bits whose width shrinks like 2**-w, where ``grid`` cannot
+      decide a decimal;
     * ``comparator_extra_terms`` -- Taylor terms the tabulated comparator
-      keeps beyond ``size`` (see :func:`taylor_comparator`).
+      keeps beyond ``size`` (see :func:`taylor_comparator`);
+    * ``zero`` -- for f(x) = g(pi x) with g sin or cos, ``(phase, slope)``:
+      f vanishes exactly at x = phase + k, k an integer, where g' is
+      slope * (-1)**k (see :func:`_float_residue`).
 
     Exact values are ``Fraction`` where no pi appears, else ``PiLaurent``;
     estimates and variances follow, so a rational target's are ``Fraction``.
@@ -107,8 +110,9 @@ class TargetFunction:
     moments: Callable[[int], Mapping[int, Exact]]
     taylor_term: Callable[[int], Exact]
     grid: Callable[[range, int], Iterator[tuple[int, int, int]]]
-    value: Callable[[tuple, int], tuple]
+    value: Callable[[Fraction, int], tuple[int, int, int]]
     comparator_extra_terms: int = 0
+    zero: tuple[Fraction, int] | None = None
 
 
 def _cis_pi(t: Fraction, w: int) -> tuple[int, int, int]:
@@ -145,6 +149,16 @@ def _cis_pi(t: Fraction, w: int) -> tuple[int, int, int]:
     for _ in range(k % 4):
         c, s = -s, c
     return c, s, 5 * j + 26
+
+
+def _sin_pi(x: Fraction, w: int) -> tuple[int, int, int]:
+    _, s, e = _cis_pi(x, w)
+    return s - e, s + e, 1 << w
+
+
+def _cos_pi(x: Fraction, w: int) -> tuple[int, int, int]:
+    c, _, e = _cis_pi(x, w)
+    return c - e, c + e, 1 << w
 
 
 def _cis_pi_grid(nums: range, den: int) -> Iterator[tuple[int, int, int, int]]:
@@ -203,6 +217,13 @@ def _exp_neg(y: Fraction, w: int) -> tuple[int, int, int]:
     return m >> j + 8, k + j + 8, (a >> j + 8) + 2
 
 
+def _mantissa_bracket(m: int, k: int, a: int) -> tuple[int, int, int]:
+    """(lo, hi, q) holding v, from M 2**k = v (1 + d) with |d| <= a 2**(1-W)
+    <= 1/2 and 2**(W-1) <= M < 2**W: v lies in [(M - 2a) 2**k, (M + 4a) 2**k]."""
+    lo, hi = m - 4 * a, m + 4 * a
+    return (lo << k, hi << k, 1) if k >= 0 else (lo, hi, 1 << -k)
+
+
 def _exp_neg_grid(nums: range, den: int) -> Iterator[tuple[int, int, int]]:
     """Enclosures (lo, hi, q) of exp(-x) at every x = num/den, num in ``nums``.
 
@@ -214,23 +235,68 @@ def _exp_neg_grid(nums: range, den: int) -> Iterator[tuple[int, int, int]]:
     0 <= f < 2**(1-W), so sample i is within a_i = a_0 + i (b + 1) units
     while a_i b 2**(1-W) <= 1, which holds as both stay below 2**40.  With
     M 2**k = v (1 + d), |d| <= a 2**(1-W) <= 1/2 and M < 2**W, v lies in
-    [(M - 2a) 2**k, (M + 4a) 2**k].
+    [(M - 2a) 2**k, (M + 4a) 2**k] (:func:`_mantissa_bracket`).
     """
     w = 128 + len(nums).bit_length()
     m, k, a = _exp_neg(Fraction(nums.start, den), w)
     ratio, ratio_k, b = _exp_neg(Fraction(nums.step, den), w)
     for _ in nums:
-        lo, hi = m - 4 * a, m + 4 * a
-        yield (lo << k, hi << k, 1) if k >= 0 else (lo, hi, 1 << -k)
+        yield _mantissa_bracket(m, k, a)
         m *= ratio
         shift = m.bit_length() - w
         m, k, a = m >> shift, k + ratio_k + shift, a + b + 1
 
 
-def _of_pi_x(mpf_f):
-    """x -> f(pi x) by the libmp steps of ``mp.f(mp.pi * x)``, each rounded to nearest."""
-    return lambda x, prec: mpf_f(
-        mpf_mul(mpf_pi(prec, round_nearest), x, prec, round_nearest), prec, round_nearest)
+@lru_cache(maxsize=None)
+def _rounded_pi(p: int) -> int:
+    """pi correctly rounded to nearest at p bits, as the integer M = pi
+    2**(p-2) rounded: the integer nearest t = pi 2**(p-2) is floor(t + 1/2),
+    and t lies in [lo, hi] / 2**g for :func:`_pi_bracket`'s ends at p - 2 + g
+    bits; once both ends give the same integer, so does t.  t is no tie, as
+    pi is irrational, so g doubles until they do."""
+    g = 32
+    while True:
+        lo, hi = _pi_bracket(p - 2 + g)
+        half = 1 << g - 1
+        if lo + half >> g == hi + half >> g:
+            return lo + half >> g
+        g *= 2
+
+
+def _float_residue(x: Fraction, p: int) -> tuple[int, int]:
+    """sin(y - pi x) correctly rounded to nearest at p bits, as integers
+    (n, q), where y = round_p(round_p(pi) x) is pi x as one p-bit float
+    product makes it, for x = a/b an exact zero of sin or cos (b <= 2).
+
+    g(y) for g = sin or cos is then what a p-bit float evaluation prints at
+    that zero: with g(pi x) = 0, g(pi x + e) = g'(pi x) sin e exactly.
+
+    Proof.  y = s 2**t is exact (:func:`_round_rational` of an exact
+    product).  With lo <= pi 2**w <= hi (:func:`_pi_bracket`) and w >= -t,
+    Y = y b 2**w is an integer and e = y - pi x lies in [Y - a hi, Y - a lo]
+    / (b 2**w), the ends swapped for a < 0.  As |sin e - e| <= |e|**3 / 6,
+    widening both ends by ceil(m**3 / (6 Q**2)), for m the larger end's
+    magnitude over Q = b 2**w, holds sin e.  Rounding to nearest is
+    monotone, so when both ends round alike at p bits, sin e rounds so too.
+    As pi x is a multiple of pi/2, sin e is +-sin y or +-cos y, which
+    Lindemann's theorem makes transcendental for the rational y != 0, so it
+    is no tie; and the width shrinks like 2**-w, so w grows by half until
+    the ends agree.
+    """
+    if not x:
+        return 0, 1
+    a, b = x.as_integer_ratio()
+    sign, man, t, _ = _round_rational(_rounded_pi(p) * a, b << p - 2, p)
+    w = max(p, -t) + 64
+    while True:
+        lo, hi = _pi_bracket(w)
+        y, q = (-man if sign else man) * b << w + t, b << w
+        e_lo, e_hi = (y - a * hi, y - a * lo) if a > 0 else (y - a * lo, y - a * hi)
+        cube = -(-max(-e_lo, e_hi) ** 3 // (6 * q * q))
+        rounded = _round_rational(e_lo - cube, q, p)
+        if rounded == _round_rational(e_hi + cube, q, p):
+            return _raw_ratio(rounded)
+        w += w // 2
 
 
 SIN_PI = TargetFunction(
@@ -238,15 +304,17 @@ SIN_PI = TargetFunction(
     moments=_sin_integrals,
     taylor_term=lambda k: PiLaurent.pi_power(2 * k + 1, Fraction((-1) ** k, factorial(2 * k + 1))),
     grid=lambda nums, den: ((s - r, s + r, 1 << w) for _, s, r, w in _cis_pi_grid(nums, den)),
-    value=_of_pi_x(mpf_sin),
+    value=_sin_pi,
+    zero=(Fraction(0), 1),
 )
 COS_PI = TargetFunction(
     "cos-pi", LEGENDRE_EVEN, Fraction(1),
     moments=_cos_integrals,
     taylor_term=lambda k: PiLaurent.pi_power(2 * k, Fraction((-1) ** k, factorial(2 * k))),
     grid=lambda nums, den: ((c - r, c + r, 1 << w) for c, _, r, w in _cis_pi_grid(nums, den)),
-    value=_of_pi_x(mpf_cos),
+    value=_cos_pi,
     comparator_extra_terms=1,
+    zero=(Fraction(1, 2), -1),
 )
 EXP_NEG = TargetFunction(
     "exp-neg", LAGUERRE, Fraction(1, 3),
@@ -254,7 +322,7 @@ EXP_NEG = TargetFunction(
     moments=lambda k_max: {k: Fraction(factorial(k), 2 ** (k + 1)) for k in range(k_max + 1)},
     taylor_term=lambda k: Fraction((-1) ** k, factorial(k)),
     grid=_exp_neg_grid,
-    value=lambda x, prec: mpf_exp(mpf_neg(x), prec, round_nearest),
+    value=lambda x, w: _mantissa_bracket(*_exp_neg(x, w)),
 )
 
 TARGETS = {t.name: t for t in (SIN_PI, COS_PI, EXP_NEG)}
@@ -280,24 +348,40 @@ def target_value(
     target: TargetFunction, nums: range, den: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[str]:
     """f(x) at every x = num/den, num in the range ``nums`` (den > 0), as the
-    decimal ``plotdata`` prints.
+    decimal ``plotdata`` prints: f(x) correctly rounded, from the sample's
+    enclosure along the grid (``target.grid``) or, where that holds a
+    rounding boundary, from ``target.value`` at x, whose precision grows by
+    half until none is left (Ziv's loop; a rational x gives no decimal tie
+    and, off the exact zeros, no zero, by Niven's and Lindemann's theorems).
 
-    Where both ends of the sample's enclosure (``target.grid``) render alike,
-    that is f(x) correctly rounded.  Elsewhere, in practice only at the exact
-    zeros of sin and cos, it is the exact value of ``target.value`` at x
-    correctly rounded to ``precision_bits``, computed at that precision.
+    At an exact zero of sin(pi x) or cos(pi x) other than x = 0, the decimal
+    is that of the float a ``precision_bits`` evaluation g(round(round(pi)
+    x)) returns (:func:`_float_residue`), not 0.
     """
     _check_precision(precision_bits)
     out = []
     for num, (lo, hi, q) in zip(nums, target.grid(nums, den)):
-        if lo > 0 or hi < 0:
-            digits = _round_decimal(lo, q, SIG_DIGITS, False)
-            if digits == _round_decimal(hi, q, SIG_DIGITS, False):
-                out.append(_format_decimal(lo < 0, *digits, ".0"))
-                continue
-        raw = target.value(_round_rational(num, den, precision_bits), precision_bits)
-        out.append(_render(*_raw_ratio(raw), SIG_DIGITS, False, ".0"))
+        found = _certified_digits(lo + hi, hi - lo, 2 * q)
+        out.append(_format_decimal(*found, ".0") if found else
+                   _value_at(target, Fraction(num, den), precision_bits))
     return out
+
+
+def _value_at(target: TargetFunction, x: Fraction, precision_bits: int) -> str:
+    """``target_value``'s decimal at one x that the grid left undecided."""
+    if target.zero and (x - target.zero[0]).denominator == 1:
+        n, q = _float_residue(x, precision_bits)
+        slope = target.zero[1] * (-1) ** (int(x - target.zero[0]) & 1)
+        return _render(slope * n, q, SIG_DIGITS, False, ".0")
+    w = 256  # twice the grid's working precision
+    while True:
+        lo, hi, q = target.value(x, w)
+        found = _certified_digits(lo + hi, hi - lo, 2 * q)
+        if found:
+            return _format_decimal(*found, ".0")
+        if lo == hi:
+            return _render(lo, q, SIG_DIGITS, False, ".0")
+        w += w // 2
 
 
 @dataclass(frozen=True)
@@ -496,32 +580,92 @@ def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[Exact, Ex
     return list(zip(tay, est))
 
 
+def _horner(ints: list[int], num: int, stride: int, offset: int) -> int:
+    """``sum_k ints[k] * num**(stride*(n-1-k) + offset)``, n = len(ints)."""
+    num_stride, acc = num**stride, ints[0]
+    for c in ints[1:]:
+        acc = acc * num_stride + c
+    return acc * num**offset
+
+
+def _on_one_denominator(values, den_stride: int) -> list[int]:
+    """Value k times ``den_stride**k``: Horner in num**stride then keeps one
+    shared denominator."""
+    out, power = [], 1
+    for v in values:
+        out.append(v * power)
+        power *= den_stride
+    return out
+
+
+def _scaled_bracket(c: Exact, p: int) -> tuple[int, int]:
+    """Integers c_lo <= c 2**p <= c_hi, from ``enclose(c, p)``'s N / D."""
+    n_lo, n_hi, d_lo, d_hi = enclose(c, p)
+    return ((n_lo << p) // (d_hi if n_lo >= 0 else d_lo),
+            -((-n_hi << p) // (d_lo if n_hi >= 0 else d_hi)))
+
+
 def eval_polynomial(
     poly: ApproxPolynomial, nums, den: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> list[tuple[int, int]]:
-    """The polynomial at every x = num/den, num in ``nums`` (den > 0), as
-    integers (p, q), q > 0: the exact value p/q when every coefficient is a
-    ``Fraction``, else the value rounded once to ``precision_bits``, q a
-    power of two.
+) -> list[str]:
+    """The polynomial at every x = num/den, num in ``nums`` (den > 0), as the
+    decimal ``plotdata`` prints: the exact value correctly rounded to
+    ``SIG_DIGITS`` significant digits, half away from zero ("1.0").
 
-    A ``PiLaurent`` coefficient is first rounded once at ``precision_bits +
-    16``.  Each coefficient, scaled by ``den**(stride*(n-1-k))`` onto one
-    shared denominator, is then an integer: each Horner step in
-    ``num**stride`` is one exact integer multiply-add.
+    Each coefficient, scaled by ``den**(stride*(n-1-k))`` onto one shared
+    denominator, is an integer, so each Horner step in ``num**stride`` is
+    one exact integer multiply-add, and a polynomial with ``Fraction``
+    coefficients is rendered from its exact value.  Pi-Laurent ones are certified
+    in Ziv's loop (A. Ziv, ACM TOMS 17(3), 1991) from p = ``precision_bits``:
+    once per p, each is bracketed as c_lo <= c 2**p <= c_hi
+    (:func:`_scaled_bracket`), Horner runs on the midpoints c_lo + c_hi over
+    2**(p+1), and the same Horner on the radii c_hi - c_lo at the largest
+    pending |num| bounds every pending sample's error (midpoint-radius
+    arithmetic, S. M. Rump, BIT 39, 1999).  A sample is decided where
+    neither zero nor a rounding boundary lies within that bound
+    (:func:`_certified_digits`); the rest run again at p * 3/2.  An odd
+    polynomial at x = 0 is exactly 0.  Past ``_RATIONAL_CHECK_BITS`` a
+    sample whose exact value is rational, the only kind that may never be
+    decided, is rounded from that value.
     """
     _check_precision(precision_bits)
-    stride, offset, prec = poly.family.stride, poly.family.offset, precision_bits + 16
-    exact = all(isinstance(c, Fraction) for c in poly.coefficients)
-    coeffs = [c.as_integer_ratio() if exact else _raw_ratio(eval_pilaurent(c, prec)._mpf_)
-              for c in reversed(poly.coefficients)]
-    scale, den_stride = lcm(*(q for _, q in coeffs)), den**stride
-    ints = [p * (scale // q) * den_stride**k for k, (p, q) in enumerate(coeffs)]
-    shared = scale * den_stride ** (len(ints) - 1) * den**offset
-    out = []
-    for num in nums:
-        num_stride, acc = num**stride, ints[0]
-        for c in ints[1:]:
-            acc = acc * num_stride + c
-        acc *= num**offset
-        out.append((acc, shared) if exact else _raw_ratio(_round_rational(acc, shared, precision_bits)))
+    stride, offset = poly.family.stride, poly.family.offset
+    den_stride = den**stride
+    shared = den_stride ** (len(poly) - 1) * den**offset
+    if all(isinstance(c, Fraction) for c in poly.coefficients):
+        coeffs = [c.as_integer_ratio() for c in reversed(poly.coefficients)]
+        scale = lcm(*(q for _, q in coeffs))
+        ints = _on_one_denominator([p * (scale // q) for p, q in coeffs], den_stride)
+        return [_render(_horner(ints, num, stride, offset), scale * shared, SIG_DIGITS, False, ".0")
+                for num in nums]
+    out: list = ["0.0" if offset and not num else None for num in nums]
+    pending = [i for i, v in enumerate(out) if v is None]
+    p = precision_bits
+    while pending:
+        brackets = [_scaled_bracket(c, p) for c in reversed(poly.coefficients)]
+        mids = _on_one_denominator([lo + hi for lo, hi in brackets], den_stride)
+        radii = _on_one_denominator([hi - lo for lo, hi in brackets], den_stride)
+        radius = _horner(radii, max(abs(nums[i]) for i in pending), stride, offset)
+        q = shared << p + 1
+        for i in pending:
+            found = _certified_digits(_horner(mids, nums[i], stride, offset), radius, q)
+            if found:
+                out[i] = _format_decimal(*found, ".0")
+            elif p > _RATIONAL_CHECK_BITS:
+                out[i] = _rational_value(poly, Fraction(nums[i], den))
+        pending = [i for i in pending if out[i] is None]
+        p += p // 2
     return out
+
+
+# Far past the precision any built-in sample has needed (729 bits).
+_RATIONAL_CHECK_BITS = 16384
+
+
+def _rational_value(poly: ApproxPolynomial, x: Fraction) -> str | None:
+    """The polynomial's exact value at x as ``eval_polynomial`` prints it,
+    when that value is rational; else None."""
+    value = sum((c * x ** poly.family.basis_power(k) for k, c in enumerate(poly.coefficients, 1)),
+                Fraction(0))
+    low, nums, den = _triple(value)
+    return None if low or len(nums) > 1 else _render(sum(nums), den, SIG_DIGITS, False, ".0")

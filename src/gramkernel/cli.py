@@ -4,19 +4,18 @@ plot data, and the self-verification report, as text, CSV, or JSON.
 Exact rationals are serialized as ``p/q`` strings; pi-dependent exact values
 as canonical ``q*pi^m`` sums.  Every decimal is an exact value rounded to 17
 significant digits by ``exactscalar``'s one renderer, and never feeds back
-into any exact field.  ``cond`` and ``variance`` print every decimal
-correctly rounded from the exact value; ``variance`` certifies a pi-Laurent
-value by integer enclosures in Ziv's loop, and ``--precision-bits`` (default
-256) is only the precision that loop starts from, so no printed byte
-depends on it.  ``plotdata`` prints x and exp-neg's polynomials correctly
-rounded from their exact values and f from a proved enclosure; the sin-pi
-and cos-pi polynomials, and f where no enclosure decides (its exact zeros),
-come from a float at ``--precision-bits``.  A table's rows are built once,
-under one column list: the CSV header and the keys of the JSON ``data``
-objects.  ``plotdata --samples`` takes 2 to 65536 points (65536 take about
-3 s of CPU), and
-its window ends ``--xmin``/``--xmax`` are at most 10**6 in magnitude with a
-denominator below 10**30.
+into any exact field.  Every subcommand runs on integers alone; none imports
+``mpmath``.  ``cond`` prints every decimal correctly rounded from the exact
+value, and so do ``variance`` and ``plotdata``, which certify pi-Laurent
+values and f by integer enclosures in Ziv's loop; ``--precision-bits``
+(default 256) is only the precision those loops start from, so no such byte
+depends on it.  The one exception is ``plotdata``'s f at an exact zero of
+sin(pi x) or cos(pi x): it prints what a float evaluation at
+``--precision-bits`` returns there, rounding noise, not 0.  A table's rows
+are built once, under one column list: the CSV header and the keys of the
+JSON ``data`` objects.  ``plotdata --samples`` takes 2 to 65536 points
+(65536 take about 3 s of CPU), and its window ends ``--xmin``/``--xmax``
+are at most 10**6 in magnitude with a denominator below 10**30.
 ``verify`` writes one stderr line ``FAIL <check> family=<f> size=<n>: <detail>``
 per failing check, in every format, and its JSON rows of failing checks carry
 that ``detail``; a passing run writes nothing to stderr.
@@ -284,11 +283,8 @@ def cmd_plotdata(args) -> int:
         eval_polynomial(taylor, nums, den, args.precision_bits),
     )
     # x = num/den unreduced: its correctly rounded digits are decimal_str's
-    rows = [
-        [_render(num, den, SIG_DIGITS, True, ""), f]
-        + [_render(p, q, SIG_DIGITS, False, ".0") for p, q in values]
-        for num, f, *values in zip(nums, *columns)
-    ]
+    rows = [[_render(num, den, SIG_DIGITS, True, ""), *values]
+            for num, *values in zip(nums, *columns)]
     _emit(args, None, ["x", "f", "estimate", "taylor"], rows, None)
     return 0
 
@@ -333,8 +329,9 @@ _MAX_SIZE = ("--max-size", {"type": _positive_int, "required": True})
 _FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text"})
 _PRECISION = ("--precision-bits", {
     "type": _precision, "default": DEFAULT_PRECISION_BITS,
-    "help": "binary precision of plotdata's evaluation; for variance, only where its "
-            "certified rendering starts (default 256, minimum 128)"})
+    "help": "where certified rendering starts (variance; plotdata's sin-pi and cos-pi "
+            "polynomials), and the precision of the float plotdata prints for f at an "
+            "exact zero of sin or cos (default 256, minimum 128)"})
 _OUT = ("--out", {"metavar": "PATH", "default": None})
 
 _SUBCOMMANDS = {  # name -> (help, command function's name, options, other defaults)

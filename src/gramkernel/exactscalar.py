@@ -14,15 +14,15 @@ is assembled from two exact carriers, and a value's type is its rationality:
   stored dense, as integer numerators for consecutive pi exponents over one
   denominator, in a canonical form private to this module.
 
-Numeric evaluation (``mpmath`` at a caller-chosen binary precision) is the
-only lossy operation in the package and is confined to this module.  Every
-rational is turned into a binary float by one helper, :func:`_round_rational`
-(integers p/q correctly rounded to nearest at any precision).
-
-Certified rendering needs no float: :func:`enclose` brackets a pi-Laurent
-value between integer ratios from an integer bracket of pi
+No command evaluates anything through ``mpmath``: :func:`enclose` brackets
+a pi-Laurent value between integer ratios from an integer bracket of pi
 (:func:`_pi_bracket`), and :func:`certified_decimal_str` tightens it in
-Ziv's loop until both ends print alike.
+Ziv's loop until both ends print alike.  The one binary rounding left,
+:func:`_round_rational` (integers p/q correctly rounded to nearest at any
+precision), serves ``plotdata``'s f at the exact zeros of sin and cos.  The
+``mpmath`` helpers (:func:`eval_pilaurent`, :func:`to_bigfloat`,
+:func:`working_mpf`, :func:`mpf_decimal_str`) remain for the tests and
+import ``mpmath`` only when called.
 
 Every printed decimal comes from one renderer, :func:`_render`: an exact
 rational, or the exact binary value of a float, rounded in integers by one
@@ -36,9 +36,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import eq
 from typing import Iterator, Mapping, Union
-
-from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pos, round_nearest
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
@@ -186,7 +183,7 @@ def _round_rational(p: int, q: int, prec: int) -> tuple:
     the trailing zeros of the result are dropped, as an mpf's mantissa is odd.
     """
     if not p:
-        return fzero
+        return 0, 0, 0, 0
     a = abs(p)
     shift = prec + 1 - a.bit_length() + q.bit_length()
     man, rem = divmod(a << shift, q) if shift >= 0 else divmod(a, q << -shift)
@@ -202,6 +199,8 @@ def _round_rational(p: int, q: int, prec: int) -> tuple:
 
 def working_mpf(x) -> mpf:
     """x at mpmath's working precision; a Fraction is correctly rounded."""
+    from mpmath import mp, mpf
+
     if isinstance(x, Fraction):
         return mp.make_mpf(_round_rational(x.numerator, x.denominator, mp.prec))
     return mpf(x)
@@ -209,6 +208,8 @@ def working_mpf(x) -> mpf:
 
 def to_bigfloat(q: RationalLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
     """Round an exact rational once, at the requested binary precision."""
+    from mpmath import mp
+
     _check_precision(precision_bits)
     with mp.workprec(precision_bits):
         return working_mpf(Fraction(q))
@@ -217,6 +218,8 @@ def to_bigfloat(q: RationalLike, precision_bits: int = DEFAULT_PRECISION_BITS) -
 @lru_cache(maxsize=None)
 def _pi_power(wp: int, m: int) -> tuple:
     """The raw mpf ``(+mp.pi)**m`` at working precision ``wp``, computed once."""
+    from mpmath import mp
+
     with mp.workprec(wp):
         return ((+mp.pi) ** m)._mpf_
 
@@ -230,6 +233,9 @@ def eval_pilaurent(p: Exact, precision_bits: int = DEFAULT_PRECISION_BITS) -> mp
     rounded to ``precision_bits``.  The 16 guard bits keep the relative error
     well inside ``2**(8 - precision_bits)`` per term.
     """
+    from mpmath import mp
+    from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pos, round_nearest
+
     _check_precision(precision_bits)
     low, nums, den = (p if isinstance(p, PiLaurent) else PiLaurent(p))._v
     wp = precision_bits + 16
@@ -263,35 +269,61 @@ def _pow10(s: int) -> int:
     return power
 
 
-def _round_decimal(p: int, q: int, sig_digits: int, half_even: bool) -> tuple[str, int]:
+def _round_decimal(p: int, q: int, sig_digits: int, half_even: bool,
+                   radius: int = 0) -> tuple[str, int] | None:
     """|p|/q (p != 0, q > 0) rounded to ``sig_digits`` significant digits,
     ties half to even or half away from zero: the digits, and the decimal
-    exponent e of the first.
+    exponent e of the first.  With a ``radius``, the digits that every value
+    within radius/q of |p|/q rounds to, or None when zero or a rounding
+    boundary lies that close.
 
     With b the difference of the bit lengths of |p| and q, |p|/q lies in
     (2**(b-1), 2**(b+1)), so its decimal exponent lies in [e, e + 2] for
     e = floor((b-1) L) - 1, where L = ``_LOG10_2`` / 2**64 is within 2**-64
     of log10 2.  One ``divmod`` by 10**(e + 1 - ``sig_digits``) leaves a
     quotient m of ``sig_digits`` to ``sig_digits + 2`` digits; its extra
-    digits and the remainder decide the rounding.
+    digits and the remainder decide the rounding.  In units of the last kept
+    digit the value is m + r/d, and the boundaries nearest it are m +- 1/2,
+    at a distance |2r - d| / 2d, and, when m is 10**(sig_digits - 1), the
+    half unit of the next lower decade, m - 1/20, at (20r + d) / 20d; the
+    radius, in the same units, must stay below both.
     """
     a = abs(p)
+    if radius >= a:
+        return None
     e = ((a.bit_length() - q.bit_length() - 1) * _LOG10_2 >> 64) - 1
     s = e + 1 - sig_digits
-    a, d = (a, q * _pow10(s)) if s >= 0 else (a * _pow10(-s), q)
+    if s >= 0:
+        d = q * _pow10(s)
+    else:
+        scale = _pow10(-s)
+        a, d, radius = a * scale, q, radius * scale
     m, r = divmod(a, d)
     digits = str(m)
     extra = len(digits) - sig_digits
     if extra:
-        m, tail = divmod(m, _pow10(extra))
-        r, d, e = tail * d + r, d * _pow10(extra), e + extra
+        ten = _pow10(extra)
+        m, tail = divmod(m, ten)
+        r, d, e = tail * d + r, d * ten, e + extra
     r += r
+    if radius and (abs(r - d) <= 2 * radius
+                   or 10 * r + d <= 20 * radius and m == _pow10(sig_digits - 1)):
+        return None
     if r > d or r == d and (m & 1 or not half_even):
         m += 1
         if m == _pow10(sig_digits):
             m, e = m // 10, e + 1
         return str(m), e
     return digits[:sig_digits], e
+
+
+def _certified_digits(mid: int, radius: int, q: int) -> tuple[bool, str, int] | None:
+    """The sign, ``SIG_DIGITS`` digits (half away from zero) and decimal
+    exponent that every value in [(mid - radius)/q, (mid + radius)/q]
+    rounds to, for ``_format_decimal``; None when zero or a rounding
+    boundary lies in that interval.  One ``divmod``, by ``_round_decimal``."""
+    found = _round_decimal(mid, q, SIG_DIGITS, False, radius)
+    return found and (mid < 0, *found)
 
 
 def _format_decimal(negative: bool, digits: str, e: int, empty_fraction: str) -> str:
@@ -415,7 +447,7 @@ def _raw_ratio(raw: tuple) -> tuple[int, int]:
     """The exact value of a finite raw mpf as integers p/q, q a power of two."""
     sign, man, exp, _ = raw
     if not man and exp:
-        raise ValueError(f"non-finite value {mp.make_mpf(raw)}")
+        raise ValueError(f"non-finite value: raw mpf {raw}")
     return (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, pi, quad, sin
+import refdecimal
 
 from gramkernel.approx import (
     COS_PI,
@@ -41,7 +42,7 @@ from gramkernel.approx import (
 from gramkernel.checks import run_checks
 from gramkernel.cli import main as cli_main
 from gramkernel.conditioning import condition_number
-from gramkernel.exactscalar import PiLaurent, _raw_ratio, decimal_str, eval_pilaurent, to_bigfloat
+from gramkernel.exactscalar import PiLaurent, decimal_str, eval_pilaurent
 from gramkernel.families import (
     ALL_FAMILIES,
     HERMITE_EVEN,
@@ -198,6 +199,16 @@ def test_criterion_3_printed_polynomials(tmp_path):
     assert [row["taylor"] for row in data] == PRINTED_TAYLOR
 
 
+def _mpf_polynomial(poly, y):
+    """An odd (legendre-odd) polynomial at an mpf y, by mpmath at the working
+    precision: each coefficient as the sum of its q_m * pi**m, then Horner."""
+    acc = mpf(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * y * y + sum((mpf(q.numerator) / q.denominator * pi**m for m, q in c.items()),
+                                mpf(0))
+    return acc * y
+
+
 @criterion(4, "trig-variance-tables")
 def test_criterion_4_trig_variance_tables():
     outlier_seen = False
@@ -223,14 +234,14 @@ def test_criterion_4_trig_variance_tables():
                         # confirm the deviation is real but small, and that the
                         # exact value is the one quadrature reproduces
                         assert allowed < deviation < abs(ref_num) * mpf("3e-6")
-                        residual = quad(
-                            lambda y: (sin(pi * y)
-                                       - to_bigfloat(Fraction(*eval_polynomial(
-                                           poly, [_raw_ratio(y._mpf_)[0]], _raw_ratio(y._mpf_)[1], 330)[0]),
-                                           330)) ** 2,
-                            [-1, 0, 1],
-                        )
+                        residual = quad(lambda y: (sin(pi * y) - _mpf_polynomial(poly, y)) ** 2,
+                                        [-1, 0, 1])
                         assert abs(value - residual) <= abs(residual) * mpf(10) ** -30
+                        # and plotdata prints that polynomial's exact values correctly rounded
+                        assert eval_polynomial(poly, range(-8, 9), 8) == [refdecimal.reference(sum(
+                            (c * Fraction(num, 8) ** (2 * k + 1)
+                             for k, c in enumerate(poly.coefficients)), Fraction(0)))
+                            for num in range(-8, 9)]
                         outlier_seen = True
                     else:
                         assert deviation <= allowed, (

@@ -16,8 +16,8 @@ from operator import mul
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import cos, exp, mp, mpf, pi, quad, sin
-from mpmath.libmp import from_rational, round_nearest
-from refdecimal import FUNCTIONS
+from mpmath.libmp import mpf_cos, mpf_mul, mpf_pi, mpf_sin, round_nearest
+from refdecimal import FUNCTIONS, decimal_render, function_reference, reference
 
 from gramkernel import approx, checks, exactscalar, families
 from gramkernel.approx import (
@@ -45,10 +45,10 @@ from gramkernel.exactscalar import (
     PiLaurent,
     _raw_ratio,
     _render,
+    _round_rational,
     decimal_str,
     eval_pilaurent,
     mpf_decimal_str,
-    working_mpf,
 )
 from gramkernel.families import ALL_FAMILIES, LAGUERRE, LEGENDRE_EVEN, LEGENDRE_ODD, GradedMatrix
 from gramkernel.kernelbuild import build_kernel
@@ -62,7 +62,7 @@ IDENTITY = TargetFunction(
     moments=lambda k_max: {k: Fraction(2, k + 2) for k in range(1, k_max + 1, 2)},
     taylor_term=lambda k: Fraction(1 if k == 0 else 0),
     grid=lambda nums, den: ((num, num, den) for num in nums),
-    value=lambda x, prec: x,
+    value=lambda x, w: (x.numerator, x.numerator, x.denominator),
 )
 
 
@@ -73,9 +73,29 @@ def _grid(x):
     return [num], den
 
 
-def _values(poly, nums, den, bits=256) -> list[Fraction]:
-    """``eval_polynomial``'s values as Fractions."""
-    return [Fraction(p, q) for p, q in eval_polynomial(poly, nums, den, bits)]
+@lru_cache(maxsize=None)
+def _mpf_coefficients(poly, bits):
+    """Each coefficient as the sum of its q_m * pi**m by mpmath at ``bits``."""
+    with mp.workprec(bits):
+        return [sum((mpf(q.numerator) / q.denominator * pi**m
+                     for m, q in (c.items() if isinstance(c, PiLaurent) else [(0, c)])), mpf(0))
+                for c in poly.coefficients]
+
+
+def _mpf_poly(poly, y, bits):
+    """The polynomial at an mpf y by mpmath at ``bits``: Horner on
+    :func:`_mpf_coefficients`.  Independent of ``eval_polynomial``."""
+    with mp.workprec(bits):
+        acc, y_stride = mpf(0), y**poly.family.stride
+        for c in reversed(_mpf_coefficients(poly, bits)):
+            acc = acc * y_stride + c
+        return acc * y**poly.family.offset
+
+
+def _exact_value(poly, x: Fraction):
+    """The polynomial's exact value at a rational x."""
+    return sum((c * x ** poly.family.basis_power(k) for k, c in enumerate(poly.coefficients, 1)),
+               Fraction(0))
 
 
 def kernel_estimate(target, n):
@@ -396,10 +416,7 @@ class TestErrorVariance:
                 var = error_variance(target, poly)
                 got = eval_pilaurent(var, 300)
                 weight = (lambda y: exp(-y)) if target is EXP_NEG else (lambda y: mpf(1))
-                ref = quad(
-                    lambda y: (f(y) - working_mpf(_values(poly, *_grid(y), 320)[0])) ** 2 * weight(y),
-                    interval,
-                )
+                ref = quad(lambda y: (f(y) - _mpf_poly(poly, y, 320)) ** 2 * weight(y), interval)
                 assert abs(got - ref) <= abs(ref) * mpf(10) ** -30
 
 
@@ -418,26 +435,31 @@ def test_reproducing_property(family, n):
 class TestEvalPolynomial:
     def test_taylor_at_zero(self):
         tay = taylor_comparator(EXP_NEG, 8)
-        assert _values(tay, [0], 1) == [1]
+        assert eval_polynomial(tay, [0], 1) == ["1.0"]
 
     def test_estimate_at_zero(self):
         est = kernel_estimate(EXP_NEG, 8)
-        assert _values(est, [0], 1) == [Fraction(255, 256)]
+        assert eval_polynomial(est, [0], 1) == ["0.99609375"]  # 255/256, exactly
 
     def test_odd_polynomial_at_zero(self):
+        """Exactly 0, from any starting precision."""
         est = kernel_estimate(SIN_PI, 3)
-        assert _values(est, [0], 1) == [0]
+        for bits in (128, 512):
+            assert eval_polynomial(est, [0, 1], 1, bits)[0] == "0.0"
 
     def test_estimate_at_one_matches_coefficient_sum(self):
         est = kernel_estimate(EXP_NEG, 8)
-        exact = sum(est.coefficients, Fraction(0))
-        assert _values(est, [1], 1) == [exact]
+        assert eval_polynomial(est, [1], 1) == [reference(sum(est.coefficients, Fraction(0)))]
 
     def test_sin_estimate_tracks_function(self):
+        """Each value is the oracle's decimal of the exact estimate, within
+        1e-6 of sin(pi x)."""
         est = kernel_estimate(SIN_PI, 6)
-        with mp.workprec(256):
-            for num, value in zip((1, 2, 3), _values(est, [1, 2, 3], 4)):
-                assert abs(working_mpf(value) - sin(pi * mpf(num) / 4)) < mpf("1e-6")
+        for num, value in zip((1, 2, 3), eval_polynomial(est, [1, 2, 3], 4)):
+            x = Fraction(num, 4)
+            assert value == reference(_exact_value(est, x))
+            f = Fraction(function_reference("sin-pi", x))
+            assert abs(Fraction(value) - f) < Fraction(1, 10**6)
 
 
 @lru_cache(maxsize=None)
@@ -448,10 +470,6 @@ def _poly(target, n, kind):
 def _exact(v: mpf) -> Fraction:
     m, e = v.man_exp  # of |v|
     return int(mp.sign(v)) * Fraction(m) * Fraction(2) ** e
-
-
-def _rounded(q: Fraction, bits: int) -> mpf:
-    return mp.make_mpf(from_rational(q.numerator, q.denominator, bits, round_nearest))
 
 
 def _terms(poly, coefficients, x) -> list[Fraction]:
@@ -475,26 +493,36 @@ def polynomial_points(draw, targets=ALL_TARGETS):
 
 
 class TestEvalPolynomialIsExact:
-    """A pi-Laurent polynomial's value is the correctly rounded value of the
-    polynomial on its coefficients as rounded once at ``bits + 16``; nothing
-    else rounds.  A rational polynomial's value is exact."""
+    """Every value is the polynomial's exact value at x correctly rounded to
+    17 significant digits, from any starting precision."""
 
     @given(polynomial_points(targets=(SIN_PI, COS_PI)))
     @settings(max_examples=150, deadline=None)
-    def test_one_rounding_of_the_rounded_coefficients(self, case):
+    def test_pi_laurent_values_are_the_oracles(self, case):
         poly, x, bits = case
-        rounded = [_exact(eval_pilaurent(c, bits + 16)) for c in poly.coefficients]
-        want = _exact(_rounded(sum(_terms(poly, rounded, x)), bits))
-        (p, q), = eval_polynomial(poly, *_grid(x), bits)
-        assert Fraction(p, q) == want and q & (q - 1) == 0
+        assert eval_polynomial(poly, *_grid(x), bits) == [
+            reference(sum(_terms(poly, poly.coefficients, x)))]
+
+    def test_a_rational_value_is_rounded_from_its_exact_value(self):
+        """pi x - pi x**3 is 0 at x = 1, where no enclosure decides a sign,
+        and 1.00000000000000005 + pi x**2 - pi x**4 is that decimal tie at
+        x = 1: past the precision cap each is rounded from its exact value,
+        the tie half away from zero.  At x = 1/2 both are transcendental."""
+        zero = ApproxPolynomial(LEGENDRE_ODD, (PiLaurent({1: 1}), PiLaurent({1: -1})))
+        tie = ApproxPolynomial(LEGENDRE_EVEN, (
+            PiLaurent(Fraction(100000000000000005, 10**17)), PiLaurent({1: 1}), PiLaurent({1: -1})))
+        for poly, text in ((zero, "0.0"), (tie, "1.0000000000000001")):
+            assert eval_polynomial(poly, [1, 2], 2) == [
+                reference(_exact_value(poly, Fraction(1, 2))), text]
 
     @given(polynomial_points(targets=(EXP_NEG,)))
     @settings(max_examples=150, deadline=None)
     def test_rational_coefficients_round_like_the_exact_value(self, case):
         """Fraction coefficients are not rounded at all: the value is the
-        exact value of the polynomial at x, at every precision."""
+        exact value of the polynomial at x, rendered, at every precision."""
         poly, x, bits = case
-        assert _values(poly, *_grid(x), bits) == [sum(_terms(poly, poly.coefficients, x))]
+        assert eval_polynomial(poly, *_grid(x), bits) == [
+            reference(sum(_terms(poly, poly.coefficients, x)))]
 
     @pytest.mark.parametrize("x", [mpf("inf"), mpf("-inf"), mpf("nan"), float("inf")], ids=str)
     def test_non_finite_x_raises(self, x):
@@ -503,36 +531,42 @@ class TestEvalPolynomialIsExact:
             eval_polynomial(taylor_comparator(EXP_NEG, 3), *_grid(mpf(x)))
 
 
-# The per-sample reference for plotdata's grid: x as xmin + i*step in
-# Fractions, f by mpmath's wrappers under mp.workprec, and Horner in Fractions
-# over the exact coefficients, as eval_pilaurent rounds them where they hold pi.
-REFERENCE_F = {
-    "sin-pi": lambda x: mp.sin(mp.pi * x),
-    "cos-pi": lambda x: mp.cos(mp.pi * x),
-    "exp-neg": lambda x: mp.exp(-x),
-}
+# The per-sample reference for plotdata's columns.  A value is computed by
+# mpmath at 1024 and at 1280 bits and its decimal taken where both render
+# alike by ``decimal`` (the refdecimal oracle's rule, at lower precisions), else from the
+# refdecimal oracle itself; exp-neg's polynomial values are exact Fractions.
+# At an exact zero of sin or cos, f is the float mp.sin(mp.pi * x) or
+# mp.cos(mp.pi * x) at the run's precision.
+REFERENCE_F = {"sin-pi": lambda x: mp.sin(mp.pi * x), "cos-pi": lambda x: mp.cos(mp.pi * x)}
 
 
-def _reference_columns(target, size, xmin, xmax, samples, bits):
-    step = (xmax - xmin) / (samples - 1)
-    xs = [xmin + i * step for i in range(samples)]
-    with mp.workprec(bits):
-        columns = [[REFERENCE_F[target.name](working_mpf(x)) for x in xs]]
-    for kind in ("estimate", "taylor"):
-        poly = _poly(target, size, kind)
-        stride, offset = poly.family.stride, poly.family.offset
-        exact = target is EXP_NEG
-        rounded = [c if exact else _exact(eval_pilaurent(c, bits + 16))
-                   for c in reversed(poly.coefficients)]
-        column = []
-        for x in xs:
-            acc = Fraction(0)
-            for c in rounded:
-                acc = acc * x**stride + c
-            value = acc * x**offset
-            column.append(value if exact else _exact(_rounded(value, bits)))
-        columns.append(column)
-    return columns
+def _agreed_decimal(evaluate, oracle):
+    texts = set()
+    for bits in (1024, 1280):
+        with mp.workprec(bits):
+            sign, man, exp, _ = evaluate()._mpf_
+        texts.add(decimal_render((-1) ** sign * man << max(exp, 0), 1 << max(-exp, 0),
+                                 SIG_DIGITS, False, ".0"))
+    return texts.pop() if len(texts) == 1 else oracle()
+
+
+def _poly_reference(poly, x: Fraction) -> str:
+    if all(isinstance(c, Fraction) for c in poly.coefficients):
+        return reference(_exact_value(poly, x))
+    return _agreed_decimal(lambda: _mpf_poly(poly, mpf(x.numerator) / x.denominator, mp.prec),
+                           lambda: reference(_exact_value(poly, x)))
+
+
+def _is_zero(target, x: Fraction) -> bool:
+    return x.denominator == {"sin-pi": 1, "cos-pi": 2}.get(target.name)
+
+
+def _f_reference(target, x: Fraction, bits: int) -> str:
+    if _is_zero(target, x):
+        with mp.workprec(bits):
+            return mpf_decimal_str(REFERENCE_F[target.name](mpf(x.numerator) / x.denominator))
+    return _agreed_decimal(lambda: FUNCTIONS[target.name](mpf(x.numerator) / x.denominator),
+                           lambda: function_reference(target.name, x))
 
 
 @st.composite
@@ -558,22 +592,17 @@ class TestPlotGrid:
            st.integers(128, 1024))
     @settings(max_examples=80, deadline=None)
     def test_columns_equal_the_per_sample_reference(self, target, size, window, bits):
-        """The polynomial columns equal the reference exactly.  An f decimal
-        is its enclosure's where both ends render alike, and then also the
-        reference float's wherever that float lies in the enclosure (rounding
-        is monotone); elsewhere it is the reference float's."""
+        """Every polynomial value is its exact value at x, correctly rounded
+        where it holds pi, and every f decimal is f(x) correctly rounded,
+        but for the float noise at an exact zero of sin or cos; only that
+        noise depends on ``bits``."""
         xmin, xmax, samples = window
         nums, den = sample_grid(xmin, xmax, samples)
-        f, *want = _reference_columns(target, size, xmin, xmax, samples, bits)
-        for kind, want_column in zip(("estimate", "taylor"), want):
-            assert _values(_poly(target, size, kind), nums, den, bits) == want_column
-        texts = target_value(target, nums, den, bits)
-        for text, ref, (lo, hi, q) in zip(texts, f, target.grid(nums, den)):
-            ends = {_render(lo, q, SIG_DIGITS, False, ".0"), _render(hi, q, SIG_DIGITS, False, ".0")}
-            if len(ends) == 1 and not Fraction(lo, q) <= _exact(ref) <= Fraction(hi, q):
-                assert ends == {text}
-            else:
-                assert text == mpf_decimal_str(ref)
+        xs = [Fraction(num, den) for num in nums]
+        for kind in ("estimate", "taylor"):
+            poly = _poly(target, size, kind)
+            assert eval_polynomial(poly, nums, den, bits) == [_poly_reference(poly, x) for x in xs]
+        assert target_value(target, nums, den, bits) == [_f_reference(target, x, bits) for x in xs]
 
     @given(plot_windows())
     @settings(max_examples=150, deadline=None)
@@ -655,6 +684,45 @@ class TestGridEnclosures:
                            ((lo, math.ceil(scaled) - 1, q), "misses f"),
                            ((hi - bound - 1, hi, q), "wider than proved")):
             assert (4, fault) in _enclosure_faults(target, nums, den, good[:4] + [bad] + good[5:])
+
+
+class TestValuesOffTheGrid:
+    """f where the grid's enclosure decides no decimal: refined at one x, or
+    at an exact zero of sin or cos, the float a float evaluation returns."""
+
+    @pytest.mark.parametrize("bits", (128, 200, 256, 300, 333, 512))
+    def test_an_exact_zero_prints_the_float_of_a_float_evaluation(self, bits):
+        """At each zero 0 < |x| <= 20 the decimal is that of libmp's p-bit
+        sin or cos of y = round(round(pi) x); the residue is sin(y - pi x)
+        correctly rounded, by mpmath at 4096 bits."""
+        for target, g in ((SIN_PI, mpf_sin), (COS_PI, mpf_cos)):
+            phase, slope = target.zero
+            for k in range(-20, 21):
+                x = phase + k
+                if not x:
+                    continue
+                num, den = x.as_integer_ratio()
+                y = mpf_mul(mpf_pi(bits, round_nearest), _round_rational(num, den, bits), bits,
+                            round_nearest)
+                assert target_value(target, range(num, num + 1), den, bits) == [
+                    mpf_decimal_str(mp.make_mpf(g(y, bits, round_nearest)))]
+                with mp.workprec(4096):
+                    residue = mp.sin(mp.make_mpf(y) - mp.pi * num / den)
+                with mp.workprec(bits):
+                    assert Fraction(*approx._float_residue(x, bits)) == _exact(+residue)
+
+    @given(st.sampled_from(ALL_TARGETS), window_ends(magnitudes=(1, 20)), window_ends(),
+           st.integers(2, 9))
+    @settings(max_examples=30, deadline=None)
+    def test_samples_the_grid_leaves_open_are_refined(self, target, xmin, xmax, samples):
+        """With every grid enclosure widened to [-2**200, 2**200], each f
+        decimal comes from ``target.value`` and is still the reference's."""
+        assume(xmin != xmax)
+        xmin, xmax = min(xmin, xmax), max(xmin, xmax)
+        wide = replace(target, grid=lambda nums, den: ((-1 << 200, 1 << 200, 1) for _ in nums))
+        nums, den = sample_grid(xmin, xmax, samples)
+        assert target_value(wide, nums, den) == [_f_reference(target, Fraction(num, den), 256)
+                                                 for num in nums]
 
 
 class TestTargets:

@@ -614,6 +614,33 @@ def test_a_valid_invocation_imports_no_argparse():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_no_subcommand_imports_mpmath():
+    """In one fresh process, every subcommand runs in-process through
+    ``main``, cos-pi ``plotdata`` over its exact zeros at +-1/2 included,
+    and leaves ``mpmath`` unimported; the float helpers the tests keep
+    still import it when called."""
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import contextlib, io, sys\n"
+            "from gramkernel.cli import main\n"
+            "runs = [['kernel', '--family', 'hermite-odd', '--size', '3'],\n"
+            "        ['cond', '--family', 'legendre-even', '--max-size', '4'],\n"
+            "        ['variance', '--target', 'sin-pi', '--max-size', '4'],\n"
+            "        ['project', '--target', 'cos-pi', '--size', '3'],\n"
+            "        ['plotdata', '--target', 'cos-pi', '--size', '4', '--xmin=-1/2',\n"
+            "         '--xmax=1/2', '--samples', '9'],\n"
+            "        ['plotdata', '--target', 'exp-neg', '--size', '3', '--samples', '5'],\n"
+            "        ['verify', '--max-size', '2']]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert [main(argv) for argv in runs] == [0] * len(runs)\n"
+            "print('mpmath' in sys.modules)\n"
+            "from gramkernel.exactscalar import PiLaurent, eval_pilaurent\n"
+            "print(eval_pilaurent(PiLaurent({1: 1}), 128) > 3, 'mpmath' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines() == ["False", "True True"]
+
+
 def _own_flags(name):
     return [flag for flag, _ in cli._SUBCOMMANDS[name][2]]
 
@@ -740,6 +767,9 @@ SNAPSHOTS = [
     # 36 estimates that are exact 17-digit ties, each printed half away from zero
     ("plotdata_exp-neg_3_257.csv", ["plotdata", "--target", "exp-neg", "--size", "3",
                                     "--xmin=3/4", "--xmax=899/100", "--samples", "257"]),
+    # certified pi-Laurent columns where a float at 256 bits printed wrong digits
+    ("plotdata_sin-pi_30.csv", ["plotdata", "--target", "sin-pi", "--size", "30",
+                                "--xmin=-1", "--xmax=1", "--samples", "65"]),
 ]
 
 
@@ -754,9 +784,9 @@ def test_output_matches_snapshot_byte_for_byte(capsys, filename, argv):
 
 
 def test_item_12_cos_pi_zero_still_prints_the_float_noise(capsys):
-    """At an exact zero of cos(pi x) no enclosure decides a decimal, so f
-    falls back to the 256-bit float, which prints rounding noise: the known
-    fault of ROADMAP item 12, pinned so its fix changes this line knowingly."""
+    """At an exact zero of cos(pi x) f prints what a 256-bit float
+    evaluation of cos(pi x) returns, rounding noise: the known fault of
+    ROADMAP item 12, pinned so its fix changes this line knowingly."""
     assert main(["plotdata", "--target", "cos-pi", "--size", "4", "--xmin", "0", "--xmax", "1",
                  "--samples", "3"]) == 0
     rows = capsys.readouterr().out.splitlines()

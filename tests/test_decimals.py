@@ -1,8 +1,8 @@
-"""Every decimal that ``variance`` and ``cond`` print, and every exact
-``plotdata`` decimal (x, exp-neg's estimate and Taylor, f away from its
-zeros), is the correctly rounded rendering of its exact value, by the
-independent oracle in ``refdecimal``; the package's integer renderer equals
-the ``decimal`` one it replaced.
+"""Every decimal that ``variance`` and ``cond`` print, and every ``plotdata``
+decimal but f at the exact zeros of sin and cos (x, the estimate and Taylor
+columns of all three targets, f elsewhere), is the correctly rounded
+rendering of its exact value, by the independent oracle in ``refdecimal``;
+the package's integer renderer equals the ``decimal`` one it replaced.
 
 The commands run in-process through ``main`` and are read back from their
 CSV.  A negative control mutates the package's renderer and shows that the
@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from refdecimal import decimal_render, function_reference, reference
 
 from gramkernel import approx, cli, exactscalar
-from gramkernel.approx import EXP_NEG, TARGETS, function_moments, project, taylor_comparator, variance_rows
+from gramkernel.approx import TARGETS, function_moments, project, taylor_comparator, variance_rows
 from gramkernel.cli import main
 from gramkernel.families import FAMILIES
 from gramkernel.kernelbuild import build_kernel
@@ -64,16 +64,16 @@ def _plotdata_rows(target, size, xmin, xmax, samples):
     return [(xmin + i * step, row) for i, row in enumerate(rows)]
 
 
-def exp_neg_plot_mismatches(size, xmin, xmax, samples):
-    """(x, column, printed, oracle) for every exp-neg ``plotdata`` x, estimate
-    and Taylor decimal that is not the oracle's rendering of its exact value,
+def plot_mismatches(target, size, xmin, xmax, samples):
+    """(x, column, printed, oracle) for every ``plotdata`` x, estimate and
+    Taylor decimal that is not the oracle's rendering of its exact value,
     the polynomial at x on ``project``'s and the Taylor comparator's exact
     coefficients."""
-    family = EXP_NEG.natural_family
-    polys = (project(build_kernel(family, size), function_moments(EXP_NEG, size)),
-             taylor_comparator(EXP_NEG, size))
+    family = TARGETS[target].natural_family
+    polys = (project(build_kernel(family, size), function_moments(TARGETS[target], size)),
+             taylor_comparator(TARGETS[target], size))
     out = []
-    for x, row in _plotdata_rows("exp-neg", size, xmin, xmax, samples):
+    for x, row in _plotdata_rows(target, size, xmin, xmax, samples):
         wants = [reference(x, True)] + [
             reference(sum(c * x ** family.basis_power(k) for k, c in enumerate(p.coefficients, 1)))
             for p in polys]
@@ -87,9 +87,9 @@ def _is_zero(target, x):
 
 
 @st.composite
-def small_windows(draw):
-    """Window ends with denominators up to 1000 and 2-17 samples."""
-    ends = [Fraction(draw(st.integers(-200 * den, 200 * den)), den)
+def small_windows(draw, bound=200):
+    """Window ends in [-bound, bound] with denominators up to 1000, and 2-17 samples."""
+    ends = [Fraction(draw(st.integers(-bound * den, bound * den)), den)
             for den in (draw(st.integers(1, 1000)), draw(st.integers(1, 1000)))]
     assume(ends[0] != ends[1])
     return min(ends), max(ends), draw(st.integers(2, 17))
@@ -99,7 +99,28 @@ def small_windows(draw):
 @example(size=3, window=(Fraction(2111, 200), Fraction(110), 17))  # two exact ties
 @settings(max_examples=25, deadline=None)
 def test_exp_neg_plotdata_decimals_are_the_oracles(size, window):
-    assert exp_neg_plot_mismatches(size, *window) == []
+    assert plot_mismatches("exp-neg", size, *window) == []
+
+
+@given(target=st.sampled_from(("sin-pi", "cos-pi")), size=st.integers(1, 30),
+       window=small_windows(bound=1))
+@example(target="sin-pi", size=30, window=(Fraction(-1), Fraction(1), 17))
+@example(target="cos-pi", size=30, window=(Fraction(-1), Fraction(1), 17))
+@settings(max_examples=25, deadline=None)
+def test_trig_plotdata_decimals_are_the_oracles(target, size, window):
+    """The sin-pi and cos-pi estimate and Taylor columns, from pi-Laurent
+    coefficients, certified on the grid, inside the domain [-1, 1]."""
+    assert plot_mismatches(target, size, *window) == []
+
+
+@pytest.mark.parametrize("target", ["sin-pi", "cos-pi"])
+def test_trig_plotdata_polynomials_do_not_depend_on_precision_bits(target):
+    """``--precision-bits`` sets only where the certified columns start: the
+    estimate and Taylor columns print alike from 128 and 512 bits."""
+    runs = [_csv_rows(["plotdata", "--target", target, "--size", "30", "--xmin=-1", "--xmax=1",
+                       "--samples", "65", "--precision-bits", bits], fmt=())
+            for bits in ("128", "512")]
+    assert [row[2:] for row in runs[0]] == [row[2:] for row in runs[1]]
 
 
 def test_exp_neg_plotdata_prints_exact_ties_half_away_from_zero():
@@ -107,7 +128,7 @@ def test_exp_neg_plotdata_prints_exact_ties_half_away_from_zero():
     prints its upper digit, as the exact value 0.522144830322265625 at
     x = 2503/3200 does."""
     window = (Fraction(3, 4), Fraction(899, 100), 257)
-    assert exp_neg_plot_mismatches(3, *window) == []
+    assert plot_mismatches("exp-neg", 3, *window) == []
     assert dict(_plotdata_rows("exp-neg", 3, *window))[Fraction(2503, 3200)][2] == \
         "0.52214483032226563"
 
@@ -183,13 +204,16 @@ def test_a_tie_renders_in_each_columns_rule():
 
 
 def _mutate_renderer(monkeypatch, other_rounding=False, digits=None):
-    real = exactscalar._render
+    """Mutate the digit routine behind every rendered decimal, ``_render``'s
+    and the certified columns' alike."""
+    real = exactscalar._round_decimal
 
-    def mutated(p, q, sig_digits, half_even, empty_fraction):
-        return real(p, q, digits or sig_digits, half_even != other_rounding, empty_fraction)
+    def mutated(p, q, sig_digits, half_even, radius=0):
+        return real(p, q, digits or sig_digits, half_even != other_rounding, radius)
 
     for module in (exactscalar, approx, cli):  # every module that binds it
-        monkeypatch.setattr(module, "_render", mutated)
+        if hasattr(module, "_round_decimal"):
+            monkeypatch.setattr(module, "_round_decimal", mutated)
 
 
 def test_a_renderer_with_16_digits_fails_the_oracle(monkeypatch):
@@ -197,7 +221,8 @@ def test_a_renderer_with_16_digits_fails_the_oracle(monkeypatch):
     for target in sorted(TARGETS):
         assert variance_mismatches(target, 14)
     assert cond_mismatches("laguerre", 10)
-    assert exp_neg_plot_mismatches(3, Fraction(1, 3), Fraction(7), 9)
+    assert plot_mismatches("exp-neg", 3, Fraction(1, 3), Fraction(7), 9)
+    assert plot_mismatches("sin-pi", 12, Fraction(-1), Fraction(1), 9)
 
 
 @pytest.mark.parametrize("column", ["variance", "cond"])

@@ -13,9 +13,13 @@ from refdecimal import bounds, render
 
 from gramkernel.approx import TARGETS, variance_rows
 from gramkernel.exactscalar import (
+    SIG_DIGITS,
     PiLaurent,
+    _certified_digits,
     _pi_bracket,
     _pi_power,
+    _render,
+    _round_decimal,
     _round_rational,
     certified_decimal_str,
     decimal_str,
@@ -543,3 +547,54 @@ class TestCertifiedDecimal:
         (PiLaurent({-1: -2}), "-0.63661977236758134")])
     def test_exact_and_simple_values(self, value, text):
         assert certified_decimal_str(value, 128) == (text, 128)
+
+
+@st.composite
+def radius_cases(draw):
+    """(p, q, radius): |p|/q at or near a 17-digit rounding boundary, at or
+    near a power of ten, or anywhere, with a radius of up to a few units of
+    the 17th digit."""
+    kind = draw(st.sampled_from(("half", "decade", "any")))
+    unit = 10 ** draw(st.integers(0, 25))  # of the 18th digit of p
+    if kind == "half":
+        p = (10 * draw(st.integers(10**16, 10**17 - 1)) + 5) * unit
+    elif kind == "decade":
+        p = 10**18 * unit
+    else:
+        p = draw(st.integers(10**17, 10**19)) * unit
+    p += draw(st.integers(-30 * unit, 30 * unit))
+    return (draw(st.sampled_from((1, -1))) * p, 10 ** draw(st.integers(0, 60)),
+            draw(st.integers(0, 40 * unit)))
+
+
+class TestRoundDecimalWithRadius:
+    """``_round_decimal`` with a radius answers only where every value within
+    it rounds alike, and refuses only where a boundary or zero is that close."""
+
+    @given(radius_cases())
+    @example((10**30 + 10**13, 10**30, 2 * 10**13))  # 1 + 1e-17, down to 1 - 1e-17
+    @example((-(10**30 + 10**13), 10**30, 2 * 10**13))
+    @example((10**30 - 10**13, 10**30, 4 * 10**12))  # 1 - 1e-17 +- 4e-18: decided
+    @example((15, 10, 0))  # an exact tie with no radius rounds half away from zero
+    @settings(max_examples=500, deadline=None)
+    def test_decides_exactly_where_the_ends_round_alike(self, case):
+        p, q, radius = case
+        found = _round_decimal(p, q, SIG_DIGITS, False, radius)
+        ends = [_round_decimal(end, q, SIG_DIGITS, False) if end else None
+                for end in (p - radius, p, p + radius)]
+        if found:
+            assert ends == [found] * 3 and (p - radius) * (p + radius) > 0
+            assert _certified_digits(p, radius, q) == (p < 0, *found)
+        else:
+            wider = (p - radius - 1, p + radius + 1)
+            assert 0 in (p - radius, p + radius) or wider[0] * wider[1] <= 0 or \
+                len({_render(end, q, SIG_DIGITS, False, "") for end in wider}) == 2
+            assert _certified_digits(p, radius, q) is None
+
+    def test_the_lower_decade_is_a_boundary(self):
+        """1 + 1e-17 and 1 - 1e-17 print differently, though both lie within
+        half a unit of the 17th digit of 1.0000000000000000."""
+        assert _render(10**17 + 1, 10**17, SIG_DIGITS, False, ".0") == "1.0"
+        assert _render(10**17 - 1, 10**17, SIG_DIGITS, False, ".0") == "0.99999999999999999"
+        assert _round_decimal(10**17 + 1, 10**17, SIG_DIGITS, False, 2) is None
+        assert _round_decimal(10**17 + 1, 10**17, SIG_DIGITS, False, 1) == ("1" + "0" * 16, 0)

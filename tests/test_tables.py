@@ -1,6 +1,6 @@
 """Each table builds its inputs once, at its largest size, not once per size,
-and ``plotdata`` rounds each pi-Laurent polynomial coefficient once, not once
-per sample, and no rational one."""
+and ``plotdata`` brackets each pi-Laurent polynomial coefficient once per
+precision, not once per sample, and no rational one, with no mpmath float."""
 
 import sys
 
@@ -52,18 +52,21 @@ def test_variance_command_builds_once(monkeypatch, capsys, target):
 
 @pytest.mark.parametrize("samples", ("9", "65"))
 def test_plotdata_rounds_each_coefficient_once(monkeypatch, capsys, samples):
-    calls = count_calls(monkeypatch, ("eval_pilaurent", "eval_polynomial", "target_value"))
+    calls = count_calls(monkeypatch, ("eval_pilaurent", "enclose", "eval_polynomial",
+                                      "target_value"))
     assert main(["plotdata", "--target", "cos-pi", "--size", "4", "--xmin=-2/5",
                  "--xmax=2/5", "--samples", samples]) == 0
     capsys.readouterr()
-    # 4 estimate coefficients + 5 Taylor terms, one call per column
-    assert calls == {"eval_pilaurent": 9, "eval_polynomial": 2, "target_value": 1}
+    # 4 estimate coefficients + 5 Taylor terms, each bracketed once at the one
+    # precision that decides every sample; one call per column
+    assert calls == {"eval_pilaurent": 0, "enclose": 9, "eval_polynomial": 2, "target_value": 1}
 
 
 def test_plotdata_rounds_no_rational_coefficient(monkeypatch, capsys):
     """exp-neg's coefficients are Fractions: its columns are exact, and
     nothing is rounded."""
-    calls = count_calls(monkeypatch, ("eval_pilaurent", "eval_polynomial", "target_value"))
+    calls = count_calls(monkeypatch, ("eval_pilaurent", "enclose", "eval_polynomial",
+                                      "target_value"))
     assert main(["plotdata", "--target", "exp-neg", "--size", "4", "--samples", "9"]) == 0
     capsys.readouterr()
-    assert calls == {"eval_pilaurent": 0, "eval_polynomial": 2, "target_value": 1}
+    assert calls == {"eval_pilaurent": 0, "enclose": 0, "eval_polynomial": 2, "target_value": 1}
