@@ -93,9 +93,8 @@ def _mpf_poly(poly, y, bits):
 
 
 def _exact_value(poly, x: Fraction):
-    """The polynomial's exact value at a rational x."""
-    return sum((c * x ** poly.family.basis_power(k) for k, c in enumerate(poly.coefficients, 1)),
-               Fraction(0))
+    """The polynomial's exact value at x, a Fraction or the exact value of an mpf."""
+    return sum(_terms(poly, poly.coefficients, x), Fraction(0))
 
 
 def kernel_estimate(target, n):
@@ -500,8 +499,7 @@ class TestEvalPolynomialIsExact:
     @settings(max_examples=150, deadline=None)
     def test_pi_laurent_values_are_the_oracles(self, case):
         poly, x, bits = case
-        assert eval_polynomial(poly, *_grid(x), bits) == [
-            reference(sum(_terms(poly, poly.coefficients, x)))]
+        assert eval_polynomial(poly, *_grid(x), bits) == [reference(_exact_value(poly, x))]
 
     def test_a_rational_value_is_rounded_from_its_exact_value(self):
         """pi x - pi x**3 is 0 at x = 1, where no enclosure decides a sign,
@@ -521,8 +519,7 @@ class TestEvalPolynomialIsExact:
         """Fraction coefficients are not rounded at all: the value is the
         exact value of the polynomial at x, rendered, at every precision."""
         poly, x, bits = case
-        assert eval_polynomial(poly, *_grid(x), bits) == [
-            reference(sum(_terms(poly, poly.coefficients, x)))]
+        assert eval_polynomial(poly, *_grid(x), bits) == [reference(_exact_value(poly, x))]
 
     @pytest.mark.parametrize("x", [mpf("inf"), mpf("-inf"), mpf("nan"), float("inf")], ids=str)
     def test_non_finite_x_raises(self, x):
