@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, lcm
 from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
@@ -27,14 +27,13 @@ from .exactscalar import (
     Exact,
     PiLaurent,
     _certified_digits,
-    _check_precision,
-    _format_decimal,
     _pi_bracket,
     _raw_ratio,
     _reduced,
     _render,
     _round_rational,
     _triple,
+    _ziv_decimal,
     enclose,
 )
 from .families import (
@@ -270,6 +269,8 @@ def _float_residue(x: Fraction, p: int) -> tuple[int, int]:
 
     g(y) for g = sin or cos is then what a p-bit float evaluation prints at
     that zero: with g(pi x) = 0, g(pi x + e) = g'(pi x) sin e exactly.
+    ``target_value`` prints it at p = ``DEFAULT_PRECISION_BITS``.  Its loop
+    decides a binary rounding; every decimal rounding is ``_ziv_decimal``'s.
 
     Proof.  y = s 2**t is exact (:func:`_round_rational` of an exact
     product).  With lo <= pi 2**w <= hi (:func:`_pi_bracket`) and w >= -t,
@@ -344,44 +345,29 @@ def sample_grid(xmin: Fraction, xmax: Fraction, samples: int) -> tuple[range, in
     return range(a * d * n, c * b * n + 1, c * b - a * d), b * d * n
 
 
-def target_value(
-    target: TargetFunction, nums: range, den: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> list[str]:
+def target_value(target: TargetFunction, nums: range, den: int) -> list[str]:
     """f(x) at every x = num/den, num in the range ``nums`` (den > 0), as the
     decimal ``plotdata`` prints: f(x) correctly rounded, from the sample's
     enclosure along the grid (``target.grid``) or, where that holds a
-    rounding boundary, from ``target.value`` at x, whose precision grows by
-    half until none is left (Ziv's loop; a rational x gives no decimal tie
-    and, off the exact zeros, no zero, by Niven's and Lindemann's theorems).
+    rounding boundary, from Ziv's loop (:func:`_ziv_decimal`) over
+    ``target.value`` at x (a rational x gives no decimal tie and, off the
+    exact zeros, no zero, by Niven's and Lindemann's theorems).
 
     At an exact zero of sin(pi x) or cos(pi x) other than x = 0, the decimal
-    is that of the float a ``precision_bits`` evaluation g(round(round(pi)
-    x)) returns (:func:`_float_residue`), not 0.
+    is that of the float a ``DEFAULT_PRECISION_BITS`` evaluation
+    g(round(round(pi) x)) returns (:func:`_float_residue`), not 0.
     """
-    _check_precision(precision_bits)
-    out = []
-    for num, (lo, hi, q) in zip(nums, target.grid(nums, den)):
-        found = _certified_digits(lo + hi, hi - lo, 2 * q)
-        out.append(_format_decimal(*found, ".0") if found else
-                   _value_at(target, Fraction(num, den), precision_bits))
-    return out
+    return [_certified_digits(lo + hi, hi - lo, 2 * q) or _value_at(target, Fraction(num, den))
+            for num, (lo, hi, q) in zip(nums, target.grid(nums, den))]
 
 
-def _value_at(target: TargetFunction, x: Fraction, precision_bits: int) -> str:
+def _value_at(target: TargetFunction, x: Fraction) -> str:
     """``target_value``'s decimal at one x that the grid left undecided."""
     if target.zero and (x - target.zero[0]).denominator == 1:
-        n, q = _float_residue(x, precision_bits)
+        n, q = _float_residue(x, DEFAULT_PRECISION_BITS)
         slope = target.zero[1] * (-1) ** (int(x - target.zero[0]) & 1)
         return _render(slope * n, q, SIG_DIGITS, False, ".0")
-    w = 256  # twice the grid's working precision
-    while True:
-        lo, hi, q = target.value(x, w)
-        found = _certified_digits(lo + hi, hi - lo, 2 * q)
-        if found:
-            return _format_decimal(*found, ".0")
-        if lo == hi:
-            return _render(lo, q, SIG_DIGITS, False, ".0")
-        w += w // 2
+    return _ziv_decimal(partial(target.value, x), DEFAULT_PRECISION_BITS)[0]
 
 
 @dataclass(frozen=True)
@@ -599,15 +585,12 @@ def _on_one_denominator(values, den_stride: int) -> list[int]:
 
 
 def _scaled_bracket(c: Exact, p: int) -> tuple[int, int]:
-    """Integers c_lo <= c 2**p <= c_hi, from ``enclose(c, p)``'s N / D."""
-    n_lo, n_hi, d_lo, d_hi = enclose(c, p)
-    return ((n_lo << p) // (d_hi if n_lo >= 0 else d_lo),
-            -((-n_hi << p) // (d_lo if n_hi >= 0 else d_hi)))
+    """Integers c_lo <= c 2**p <= c_hi, from ``enclose(c, p)``."""
+    lo, hi, q = enclose(c, p)
+    return (lo << p) // q, -((-hi << p) // q)
 
 
-def eval_polynomial(
-    poly: ApproxPolynomial, nums, den: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> list[str]:
+def eval_polynomial(poly: ApproxPolynomial, nums, den: int) -> list[str]:
     """The polynomial at every x = num/den, num in ``nums`` (den > 0), as the
     decimal ``plotdata`` prints: the exact value correctly rounded to
     ``SIG_DIGITS`` significant digits, half away from zero ("1.0").
@@ -615,20 +598,21 @@ def eval_polynomial(
     Each coefficient, scaled by ``den**(stride*(n-1-k))`` onto one shared
     denominator, is an integer, so each Horner step in ``num**stride`` is
     one exact integer multiply-add, and a polynomial with ``Fraction``
-    coefficients is rendered from its exact value.  Pi-Laurent ones are certified
-    in Ziv's loop (A. Ziv, ACM TOMS 17(3), 1991) from p = ``precision_bits``:
-    once per p, each is bracketed as c_lo <= c 2**p <= c_hi
-    (:func:`_scaled_bracket`), Horner runs on the midpoints c_lo + c_hi over
-    2**(p+1), and the same Horner on the radii c_hi - c_lo at the largest
-    pending |num| bounds every pending sample's error (midpoint-radius
-    arithmetic, S. M. Rump, BIT 39, 1999).  A sample is decided where
-    neither zero nor a rounding boundary lies within that bound
-    (:func:`_certified_digits`); the rest run again at p * 3/2.  An odd
-    polynomial at x = 0 is exactly 0.  Past ``_RATIONAL_CHECK_BITS`` a
-    sample whose exact value is rational, the only kind that may never be
-    decided, is rounded from that value.
+    coefficients is rendered from its exact value.  Pi-Laurent ones are
+    certified in one Ziv loop (A. Ziv, ACM TOMS 17(3), 1991) for all samples
+    from p = ``DEFAULT_PRECISION_BITS``: once per p, each coefficient is
+    bracketed as c_lo <= c 2**p <= c_hi (:func:`_scaled_bracket`), Horner
+    runs on the midpoints c_lo + c_hi over 2**(p+1), and the same Horner on
+    the radii c_hi - c_lo at the largest pending |num| bounds every pending
+    sample's error (midpoint-radius arithmetic, S. M. Rump, BIT 39, 1999).
+    A sample is decided where neither zero nor a rounding boundary lies
+    within that bound (:func:`_certified_digits`); the rest run again at
+    p * 3/2.  An odd polynomial at x = 0 is exactly 0.  Past
+    ``_RATIONAL_CHECK_BITS`` a sample left open, which may be a rational
+    zero or tie that no bracket decides, is handed to the per-value loop
+    (:func:`_ziv_decimal`) over its exact value at x, which renders a
+    rational value exactly.
     """
-    _check_precision(precision_bits)
     stride, offset = poly.family.stride, poly.family.offset
     den_stride = den**stride
     shared = den_stride ** (len(poly) - 1) * den**offset
@@ -640,7 +624,7 @@ def eval_polynomial(
                 for num in nums]
     out: list = ["0.0" if offset and not num else None for num in nums]
     pending = [i for i, v in enumerate(out) if v is None]
-    p = precision_bits
+    p = DEFAULT_PRECISION_BITS
     while pending:
         brackets = [_scaled_bracket(c, p) for c in reversed(poly.coefficients)]
         mids = _on_one_denominator([lo + hi for lo, hi in brackets], den_stride)
@@ -648,11 +632,12 @@ def eval_polynomial(
         radius = _horner(radii, max(abs(nums[i]) for i in pending), stride, offset)
         q = shared << p + 1
         for i in pending:
-            found = _certified_digits(_horner(mids, nums[i], stride, offset), radius, q)
-            if found:
-                out[i] = _format_decimal(*found, ".0")
-            elif p > _RATIONAL_CHECK_BITS:
-                out[i] = _rational_value(poly, Fraction(nums[i], den))
+            out[i] = _certified_digits(_horner(mids, nums[i], stride, offset), radius, q)
+            if out[i] is None and p > _RATIONAL_CHECK_BITS:
+                x = Fraction(nums[i], den)
+                value = sum((c * x ** poly.family.basis_power(k)
+                             for k, c in enumerate(poly.coefficients, 1)), Fraction(0))
+                out[i] = _ziv_decimal(partial(enclose, value), p)[0]
         pending = [i for i in pending if out[i] is None]
         p += p // 2
     return out
@@ -660,12 +645,3 @@ def eval_polynomial(
 
 # Far past the precision any built-in sample has needed (729 bits).
 _RATIONAL_CHECK_BITS = 16384
-
-
-def _rational_value(poly: ApproxPolynomial, x: Fraction) -> str | None:
-    """The polynomial's exact value at x as ``eval_polynomial`` prints it,
-    when that value is rational; else None."""
-    value = sum((c * x ** poly.family.basis_power(k) for k, c in enumerate(poly.coefficients, 1)),
-                Fraction(0))
-    low, nums, den = _triple(value)
-    return None if low or len(nums) > 1 else _render(sum(nums), den, SIG_DIGITS, False, ".0")

@@ -3,17 +3,16 @@ plot data, and the self-verification report, as text, CSV, or JSON.
 
 Exact rationals are serialized as ``p/q`` strings; pi-dependent exact values
 as canonical ``q*pi^m`` sums.  Every decimal is an exact value rounded to 17
-significant digits by ``exactscalar``'s one renderer, and never feeds back
-into any exact field.  Every subcommand runs on integers alone; none imports
-``mpmath``.  ``cond`` prints every decimal correctly rounded from the exact
-value, and so do ``variance`` and ``plotdata``, which certify pi-Laurent
-values and f by integer enclosures in Ziv's loop; ``--precision-bits``
-(default 256) is only the precision those loops start from, so no such byte
-depends on it.  The one exception is ``plotdata``'s f at an exact zero of
-sin(pi x) or cos(pi x): it prints what a float evaluation at
-``--precision-bits`` returns there, rounding noise, not 0.  A table's rows
-are built once, under one column list: the CSV header and the keys of the
-JSON ``data`` objects.  ``plotdata --samples`` takes 2 to 65536 points
+significant digits by ``exactscalar``'s one digit routine, and never feeds
+back into any exact field.  Every subcommand runs on integers alone; none
+imports ``mpmath``.  ``cond`` prints every decimal correctly rounded from the
+exact value, and so do ``variance`` and ``plotdata``, which certify
+pi-Laurent values and f by integer enclosures in Ziv's loop, started at 256
+bits; no option sets a precision.  The one exception is ``plotdata``'s f at
+an exact zero of sin(pi x) or cos(pi x): it prints what a 256-bit float
+evaluation returns there, rounding noise, not 0.  A table's rows are built
+once, under one column list: the CSV header and the keys of the JSON
+``data`` objects.  ``plotdata --samples`` takes 2 to 65536 points
 (65536 take about 3 s of CPU), and its window ends ``--xmin``/``--xmax``
 are at most 10**6 in magnitude with a denominator below 10**30.
 ``verify`` writes one stderr line ``FAIL <check> family=<f> size=<n>: <detail>``
@@ -60,7 +59,6 @@ from .checks import run_checks
 from .conditioning import condition_table
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
-    MIN_PRECISION_BITS,
     SIG_DIGITS,
     _render,
     certified_decimal_str,
@@ -98,11 +96,6 @@ def _positive_int(text: str) -> int:
 def _sample_count(text: str) -> int:
     expected = f"samples must be between {MIN_SAMPLES} and {MAX_SAMPLES}"
     return _int_option(text, MIN_SAMPLES, MAX_SAMPLES, expected)
-
-
-def _precision(text: str) -> int:
-    expected = f"precision-bits must be >= {MIN_PRECISION_BITS}"
-    return _int_option(text, MIN_PRECISION_BITS, inf, expected)
 
 
 def _window_end(text: str) -> Fraction:
@@ -219,7 +212,7 @@ def cmd_variance(args) -> int:
     pairs = variance_rows(target, args.max_size)
     # pure rationals (Fraction values) are worth emitting exactly too
     exact = all(isinstance(v, Fraction) for pair in pairs for v in pair)
-    bits = [args.precision_bits] * 2  # each column starts at the precision its last row needed
+    bits = [DEFAULT_PRECISION_BITS] * 2  # each column starts at the precision its last row needed
 
     def decimal(column, value):
         text, bits[column] = certified_decimal_str(value, bits[column])
@@ -278,9 +271,9 @@ def cmd_plotdata(args) -> int:
 
     nums, den = sample_grid(xmin, xmax, args.samples)
     columns = (
-        target_value(target, nums, den, args.precision_bits),
-        eval_polynomial(estimate, nums, den, args.precision_bits),
-        eval_polynomial(taylor, nums, den, args.precision_bits),
+        target_value(target, nums, den),
+        eval_polynomial(estimate, nums, den),
+        eval_polynomial(taylor, nums, den),
     )
     # x = num/den unreduced: its correctly rounded digits are decimal_str's
     rows = [[_render(num, den, SIG_DIGITS, True, ""), *values]
@@ -327,11 +320,6 @@ _TARGET = ("--target", {"choices": sorted(TARGETS), "required": True})
 _SIZE = ("--size", {"type": _positive_int, "required": True})
 _MAX_SIZE = ("--max-size", {"type": _positive_int, "required": True})
 _FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text"})
-_PRECISION = ("--precision-bits", {
-    "type": _precision, "default": DEFAULT_PRECISION_BITS,
-    "help": "where certified rendering starts (variance; plotdata's sin-pi and cos-pi "
-            "polynomials), and the precision of the float plotdata prints for f at an "
-            "exact zero of sin or cos (default 256, minimum 128)"})
 _OUT = ("--out", {"metavar": "PATH", "default": None})
 
 _SUBCOMMANDS = {  # name -> (help, command function's name, options, other defaults)
@@ -339,13 +327,13 @@ _SUBCOMMANDS = {  # name -> (help, command function's name, options, other defau
     "cond": ("infinity-norm condition numbers", "cmd_cond",
              (_FAMILY, _MAX_SIZE, _FORMAT, _OUT), {}),
     "variance": ("error variances: Taylor vs kernel estimate", "cmd_variance",
-                 (_TARGET, _MAX_SIZE, _FORMAT, _PRECISION, _OUT), {}),
+                 (_TARGET, _MAX_SIZE, _FORMAT, _OUT), {}),
     "project": ("estimate and Taylor coefficients", "cmd_project",
                 (_TARGET, _SIZE, _FORMAT, _OUT), {}),
     "plotdata": ("CSV samples of f, estimate, and Taylor", "cmd_plotdata", (
         _TARGET, _SIZE, ("--xmin", {"type": _window_end, "default": "0"}),
         ("--xmax", {"type": _window_end, "default": "10"}),
-        ("--samples", {"type": _sample_count, "default": 512}), _PRECISION, _OUT),
+        ("--samples", {"type": _sample_count, "default": 512}), _OUT),
         {"format": "csv"}),
     "verify": ("run the exact self-verification suites", "cmd_verify", (
         _MAX_SIZE, ("--inject-corruption", {

@@ -14,25 +14,27 @@ is assembled from two exact carriers, and a value's type is its rationality:
   stored dense, as integer numerators for consecutive pi exponents over one
   denominator, in a canonical form private to this module.
 
-No command evaluates anything through ``mpmath``: :func:`enclose` brackets
-a pi-Laurent value between integer ratios from an integer bracket of pi
-(:func:`_pi_bracket`), and :func:`certified_decimal_str` tightens it in
-Ziv's loop until both ends print alike.  The one binary rounding left,
-:func:`_round_rational` (integers p/q correctly rounded to nearest at any
-precision), serves ``plotdata``'s f at the exact zeros of sin and cos.  The
-``mpmath`` helpers (:func:`eval_pilaurent`, :func:`to_bigfloat`,
-:func:`working_mpf`, :func:`mpf_decimal_str`) remain for the tests and
-import ``mpmath`` only when called.
+No command evaluates anything through ``mpmath``.  Every certified decimal
+comes from one enclosure shape, integers ``(lo, hi, q)`` with lo/q <= value
+<= hi/q, and one loop, :func:`_ziv_decimal` (Ziv's), which tightens the
+enclosure until every value in it prints alike.  :func:`enclose` gives such
+an enclosure of a pi-Laurent value from an integer bracket of pi
+(:func:`_pi_bracket`), and ``approx``'s targets give them for f.  The one
+binary rounding left, :func:`_round_rational` (integers p/q correctly
+rounded to nearest at any precision), serves ``plotdata``'s f at the exact
+zeros of sin and cos.  The ``mpmath`` helpers (:func:`eval_pilaurent`,
+:func:`to_bigfloat`, :func:`working_mpf`, :func:`mpf_decimal_str`) remain
+for the tests and import ``mpmath`` only when called.
 
-Every printed decimal comes from one renderer, :func:`_render`: an exact
-rational, or the exact binary value of a float, rounded in integers by one
-``divmod`` against a power of ten.
+Every printed decimal's digits come from one routine, :func:`_round_decimal`:
+an exact rational, or the exact binary value of a float, rounded in integers
+by one ``divmod`` against a power of ten.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from operator import eq
 from typing import Iterator, Mapping, Union
@@ -103,8 +105,8 @@ class PiLaurent:
     canonical triple ``(low, nums, den)`` for ``sum_i nums[i] * pi**(low+i)
     / den`` (see :func:`_reduced`), so ``==`` is one tuple comparison and
     ``+``/``*`` are integer alignment or convolution and one gcd.
-    Instances are immutable; only :func:`eval_pilaurent` rounds them, and
-    :func:`enclose` brackets them outward.
+    Instances are immutable.  The package brackets them outward
+    (:func:`enclose`); only the tests' :func:`eval_pilaurent` rounds them.
     """
 
     __slots__ = ("_v",)
@@ -317,13 +319,13 @@ def _round_decimal(p: int, q: int, sig_digits: int, half_even: bool,
     return digits[:sig_digits], e
 
 
-def _certified_digits(mid: int, radius: int, q: int) -> tuple[bool, str, int] | None:
-    """The sign, ``SIG_DIGITS`` digits (half away from zero) and decimal
-    exponent that every value in [(mid - radius)/q, (mid + radius)/q]
-    rounds to, for ``_format_decimal``; None when zero or a rounding
-    boundary lies in that interval.  One ``divmod``, by ``_round_decimal``."""
+def _certified_digits(mid: int, radius: int, q: int) -> str | None:
+    """The decimal, ``SIG_DIGITS`` digits half away from zero, that every
+    value in [(mid - radius)/q, (mid + radius)/q] prints as; None when zero
+    or a rounding boundary lies in that interval.  One ``divmod``, by
+    ``_round_decimal``."""
     found = _round_decimal(mid, q, SIG_DIGITS, False, radius)
-    return found and (mid < 0, *found)
+    return found and _format_decimal(mid < 0, *found, ".0")
 
 
 def _format_decimal(negative: bool, digits: str, e: int, empty_fraction: str) -> str:
@@ -384,17 +386,21 @@ def _pi_bracket(p: int) -> tuple[int, int]:
     return (total - err) >> 32, -((-total - err) >> 32)
 
 
-def enclose(value: Exact, p: int) -> tuple[int, int, int, int]:
-    """Integers ``(n_lo, n_hi, d_lo, d_hi)``, 0 < d_lo, such that the value
-    is N / D for some N in [n_lo, n_hi] and D in [d_lo, d_hi].
+def enclose(value: Exact, p: int) -> tuple[int, int, int]:
+    """Integers ``(lo, hi, q)``, q > 0, with lo/q <= value <= hi/q, whose
+    width shrinks like 2**-p; lo == hi exactly when the value is free of pi.
 
-    With ``sum_i nums[i] * pi**(low+i) / den`` the canonical triple, N is
-    2**p times the polynomial ``sum_i nums[i] * pi**i`` (times pi**low when
-    low > 0), by an interval Horner on :func:`_pi_bracket` whose every step
-    floors the low end and ceils the high end; D is 2**p * den (times
-    pi**-low when low < 0) bracketed the same way, so nothing is divided.
-    When the nonzero numerators sit at exponents of one parity, Horner steps
-    in pi**2, half as many steps.  The width shrinks like 2**-p.
+    With ``sum_i nums[i] * pi**(low+i) / den`` the canonical triple, the
+    value is N / D, N 2**p times the polynomial ``sum_i nums[i] * pi**i``
+    (times pi**low when low > 0) and D = 2**p * den (times pi**-low when
+    low < 0).  Each is bracketed, N in [n_lo, n_hi] and D in [d_lo, d_hi],
+    0 < d_lo, by an interval Horner on :func:`_pi_bracket` whose every step
+    floors the low end and ceils the high end.  When the nonzero numerators
+    sit at exponents of one parity, Horner steps in pi**2, half as many
+    steps.  Proof of the shape: N / D >= n_lo / d_hi if n_lo >= 0, else
+    >= n_lo / d_lo, and N / D <= n_hi / d_lo if n_hi >= 0, else <= n_hi /
+    d_hi; so over q = d_lo d_hi, lo = n_lo (d_lo if n_lo >= 0 else d_hi) and
+    hi = n_hi (d_hi if n_hi >= 0 else d_lo).
     """
     low, nums, den = _triple(value)
     nums = nums or (0,)
@@ -416,31 +422,39 @@ def enclose(value: Exact, p: int) -> tuple[int, int, int, int]:
             n_lo, n_hi = times(n_lo, n_hi, c_lo, c_hi)
         else:
             d_lo, d_hi = times(d_lo, d_hi, c_lo, c_hi)
-    return n_lo, n_hi, d_lo, d_hi
+    return n_lo * (d_lo if n_lo >= 0 else d_hi), n_hi * (d_hi if n_hi >= 0 else d_lo), d_lo * d_hi
+
+
+def _ziv_decimal(enclosure_at, p: int) -> tuple[str, int]:
+    """A value rounded half away from zero to ``SIG_DIGITS`` significant
+    digits ("1.0", "1.0e-20"), and the precision that decided it, from
+    ``enclosure_at(p) -> (lo, hi, q)`` with lo/q <= value <= hi/q.
+
+    Ziv's loop (A. Ziv, ACM TOMS 17(3), 1991): an exact enclosure, lo == hi,
+    is rendered; else the decimal is taken where every value in the
+    enclosure prints alike (:func:`_certified_digits`), and else p grows by
+    half.  It ends once the width shrinks to 0 as p grows, unless the value
+    is zero or a decimal tie that no p encloses exactly.
+    """
+    while True:
+        lo, hi, q = enclosure_at(p)
+        if lo == hi:
+            return _render(lo, q, SIG_DIGITS, False, ".0"), p
+        text = _certified_digits(lo + hi, hi - lo, 2 * q)
+        if text:
+            return text, p
+        p += p // 2
 
 
 def certified_decimal_str(value: Exact, precision_bits: int) -> tuple[str, int]:
     """The exact value rounded half away from zero to ``SIG_DIGITS``
-    significant digits ("1.0", "1.0e-20"), and the precision that decided it.
-
-    A value free of pi is rendered exactly, zero as "0.0".  Otherwise, in
-    Ziv's loop (A. Ziv, ACM TOMS 17(3), 1991), both ends of
-    ``enclose(value, p)`` are rendered as exact rationals from p =
-    ``precision_bits`` on; once they agree, rounding is monotone, so the
-    value between them renders the same.  Else p grows by half.  A value
-    with a pi term is transcendental (pi is), so it is no decimal tie and
-    nonzero, and the loop ends.
+    significant digits ("1.0", "1.0e-20"), and the precision that decided
+    it: :func:`_ziv_decimal` over ``enclose(value, p)`` from p =
+    ``precision_bits``.  A value free of pi encloses exactly, zero as "0.0";
+    one with a pi term is transcendental (pi is), so it is no decimal tie
+    and nonzero, and the loop ends.
     """
-    low, nums, den = _triple(value)
-    if low == 0 and len(nums) <= 1:
-        return _render(sum(nums), den, SIG_DIGITS, False, ".0"), precision_bits
-    p = precision_bits
-    while True:
-        n_lo, n_hi, d_lo, d_hi = enclose(value, p)
-        text = _render(n_lo, d_hi if n_lo >= 0 else d_lo, SIG_DIGITS, False, ".0")
-        if text == _render(n_hi, d_lo if n_hi >= 0 else d_hi, SIG_DIGITS, False, ".0"):
-            return text, p
-        p = p * 3 // 2
+    return _ziv_decimal(partial(enclose, value), precision_bits)
 
 
 def _raw_ratio(raw: tuple) -> tuple[int, int]:

@@ -41,6 +41,7 @@ from gramkernel.approx import (
     variance_rows,
 )
 from gramkernel.exactscalar import (
+    DEFAULT_PRECISION_BITS,
     SIG_DIGITS,
     PiLaurent,
     _raw_ratio,
@@ -441,10 +442,9 @@ class TestEvalPolynomial:
         assert eval_polynomial(est, [0], 1) == ["0.99609375"]  # 255/256, exactly
 
     def test_odd_polynomial_at_zero(self):
-        """Exactly 0, from any starting precision."""
+        """Exactly 0, which no enclosure of a pi-Laurent value decides."""
         est = kernel_estimate(SIN_PI, 3)
-        for bits in (128, 512):
-            assert eval_polynomial(est, [0, 1], 1, bits)[0] == "0.0"
+        assert eval_polynomial(est, [0, 1], 1)[0] == "0.0"
 
     def test_estimate_at_one_matches_coefficient_sum(self):
         est = kernel_estimate(EXP_NEG, 8)
@@ -479,8 +479,8 @@ def _terms(poly, coefficients, x) -> list[Fraction]:
 
 @st.composite
 def polynomial_points(draw, targets=ALL_TARGETS):
-    """A target's estimate or Taylor comparator, an x in the target's
-    window (a Fraction, or an mpf of 53-400 bits) and a precision."""
+    """A target's estimate or Taylor comparator, and an x in the target's
+    window (a Fraction, or an mpf of 53-400 bits)."""
     target = draw(st.sampled_from(targets))
     poly = _poly(target, draw(st.integers(1, 14)), draw(st.sampled_from(("estimate", "taylor"))))
     lo, hi = (0, 12) if target is EXP_NEG else (-1, 1)
@@ -488,18 +488,18 @@ def polynomial_points(draw, targets=ALL_TARGETS):
     if draw(st.booleans()):
         with mp.workprec(draw(st.integers(53, 400))):
             x = mpf(x.numerator) / x.denominator
-    return poly, x, draw(st.sampled_from((128, 256, 333)))
+    return poly, x
 
 
 class TestEvalPolynomialIsExact:
     """Every value is the polynomial's exact value at x correctly rounded to
-    17 significant digits, from any starting precision."""
+    17 significant digits."""
 
     @given(polynomial_points(targets=(SIN_PI, COS_PI)))
     @settings(max_examples=150, deadline=None)
     def test_pi_laurent_values_are_the_oracles(self, case):
-        poly, x, bits = case
-        assert eval_polynomial(poly, *_grid(x), bits) == [reference(_exact_value(poly, x))]
+        poly, x = case
+        assert eval_polynomial(poly, *_grid(x)) == [reference(_exact_value(poly, x))]
 
     def test_a_rational_value_is_rounded_from_its_exact_value(self):
         """pi x - pi x**3 is 0 at x = 1, where no enclosure decides a sign,
@@ -517,9 +517,9 @@ class TestEvalPolynomialIsExact:
     @settings(max_examples=150, deadline=None)
     def test_rational_coefficients_round_like_the_exact_value(self, case):
         """Fraction coefficients are not rounded at all: the value is the
-        exact value of the polynomial at x, rendered, at every precision."""
-        poly, x, bits = case
-        assert eval_polynomial(poly, *_grid(x), bits) == [reference(_exact_value(poly, x))]
+        exact value of the polynomial at x, rendered."""
+        poly, x = case
+        assert eval_polynomial(poly, *_grid(x)) == [reference(_exact_value(poly, x))]
 
     @pytest.mark.parametrize("x", [mpf("inf"), mpf("-inf"), mpf("nan"), float("inf")], ids=str)
     def test_non_finite_x_raises(self, x):
@@ -533,7 +533,7 @@ class TestEvalPolynomialIsExact:
 # alike by ``decimal`` (the refdecimal oracle's rule, at lower precisions), else from the
 # refdecimal oracle itself; exp-neg's polynomial values are exact Fractions.
 # At an exact zero of sin or cos, f is the float mp.sin(mp.pi * x) or
-# mp.cos(mp.pi * x) at the run's precision.
+# mp.cos(mp.pi * x) at ``DEFAULT_PRECISION_BITS``.
 REFERENCE_F = {"sin-pi": lambda x: mp.sin(mp.pi * x), "cos-pi": lambda x: mp.cos(mp.pi * x)}
 
 
@@ -558,9 +558,9 @@ def _is_zero(target, x: Fraction) -> bool:
     return x.denominator == {"sin-pi": 1, "cos-pi": 2}.get(target.name)
 
 
-def _f_reference(target, x: Fraction, bits: int) -> str:
+def _f_reference(target, x: Fraction) -> str:
     if _is_zero(target, x):
-        with mp.workprec(bits):
+        with mp.workprec(DEFAULT_PRECISION_BITS):
             return mpf_decimal_str(REFERENCE_F[target.name](mpf(x.numerator) / x.denominator))
     return _agreed_decimal(lambda: FUNCTIONS[target.name](mpf(x.numerator) / x.denominator),
                            lambda: function_reference(target.name, x))
@@ -585,21 +585,19 @@ class TestPlotGrid:
     """plotdata's one integer grid: every sample a numerator over one shared
     denominator, evaluated with no Fraction or mpmath wrapper per sample."""
 
-    @given(st.sampled_from(ALL_TARGETS), st.integers(1, 20), plot_windows(),
-           st.integers(128, 1024))
+    @given(st.sampled_from(ALL_TARGETS), st.integers(1, 20), plot_windows())
     @settings(max_examples=80, deadline=None)
-    def test_columns_equal_the_per_sample_reference(self, target, size, window, bits):
+    def test_columns_equal_the_per_sample_reference(self, target, size, window):
         """Every polynomial value is its exact value at x, correctly rounded
         where it holds pi, and every f decimal is f(x) correctly rounded,
-        but for the float noise at an exact zero of sin or cos; only that
-        noise depends on ``bits``."""
+        but for the float noise of 256 bits at an exact zero of sin or cos."""
         xmin, xmax, samples = window
         nums, den = sample_grid(xmin, xmax, samples)
         xs = [Fraction(num, den) for num in nums]
         for kind in ("estimate", "taylor"):
             poly = _poly(target, size, kind)
-            assert eval_polynomial(poly, nums, den, bits) == [_poly_reference(poly, x) for x in xs]
-        assert target_value(target, nums, den, bits) == [_f_reference(target, x, bits) for x in xs]
+            assert eval_polynomial(poly, nums, den) == [_poly_reference(poly, x) for x in xs]
+        assert target_value(target, nums, den) == [_f_reference(target, x) for x in xs]
 
     @given(plot_windows())
     @settings(max_examples=150, deadline=None)
@@ -689,9 +687,10 @@ class TestValuesOffTheGrid:
 
     @pytest.mark.parametrize("bits", (128, 200, 256, 300, 333, 512))
     def test_an_exact_zero_prints_the_float_of_a_float_evaluation(self, bits):
-        """At each zero 0 < |x| <= 20 the decimal is that of libmp's p-bit
-        sin or cos of y = round(round(pi) x); the residue is sin(y - pi x)
-        correctly rounded, by mpmath at 4096 bits."""
+        """At each zero 0 < |x| <= 20 the residue, signed by g'(pi x), prints
+        as libmp's p-bit sin or cos of y = round(round(pi) x) does, and is
+        sin(y - pi x) correctly rounded, by mpmath at 4096 bits; at 256 bits
+        it is the decimal ``target_value`` prints."""
         for target, g in ((SIN_PI, mpf_sin), (COS_PI, mpf_cos)):
             phase, slope = target.zero
             for k in range(-20, 21):
@@ -701,12 +700,15 @@ class TestValuesOffTheGrid:
                 num, den = x.as_integer_ratio()
                 y = mpf_mul(mpf_pi(bits, round_nearest), _round_rational(num, den, bits), bits,
                             round_nearest)
-                assert target_value(target, range(num, num + 1), den, bits) == [
-                    mpf_decimal_str(mp.make_mpf(g(y, bits, round_nearest)))]
+                want = mpf_decimal_str(mp.make_mpf(g(y, bits, round_nearest)))
+                n, q = approx._float_residue(x, bits)
+                assert _render(slope * (-1) ** (k & 1) * n, q, SIG_DIGITS, False, ".0") == want
+                if bits == DEFAULT_PRECISION_BITS:
+                    assert target_value(target, range(num, num + 1), den) == [want]
                 with mp.workprec(4096):
                     residue = mp.sin(mp.make_mpf(y) - mp.pi * num / den)
                 with mp.workprec(bits):
-                    assert Fraction(*approx._float_residue(x, bits)) == _exact(+residue)
+                    assert Fraction(n, q) == _exact(+residue)
 
     @given(st.sampled_from(ALL_TARGETS), window_ends(magnitudes=(1, 20)), window_ends(),
            st.integers(2, 9))
@@ -718,7 +720,7 @@ class TestValuesOffTheGrid:
         xmin, xmax = min(xmin, xmax), max(xmin, xmax)
         wide = replace(target, grid=lambda nums, den: ((-1 << 200, 1 << 200, 1) for _ in nums))
         nums, den = sample_grid(xmin, xmax, samples)
-        assert target_value(wide, nums, den) == [_f_reference(target, Fraction(num, den), 256)
+        assert target_value(wide, nums, den) == [_f_reference(target, Fraction(num, den))
                                                  for num in nums]
 
 

@@ -308,54 +308,32 @@ class TestOutputBehaviour:
         _, second = run_cli(capsys, argv)
         assert first == second
 
-    def test_precision_bits_leaves_exact_fields_alone(self, capsys):
-        base = ["variance", "--target", "exp-neg", "--max-size", "6", "--format", "json"]
-        _, lo = run_cli(capsys, base + ["--precision-bits", "128"])
-        _, hi = run_cli(capsys, base + ["--precision-bits", "512"])
-        exact = lambda out: [
-            (row["size"], row["taylor_exact"], row["estimate_exact"])
-            for row in json.loads(out)["data"]
-        ]
-        assert exact(lo) == exact(hi)
-        assert len(exact(lo)) == 6
-
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_precision_bits_only_sets_where_rendering_starts(self, capsys, fmt):
-        """Each decimal is rounded from the exact value, so the start
-        precision changes no byte, even where 128 bits cannot decide."""
-        base = ["variance", "--target", "sin-pi", "--max-size", "16", "--format", fmt]
-        _, lo = run_cli(capsys, base + ["--precision-bits", "128"])
-        _, hi = run_cli(capsys, base + ["--precision-bits", "512"])
-        assert lo == hi
-
-    def test_low_precision_rejected(self, capsys):
-        assert run_cli_expect_exit(
-            capsys,
-            ["variance", "--target", "exp-neg", "--max-size", "2", "--precision-bits", "64"],
-        ) == 2
-
     @pytest.mark.parametrize("argv", [
         ["kernel", "--family", "laguerre", "--size", "2"],
         ["cond", "--family", "laguerre", "--max-size", "2"],
+        ["variance", "--target", "exp-neg", "--max-size", "2"],
         ["project", "--target", "exp-neg", "--size", "2"],
+        ["plotdata", "--target", "exp-neg", "--size", "2", "--samples", "3"],
         ["verify", "--max-size", "1"],
     ], ids=lambda argv: argv[0])
     def test_precision_bits_only_where_decimals_are_evaluated(self, capsys, argv):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--precision-bits", "256"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --precision-bits 256" in capsys.readouterr().err
+        """No subcommand takes ``--precision-bits``: every certified decimal
+        is the same from any start precision, so none is an option.  A value
+        below the old minimum is refused the same way, with exit 2."""
+        for bits in ("256", "64"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--precision-bits", bits])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: --precision-bits {bits}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, expected", [
         (["kernel", "--family", "laguerre", "--size", "x"],
          "argument --size: must be a positive integer, got x"),
         (["cond", "--family", "laguerre", "--max-size", "x"],
          "argument --max-size: must be a positive integer, got x"),
-        (["variance", "--target", "exp-neg", "--max-size", "2", "--precision-bits", "x"],
-         "argument --precision-bits: precision-bits must be >= 128, got x"),
         (["plotdata", "--target", "exp-neg", "--size", "2", "--samples", "x"],
          "argument --samples: samples must be between 2 and 65536, got x"),
-    ], ids=["size", "max-size", "precision-bits", "samples"])
+    ], ids=["size", "max-size", "samples"])
     def test_non_integer_option_names_the_expected_value(self, capsys, argv, expected):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -543,7 +521,7 @@ PARSER_ARGV = [
 DASH_DASH_VALUES = [
     ["cond", "--family=--", "--max-size", "2"],
     ["cond", "--family", "laguerre", "--max-size=--"],
-    ["variance", "--target", "exp-neg", "--max-size", "2", "--precision-bits=--"],
+    ["variance", "--target=--", "--max-size", "2"],
     ["cond", "--family", "laguerre", "--max-size", "2", "--format=--"],
 ]
 PARSER_ARGV += DASH_DASH_VALUES
@@ -649,7 +627,7 @@ ALL_FLAGS = sorted({flag for name in cli._SUBCOMMANDS for flag in _own_flags(nam
 GOOD_VALUES = {
     "--family": sorted(FAMILIES), "--target": sorted(TARGETS),
     "--size": ["1", "3"], "--max-size": ["2", "3"], "--format": ["text", "csv", "json"],
-    "--precision-bits": ["64", "256"], "--out": ["x.csv", "-"],
+    "--out": ["x.csv", "-"],
     "--xmin": ["1/2", "3", "-1", "2e-1"], "--xmax": ["4", "7/2", "-1/4"],
     "--samples": ["5", "512"], "--inject-corruption": ["1"],
 }
@@ -756,12 +734,11 @@ SNAPSHOTS = [
     # plotdata at benchmark sizes; the cos-pi window stays off the zeros at
     # +-1/2, where f prints rounding noise (cos(pi x) with a rounded pi)
     (f"plotdata_{name}.csv", ["plotdata", "--target", target, "--size", size,
-                              f"--xmin={xmin}", f"--xmax={xmax}", "--samples", "129"] + extra)
-    for name, target, size, xmin, xmax, extra in (
-        ("exp-neg_16", "exp-neg", "16", "3/4", "899/100", []),
-        ("exp-neg_16_512bits", "exp-neg", "16", "3/4", "899/100", ["--precision-bits", "512"]),
-        ("sin-pi_8", "sin-pi", "8", "-41/50", "91/100", []),
-        ("cos-pi_12", "cos-pi", "12", "-2/5", "2/5", []),
+                              f"--xmin={xmin}", f"--xmax={xmax}", "--samples", "129"])
+    for name, target, size, xmin, xmax in (
+        ("exp-neg_16", "exp-neg", "16", "3/4", "899/100"),
+        ("sin-pi_8", "sin-pi", "8", "-41/50", "91/100"),
+        ("cos-pi_12", "cos-pi", "12", "-2/5", "2/5"),
     )
 ] + [
     # 36 estimates that are exact 17-digit ties, each printed half away from zero

@@ -113,16 +113,6 @@ def test_trig_plotdata_decimals_are_the_oracles(target, size, window):
     assert plot_mismatches(target, size, *window) == []
 
 
-@pytest.mark.parametrize("target", ["sin-pi", "cos-pi"])
-def test_trig_plotdata_polynomials_do_not_depend_on_precision_bits(target):
-    """``--precision-bits`` sets only where the certified columns start: the
-    estimate and Taylor columns print alike from 128 and 512 bits."""
-    runs = [_csv_rows(["plotdata", "--target", target, "--size", "30", "--xmin=-1", "--xmax=1",
-                       "--samples", "65", "--precision-bits", bits], fmt=())
-            for bits in ("128", "512")]
-    assert [row[2:] for row in runs[0]] == [row[2:] for row in runs[1]]
-
-
 def test_exp_neg_plotdata_prints_exact_ties_half_away_from_zero():
     """The 257-sample window whose dyadic estimates hold 36 exact ties: each
     prints its upper digit, as the exact value 0.522144830322265625 at

@@ -23,6 +23,7 @@ from gramkernel.exactscalar import (
     _round_rational,
     certified_decimal_str,
     decimal_str,
+    enclose,
     eval_pilaurent,
     mpf_decimal_str,
     to_bigfloat,
@@ -515,6 +516,38 @@ def test_pi_bracket_holds_pi_at_every_precision():
 
 
 @st.composite
+def signed_pilaurents(draw):
+    """A PiLaurent of either sign with pi exponents from -6 to 6, so that
+    negative low exponents put pi into ``enclose``'s interval denominator;
+    about one in six is free of pi.  Small integer coefficients leave little
+    slack between the value and the ends, so a step that rounds inward shows."""
+    exponents = st.integers(-6, 6) if draw(st.integers(0, 5)) else st.just(0)
+    coefficients = st.integers(-3, 3) | st.fractions(-50, 50, max_denominator=10**6)
+    return PiLaurent(draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=8)))
+
+
+class TestEnclose:
+    """``enclose(value, p)`` is ``(lo, hi, q)``, q > 0, with lo/q <= value <=
+    hi/q, exact where the value is free of pi, and narrower at 2p than at p."""
+
+    @given(value=signed_pilaurents(), p=st.integers(8, 600))
+    @example(value=PiLaurent({-3: 1, -1: -2}), p=8)  # negative, pi only below the line
+    @example(value=PiLaurent({0: 1, 1: 1, 2: 1}), p=10)  # 1 + pi + pi**2: the high end is tight
+    @example(value=PiLaurent({-1: Fraction(1, 7), 2: -1}), p=64)
+    @example(value=PiLaurent({-2: 3, 1: -1}) + Fraction(1, 3), p=128)  # 3/pi**2 + 1/3 - pi < 0
+    @settings(max_examples=300, deadline=None)
+    def test_holds_the_value_and_narrows(self, value, p):
+        b_lo, b_hi = bounds(value, 4096)  # mpmath's pi to 4096 bits, bracketed
+        widths = []
+        for bits in (p, 2 * p):
+            lo, hi, q = enclose(value, bits)
+            assert q > 0 and Fraction(lo, q) <= b_lo <= b_hi <= Fraction(hi, q)
+            assert (lo == hi) == (b_lo == b_hi)
+            widths.append(Fraction(hi - lo, q))
+        assert widths[1] < widths[0] or widths == [0, 0]
+
+
+@st.composite
 def cancelling_values(draw):
     """A PiLaurent with a pi term minus a rational within 2**-bits of it, so
     up to about 2000 bits cancel; nonzero, since pi is transcendental."""
@@ -584,7 +617,7 @@ class TestRoundDecimalWithRadius:
                 for end in (p - radius, p, p + radius)]
         if found:
             assert ends == [found] * 3 and (p - radius) * (p + radius) > 0
-            assert _certified_digits(p, radius, q) == (p < 0, *found)
+            assert _certified_digits(p, radius, q) == _render(p, q, SIG_DIGITS, False, ".0")
         else:
             wider = (p - radius - 1, p + radius + 1)
             assert 0 in (p - radius, p + radius) or wider[0] * wider[1] <= 0 or \
