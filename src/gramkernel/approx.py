@@ -42,6 +42,7 @@ from .families import (
     LAGUERRE,
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
+    _cleared,
     coeff_matrix,
     moment_cores,
     norm_vector,
@@ -427,8 +428,12 @@ def _dots(rows, values: Sequence[Exact]) -> list[Exact]:
     common denominator, so each result is integer dot products and one
     reduction.  A result is a ``Fraction`` when none of the values it reads
     is a ``PiLaurent``, as a sum of their products would be, else a
-    ``PiLaurent``.
+    ``PiLaurent``.  When no value is a ``PiLaurent`` the values are cleared
+    once and each result is one integer dot product.
     """
+    if not any(isinstance(v, PiLaurent) for v in values):
+        ints, den = _cleared(values)
+        return [Fraction(sum(map(mul, row, ints)), d * den) for row, d in rows]
     triples = [_triple(v) for v in values]
     low = min([0] + [t[0] for t in triples])
     den = lcm(*[t[2] for t in triples])

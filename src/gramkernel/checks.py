@@ -42,18 +42,23 @@ class CheckResult:
 class Artefacts:
     """Everything the checks compare for one (family, n).
 
-    ``inverse`` and ``det_gram`` are the Bareiss inverse and determinant of
-    ``gram`` (``det_gram`` a core of grade ``n * gram.sqrtpi_power``);
-    ``norms`` are cores of grade ``family.moment_grade``; ``agat`` is
-    A G A^T of ``coeffs`` and ``gram``; ``kernel_minors`` are the leading
-    principal minors of ``kernel``.
+    The Bareiss inverse of ``gram`` is kept in integers, as
+    ``scale * adjugate / pivot`` (see
+    :func:`~gramkernel.oracle.leading_inverses`), with the sqrt(pi) grade
+    ``inverse_grade``; ``det_gram`` is its determinant, a core of grade
+    ``n * gram.sqrtpi_power``.  ``norms`` are cores of grade
+    ``family.moment_grade``; ``agat`` is A G A^T of ``coeffs`` and ``gram``;
+    ``kernel_minors`` are the leading principal minors of ``kernel``.
     """
 
     family: Family
     n: int
     kernel: GradedMatrix
     gram: GradedMatrix
-    inverse: GradedMatrix
+    adjugate: tuple[tuple[int, ...], ...]
+    pivot: int
+    scale: int
+    inverse_grade: int
     det_gram: Fraction
     coeffs: GradedMatrix
     norms: tuple[Fraction, ...]
@@ -83,10 +88,11 @@ def sweep_artefacts(family: Family, max_size: int) -> Iterator[Artefacts]:
     coeffs = coeff_matrix(family, max_size)
     norms = norm_vector(family, max_size)
     agat = _matmul(_matmul(coeffs.entries, gram.entries), tuple(zip(*coeffs.entries)))
-    for n, (inverse, det_gram) in enumerate(leading_inverses(gram), start=1):
+    for n, (adjugate, pivot, scale) in enumerate(leading_inverses(gram.entries), start=1):
         kernel = build_kernel(family, n)
         yield Artefacts(
-            family, n, kernel, _leading(gram, n), inverse, det_gram,
+            family, n, kernel, _leading(gram, n), adjugate, pivot, scale, -gram.sqrtpi_power,
+            Fraction(pivot, scale**n),
             _leading(coeffs, n), norms[:n], _block(agat, n),
             leading_principal_minors(kernel.entries),
         )
@@ -121,9 +127,18 @@ def _diagonal(values: Sequence) -> tuple[tuple, ...]:
 
 
 def check_oracle_equivalence(a: Artefacts) -> str:
-    """Closed-form kernel == exact Bareiss inverse of the moment Gram."""
-    return (_diff("grade of B vs Bareiss inverse", a.inverse.sqrtpi_power, a.kernel.sqrtpi_power)
-            or _diff("B vs Bareiss inverse", a.inverse.entries, a.kernel.entries))
+    """Closed-form kernel == exact Bareiss inverse of the moment Gram.  With
+    row i of B cleared by e_i (the kernel's cached ``cleared_rows``), B
+    equals the inverse d T / p exactly when ``ints_i[j] * p == d * e_i *
+    T_ij`` for every entry; the ``Fraction`` inverse is built only to name
+    a mismatch."""
+    detail = _diff("grade of B vs Bareiss inverse", a.inverse_grade, a.kernel.sqrtpi_power)
+    rows, p, d = a.kernel.cleared_rows, a.pivot, a.scale
+    if detail or ([[b * p for b in ints] for ints, _ in rows]
+                  == [[d * e * t for t in t_row] for (_, e), t_row in zip(rows, a.adjugate)]):
+        return detail
+    inverse = tuple(tuple(Fraction(d * t, p) for t in row) for row in a.adjugate)
+    return _diff("B vs Bareiss inverse", inverse, a.kernel.entries)
 
 
 def check_gram_times_kernel(a: Artefacts) -> str:

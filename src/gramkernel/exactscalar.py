@@ -388,22 +388,27 @@ def _pi_bracket(p: int) -> tuple[int, int]:
 
 def enclose(value: Exact, p: int) -> tuple[int, int, int]:
     """Integers ``(lo, hi, q)``, q > 0, with lo/q <= value <= hi/q, whose
-    width shrinks like 2**-p; lo == hi exactly when the value is free of pi.
+    width shrinks like 2**-p; lo == hi exactly when the value is free of pi,
+    and such a value num/den (in lowest terms) is ``(num, num, den)`` at
+    every p.
 
-    With ``sum_i nums[i] * pi**(low+i) / den`` the canonical triple, the
-    value is N / D, N 2**p times the polynomial ``sum_i nums[i] * pi**i``
-    (times pi**low when low > 0) and D = 2**p * den (times pi**-low when
-    low < 0).  Each is bracketed, N in [n_lo, n_hi] and D in [d_lo, d_hi],
-    0 < d_lo, by an interval Horner on :func:`_pi_bracket` whose every step
-    floors the low end and ceils the high end.  When the nonzero numerators
-    sit at exponents of one parity, Horner steps in pi**2, half as many
-    steps.  Proof of the shape: N / D >= n_lo / d_hi if n_lo >= 0, else
-    >= n_lo / d_lo, and N / D <= n_hi / d_lo if n_hi >= 0, else <= n_hi /
-    d_hi; so over q = d_lo d_hi, lo = n_lo (d_lo if n_lo >= 0 else d_hi) and
-    hi = n_hi (d_hi if n_hi >= 0 else d_lo).
+    Otherwise, with ``sum_i nums[i] * pi**(low+i) / den`` the canonical
+    triple, the value is N / D, N 2**p times the polynomial
+    ``sum_i nums[i] * pi**i`` (times pi**low when low > 0) and D = 2**p *
+    den (times pi**-low when low < 0).  Each is bracketed, N in [n_lo,
+    n_hi] and D in [d_lo, d_hi], 0 < d_lo, by an interval Horner on
+    :func:`_pi_bracket` whose every step floors the low end and ceils the
+    high end.  When the nonzero numerators sit at exponents of one parity,
+    Horner steps in pi**2, half as many steps.  Proof of the shape: N / D
+    >= n_lo / d_hi if n_lo >= 0, else >= n_lo / d_lo, and N / D <= n_hi /
+    d_lo if n_hi >= 0, else <= n_hi / d_hi; so over q = d_lo d_hi, lo =
+    n_lo (d_lo if n_lo >= 0 else d_hi) and hi = n_hi (d_hi if n_hi >= 0
+    else d_lo).
     """
     low, nums, den = _triple(value)
-    nums = nums or (0,)
+    if low == 0 and len(nums) <= 1:
+        num = nums[0] if nums else 0
+        return num, num, den
     pi_lo, pi_hi = _pi_bracket(p)
     step = 2 if not any(nums[1::2]) else 1
     s_lo, s_hi = (pi_lo, pi_hi) if step == 1 else (pi_lo * pi_lo >> p, -(-pi_hi * pi_hi >> p))

@@ -17,10 +17,13 @@ Hence, for every leading block,
 
     M_n**-1 = d * sum_{k <= n} v_k v_k^T / (p_(k-1) p_k)      (p_0 = 1),
 
-and :func:`leading_inverses` accumulates these rank-one terms, so the
-inverses of all leading blocks cost one elimination of the largest.
-:func:`bareiss_inverse` (and :func:`invert_exact`, its graded form) solves
-the same eliminated system by back-substitution instead, for one size.
+and :func:`leading_inverses` accumulates these rank-one terms in
+integers, so the inverses of all leading blocks cost one elimination of the
+largest.  It yields each inverse as its integer adjugate with the pivot and
+d, and builds no ``Fraction``: a caller that only compares can
+cross-multiply.  :func:`bareiss_inverse` (and :func:`invert_exact`, its
+graded form) solves the same eliminated system by back-substitution
+instead, for one size, and returns ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -136,24 +139,26 @@ def invert_exact(gram: GradedMatrix) -> tuple[GradedMatrix, Fraction]:
     return GradedMatrix(gram.family, gram.n, inverse, -gram.sqrtpi_power), det
 
 
-def leading_inverses(gram: GradedMatrix) -> Iterator[tuple[GradedMatrix, Fraction]]:
-    """Yield ``(G_n**-1, det G_n)`` for n = 1..gram.n from one elimination.
+def leading_inverses(entries: Matrix) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
+    """Yield ``(T_n, p_n, d)`` for n = 1..len(entries) from one elimination.
 
-    ``G_n`` is the leading n-block of ``gram``.  The adjugate
-    T_n = p_n (dG_n)**-1 is an integer matrix, and it grows by one rank-one
+    ``G_n`` is the leading n-block of ``entries``, d the lcm of their
+    denominators and p_n the n-th pivot.  The adjugate T_n = p_n (dG_n)**-1
+    is an integer matrix, yielded as tuples, and it grows by one rank-one
     term per size, T_n = (p_n T_(n-1) + v_n v_n^T) / p_(n-1), an exact
     division (see the module docstring); then G_n**-1 = d T_n / p_n and
-    det G_n = p_n / d**n.  Grades as for :func:`invert_exact`.  Raises
+    det G_n = p_n / d**n.  For a Gram matrix the inverse carries the
+    negated sqrt(pi) grade, as for :func:`invert_exact`.  Raises
     :class:`SingularMatrixError` on a zero pivot, before the first size is
     yielded.
     """
-    rows, pivots, d = _eliminate_augmented(gram.entries)
-    adj: list[list[int]] = []
+    rows, pivots, d = _eliminate_augmented(entries)
+    size = len(rows)
+    adj: tuple[tuple[int, ...], ...] = ()
     prev = 1
     for n, (pivot, row) in enumerate(zip(pivots, rows), start=1):
-        v = row[gram.n:gram.n + n]
-        adj = [[(pivot * a + v[i] * v[j]) // prev for j, a in enumerate(adj_i + [0])]
-               for i, adj_i in enumerate(adj + [[0] * (n - 1)])]
-        inverse = tuple(tuple(Fraction(d * a, pivot) for a in adj_i) for adj_i in adj)
-        yield GradedMatrix(gram.family, n, inverse, -gram.sqrtpi_power), Fraction(pivot, d**n)
+        v = row[size:size + n]
+        adj = tuple(tuple((pivot * a + v_i * v_j) // prev for a, v_j in zip(adj_i + (0,), v))
+                    for adj_i, v_i in zip(adj + ((0,) * (n - 1),), v))
+        yield adj, pivot, d
         prev = pivot

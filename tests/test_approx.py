@@ -288,6 +288,22 @@ class TestClearedDots:
         assert [type(v) for v in got] == [type(v) for v in want]
 
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rational_values_equal_the_pi_exponent_path(self, data):
+        """On values free of PiLaurents (Fractions and ints, zeros and mixed
+        denominators), with rows as long as the values or shorter, the
+        cleared-once path returns what the pi-exponent path returns when a
+        PiLaurent no row reads is appended: equal values, all Fractions."""
+        values = data.draw(st.lists(st.one_of(rationals, st.integers(-9, 9)), max_size=6))
+        rows = data.draw(st.lists(st.lists(rationals, max_size=len(values)), max_size=4))
+        cleared = [families._cleared(row) for row in rows]
+        got = approx._dots(cleared, values)
+        want = approx._dots(cleared, values + [PiLaurent({1: 1})])
+        assert got == want == [sum(map(mul, row, values), Fraction(0)) for row in rows]
+        assert all(type(v) is Fraction for v in got + want)
+
+
 class TestTaylorPolynomial:
     def test_exp_eight_terms(self):
         import math

@@ -41,9 +41,14 @@ def test_artefacts_built_once_per_family_and_size(monkeypatch):
     assert all(r.passed for r in results)
     for name in ("gram_from_moments", "coeff_matrix", "norm_vector"):
         assert calls[name] == [(LAGUERRE, 3), (HERMITE_ODD, 3)]
-    assert [gram.n for gram, in calls["leading_inverses"]] == [3, 3]
+    assert [len(entries) for entries, in calls["leading_inverses"]] == [3, 3]
     assert calls["build_kernel"] == [(f, n) for f in (LAGUERRE, HERMITE_ODD) for n in (1, 2, 3)]
     assert len(calls["leading_principal_minors"]) == 2 * 3
+
+
+def _oracle_inverse(a):
+    """The Bareiss inverse the artefacts carry, scale * adjugate / pivot."""
+    return tuple(tuple(Fraction(a.scale * t, a.pivot) for t in row) for row in a.adjugate)
 
 
 def _naive_matmul(a, b):
@@ -59,11 +64,15 @@ def test_sweep_views_equal_per_size_builds(family):
         gram, coeffs = gram_from_moments(family, a.n), coeff_matrix(family, a.n)
         assert (a.gram, a.coeffs, a.norms) == (gram, coeffs, norm_vector(family, a.n))
         inverse, det = bareiss_inverse(gram.entries)
-        assert (a.inverse.entries, a.inverse.sqrtpi_power, a.det_gram) == (
+        assert all(type(t) is int for row in a.adjugate for t in row)
+        assert (_oracle_inverse(a), a.inverse_grade, a.det_gram) == (
             inverse, -gram.sqrtpi_power, det)
         transposed = tuple(zip(*coeffs.entries))
         assert a.agat == _naive_matmul(_naive_matmul(coeffs.entries, gram.entries), transposed)
-        assert a == checks.build_artefacts(family, a.n)
+        # the integer form of the inverse depends on the sweep's largest G
+        built, form = checks.build_artefacts(family, a.n), dict(adjugate=(), pivot=1, scale=1)
+        assert _oracle_inverse(built) == _oracle_inverse(a)
+        assert replace(built, **form) == replace(a, **form)
 
 
 # zeros, negative entries and mixed denominators
@@ -146,6 +155,52 @@ def test_integer_gram_times_kernel_matches_fraction_product(pair):
             assert checks.check_gram_times_kernel(arts) == ""
 
 
+@st.composite
+def kernel_inverse_forms(draw):
+    """A random rational B and an integer form (T, p, d) of the inverse: B
+    = d T / p exactly, or with one entry of B or of T bumped, or another
+    pivot, or B its leading block one size smaller, or B unrelated.
+    Negative pivots and scales that do not divide leave B with mixed row
+    denominators."""
+    n = draw(st.integers(1, 5))
+    adjugate = [[draw(st.integers(-40, 40)) for _ in range(n)] for _ in range(n)]
+    pivot = draw(st.integers(-30, 30).filter(bool))
+    scale = draw(st.integers(1, 30))
+    b = [[Fraction(scale * t, pivot) for t in row] for row in adjugate]
+    kind = draw(st.sampled_from(("inverse", "bumped B", "bumped T", "pivot", "smaller", "random")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "bumped B":
+        b[i][j] += draw(st.fractions(-3, 3, max_denominator=9).filter(bool))
+    elif kind == "bumped T":
+        adjugate[i][j] += draw(st.integers(-3, 3).filter(bool))
+    elif kind == "pivot":
+        pivot = draw(st.integers(-30, 30).filter(lambda p: p not in (0, pivot)))
+    elif kind == "smaller":
+        b = [row[:n - 1] for row in b[:n - 1]]
+    elif kind == "random":
+        b = [list(row) for row in _square(draw, n)]
+    return tuple(map(tuple, b)), tuple(map(tuple, adjugate)), pivot, scale
+
+
+@given(kernel_inverse_forms())
+@settings(max_examples=300)
+def test_integer_oracle_equivalence_matches_fraction_comparison(case):
+    """The cross-multiplied B == d T / p check gives the verdict and detail
+    of the naive comparison with the ``Fraction`` inverse, and a pass builds
+    no ``Fraction``."""
+    b, adjugate, pivot, scale = case
+    n = len(adjugate)
+    base = checks.build_artefacts(LAGUERRE, 1)
+    arts = replace(base, n=n, kernel=GradedMatrix(LAGUERRE, len(b), b),
+                   adjugate=adjugate, pivot=pivot, scale=scale)
+    inverse = tuple(tuple(Fraction(scale * t, pivot) for t in row) for row in adjugate)
+    want = checks._diff("B vs Bareiss inverse", inverse, b)
+    assert checks.check_oracle_equivalence(arts) == want
+    if not want:
+        with mock.patch.object(checks, "Fraction", side_effect=AssertionError("built a Fraction")):
+            assert checks.check_oracle_equivalence(arts) == ""
+
+
 def test_corruption_reaches_only_the_oracle_equivalence_check():
     results = checks.run_checks(3, inject_corruption=True)
     assert {r.name for r in results if not r.passed} == {"oracle-equivalence"}
@@ -201,9 +256,25 @@ NEGATIVE_CONTROLS = [
     pytest.param(
         "oracle-equivalence",
         lambda a: _bump_kernel(a, 0, 0),
-        lambda a: f"B vs Bareiss inverse (1, 1): want {a.inverse.entries[0][0]}, "
+        lambda a: f"B vs Bareiss inverse (1, 1): want {_oracle_inverse(a)[0][0]}, "
                   f"got {a.kernel.entries[0][0] + SEVENTH}",
         id="oracle-equivalence-B11",
+    ),
+    pytest.param(
+        "oracle-equivalence",
+        lambda a: replace(a, adjugate=(a.adjugate[0], (a.adjugate[1][0] + 1,) + a.adjugate[1][1:])
+                          + a.adjugate[2:]),
+        lambda a: f"B vs Bareiss inverse (2, 1): "
+                  f"want {_oracle_inverse(a)[1][0] + Fraction(a.scale, a.pivot)}, "
+                  f"got {a.kernel.entries[1][0]}",
+        id="oracle-equivalence-T21",
+    ),
+    pytest.param(
+        "oracle-equivalence",
+        lambda a: replace(a, inverse_grade=a.inverse_grade + 1),
+        lambda a: f"grade of B vs Bareiss inverse: want {a.inverse_grade + 1}, "
+                  f"got {a.kernel.sqrtpi_power}",
+        id="oracle-equivalence-grade",
     ),
     pytest.param(
         "gram-kernel-identity",

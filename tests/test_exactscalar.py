@@ -546,6 +546,17 @@ class TestEnclose:
             widths.append(Fraction(hi - lo, q))
         assert widths[1] < widths[0] or widths == [0, 0]
 
+    @given(value=st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=10**6)),
+           p=st.integers(8, 600))
+    @example(value=Fraction(0), p=8)
+    @settings(max_examples=200, deadline=None)
+    def test_a_value_free_of_pi_is_its_own_ratio(self, value, p):
+        """A Fraction, an int or a PiLaurent free of pi encloses exactly as
+        ``(num, num, den)``, its ratio in lowest terms, at every p."""
+        num, den = Fraction(value).as_integer_ratio()
+        for v in (value, PiLaurent(value)):
+            assert enclose(v, p) == (num, num, den)
+
 
 @st.composite
 def cancelling_values(draw):

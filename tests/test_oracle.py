@@ -83,12 +83,12 @@ class TestBareissInverse:
         ):
             message = f"^zero pivot at elimination step {step}$"
             gram = GradedMatrix(LAGUERRE, len(entries), entries)
-            for route in (bareiss_inverse, leading_principal_minors):
+            for route in (bareiss_inverse, leading_principal_minors,
+                          lambda e: next(leading_inverses(e))):
                 with pytest.raises(SingularMatrixError, match=message):
                     route(entries)
-            for route in (invert_exact, lambda g: next(leading_inverses(g))):
-                with pytest.raises(SingularMatrixError, match=message):
-                    route(gram)
+            with pytest.raises(SingularMatrixError, match=message):
+                invert_exact(gram)
 
     def test_random_spd_matrices_invert_exactly(self):
         """M^T M + I is positive definite; inverse times M must be exact I."""
@@ -169,18 +169,23 @@ class TestInvertExact:
 def test_one_elimination_gives_every_leading_inverse(family):
     """The sweep of G_12 against three references at every n <= 12: the
     back-substitution inverse, the leading minors and the closed-form
-    kernel."""
+    kernel.  Size n is an integer n x n adjugate T, its pivot p and the
+    scale d, with G_n**-1 = d T / p and det G_n = p / d**n."""
     gram_12 = gram_from_moments(family, 12)
     dets = []
-    for n, (inverse, det) in enumerate(leading_inverses(gram_12), start=1):
+    for n, (adjugate, pivot, d) in enumerate(leading_inverses(gram_12.entries), start=1):
         gram = gram_from_moments(family, n)
         reference, reference_det = bareiss_inverse(gram.entries)
-        assert (inverse.family, inverse.n, inverse.sqrtpi_power) == (family, n, -gram.sqrtpi_power)
-        assert inverse.entries == reference == build_kernel(family, n).entries
+        assert [len(row) for row in adjugate] == [n] * n
+        assert all(type(t) is int for row in adjugate for t in row)
+        inverse = tuple(tuple(Fraction(d * t, pivot) for t in row) for row in adjugate)
+        det = Fraction(pivot, d**n)
+        assert inverse == reference == build_kernel(family, n).entries
         assert det == reference_det == leading_principal_minors(gram.entries)[-1]
         dets.append(det)
     assert tuple(dets) == leading_principal_minors(gram_12.entries)
-    assert invert_exact(gram_12) == (inverse, det)
+    assert invert_exact(gram_12) == (
+        GradedMatrix(family, 12, inverse, -gram_12.sqrtpi_power), det)
 
 
 def _leibniz_det(rows):
