@@ -134,8 +134,9 @@ def check_oracle_equivalence(a: Artefacts) -> str:
     a mismatch."""
     detail = _diff("grade of B vs Bareiss inverse", a.inverse_grade, a.kernel.sqrtpi_power)
     rows, p, d = a.kernel.cleared_rows, a.pivot, a.scale
-    if detail or ([[b * p for b in ints] for ints, _ in rows]
-                  == [[d * e * t for t in t_row] for (_, e), t_row in zip(rows, a.adjugate)]):
+    if detail or len(rows) == len(a.adjugate) and (
+            [[b * p for b in ints] for ints, _ in rows]
+            == [[d * e * t for t in t_row] for (_, e), t_row in zip(rows, a.adjugate)]):
         return detail
     inverse = tuple(tuple(Fraction(d * t, p) for t in row) for row in a.adjugate)
     return _diff("B vs Bareiss inverse", inverse, a.kernel.entries)

@@ -287,7 +287,6 @@ class TestClearedDots:
         assert got == want
         assert [type(v) for v in got] == [type(v) for v in want]
 
-
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_rational_values_equal_the_pi_exponent_path(self, data):
