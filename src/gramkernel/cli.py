@@ -12,7 +12,10 @@ bits; no option sets a precision.  The one exception is ``plotdata``'s f at
 an exact zero of sin(pi x) or cos(pi x): it prints what a 256-bit float
 evaluation returns there, rounding noise, not 0.  A table's rows are built
 once, under one column list: the CSV header and the keys of the JSON
-``data`` objects.  ``plotdata --samples`` takes 2 to 65536 points
+``data`` objects.  ``--size`` and ``--max-size`` take 1 to a ceiling per
+subcommand (``MAX_SIZES``: kernel 200, cond 400, variance 100, project 100,
+plotdata 100, verify 24); at its ceiling no family or target takes more
+than about 6 s of CPU.  ``plotdata --samples`` takes 2 to 65536 points
 (65536 take about 3 s of CPU), and its window ends ``--xmin``/``--xmax``
 are at most 10**6 in magnitude with a denominator below 10**30.
 ``verify`` writes one stderr line ``FAIL <check> family=<f> size=<n>: <detail>``
@@ -22,10 +25,10 @@ that ``detail``; a passing run writes nothing to stderr.
 regular or new file atomically (a temp file renamed over it), anything else,
 such as a FIFO or a device, in place.
 Exit codes: 0 success, 1 verification failed, 2 usage or I/O error: an
-argument argparse refuses (such as a ``--samples`` count or window end out of
-bounds or a numeric option that is not an integer) or a :class:`UsageError`
-(``plotdata``'s ``xmin >= xmax``, an ``--out`` path that cannot be written;
-one line ``error: MESSAGE`` on stderr).  3 internal error: any other
+argument argparse refuses (such as a size, ``--samples`` count or window end
+out of bounds or a numeric option that is not an integer) or a
+:class:`UsageError` (``plotdata``'s ``xmin >= xmax``, an ``--out`` path or a
+stdout that cannot be written; one line ``error: MESSAGE`` on stderr).  3 internal error: any other
 exception, ``ValueError`` and ``ZeroDivisionError`` included, is a fault of
 the program, not of the input (one line ``internal error: TYPE: MESSAGE``).
 A well-formed argv is read from the option table alone; argparse runs only for
@@ -69,10 +72,20 @@ from .kernelbuild import build_kernel
 
 MIN_SAMPLES, MAX_SAMPLES = 2, 65536
 MAX_WINDOW_END, MAX_WINDOW_DEN = 10**6, 10**30
+# the largest --size or --max-size of each subcommand
+MAX_SIZES = {"kernel": 200, "cond": 400, "variance": 100, "project": 100, "plotdata": 100,
+             "verify": 24}
 
 
 class UsageError(Exception):
     """An input the command cannot act on, found after parsing: exit 2."""
+
+
+def _refused(message: str) -> Exception:
+    """The error an option's ``type`` raises for a value it refuses."""
+    import argparse  # only a refused value needs it
+
+    return argparse.ArgumentTypeError(message)
 
 
 def _int_option(text: str, low: int, high: float, expected: str) -> int:
@@ -84,13 +97,21 @@ def _int_option(text: str, low: int, high: float, expected: str) -> int:
             return value
     except ValueError:
         pass
-    import argparse  # only a refused value needs it
-
-    raise argparse.ArgumentTypeError(f"{expected}, got {text}")
+    raise _refused(f"{expected}, got {text}")
 
 
-def _positive_int(text: str) -> int:
-    return _int_option(text, 1, inf, "must be a positive integer")
+def _size(flag: str, command: str) -> tuple:
+    """``command``'s ``--size`` or ``--max-size``: an integer from 1 to its
+    ceiling in ``MAX_SIZES``; above it, the message names the ceiling."""
+    ceiling = MAX_SIZES[command]
+
+    def size(text: str) -> int:
+        value = _int_option(text, 1, inf, "must be a positive integer")
+        if value > ceiling:
+            raise _refused(f"must be at most {ceiling}, got {text}")
+        return value
+
+    return flag, {"type": size, "required": True}
 
 
 def _sample_count(text: str) -> int:
@@ -110,10 +131,8 @@ def _window_end(text: str) -> Fraction:
             return value
     except (ValueError, ZeroDivisionError):
         pass
-    import argparse  # only a refused value needs it
-
-    raise argparse.ArgumentTypeError(f"must be a number of magnitude at most {MAX_WINDOW_END} "
-                                     f"with a denominator below 10**30, got {text}")
+    raise _refused(f"must be a number of magnitude at most {MAX_WINDOW_END} "
+                   f"with a denominator below 10**30, got {text}")
 
 
 def _emit(args, head: dict | None, header: list[str], rows: list[list],
@@ -136,7 +155,18 @@ def _emit(args, head: dict | None, header: list[str], rows: list[list],
     else:
         text = "\n".join(lines) + "\n"
     if not args.out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            import os  # only a failed write needs it
+
+            # as in Python's note on SIGPIPE: the interpreter's own flush of
+            # stdout at exit must not fail again and turn exit 2 into 120
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from None
         return
     try:
         _write_out(args.out, text)
@@ -317,26 +347,25 @@ def cmd_verify(args) -> int:
 # replaced ``cli.cmd_*`` is the one called.
 _FAMILY = ("--family", {"choices": sorted(FAMILIES), "required": True})
 _TARGET = ("--target", {"choices": sorted(TARGETS), "required": True})
-_SIZE = ("--size", {"type": _positive_int, "required": True})
-_MAX_SIZE = ("--max-size", {"type": _positive_int, "required": True})
 _FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text"})
 _OUT = ("--out", {"metavar": "PATH", "default": None})
 
 _SUBCOMMANDS = {  # name -> (help, command function's name, options, other defaults)
-    "kernel": ("exact kernel matrix B = G^-1", "cmd_kernel", (_FAMILY, _SIZE, _FORMAT, _OUT), {}),
+    "kernel": ("exact kernel matrix B = G^-1", "cmd_kernel",
+               (_FAMILY, _size("--size", "kernel"), _FORMAT, _OUT), {}),
     "cond": ("infinity-norm condition numbers", "cmd_cond",
-             (_FAMILY, _MAX_SIZE, _FORMAT, _OUT), {}),
+             (_FAMILY, _size("--max-size", "cond"), _FORMAT, _OUT), {}),
     "variance": ("error variances: Taylor vs kernel estimate", "cmd_variance",
-                 (_TARGET, _MAX_SIZE, _FORMAT, _OUT), {}),
+                 (_TARGET, _size("--max-size", "variance"), _FORMAT, _OUT), {}),
     "project": ("estimate and Taylor coefficients", "cmd_project",
-                (_TARGET, _SIZE, _FORMAT, _OUT), {}),
+                (_TARGET, _size("--size", "project"), _FORMAT, _OUT), {}),
     "plotdata": ("CSV samples of f, estimate, and Taylor", "cmd_plotdata", (
-        _TARGET, _SIZE, ("--xmin", {"type": _window_end, "default": "0"}),
+        _TARGET, _size("--size", "plotdata"), ("--xmin", {"type": _window_end, "default": "0"}),
         ("--xmax", {"type": _window_end, "default": "10"}),
         ("--samples", {"type": _sample_count, "default": 512}), _OUT),
         {"format": "csv"}),
     "verify": ("run the exact self-verification suites", "cmd_verify", (
-        _MAX_SIZE, ("--inject-corruption", {
+        _size("--max-size", "verify"), ("--inject-corruption", {
             "action": "store_true", "default": False,
             "help": "test hook: corrupt one kernel entry so the checks must fail"}),
         _FORMAT, _OUT), {}),

@@ -24,7 +24,8 @@ binary rounding left, :func:`_round_rational` (integers p/q correctly
 rounded to nearest at any precision), serves ``plotdata``'s f at the exact
 zeros of sin and cos.  The ``mpmath`` helpers (:func:`eval_pilaurent`,
 :func:`to_bigfloat`, :func:`working_mpf`, :func:`mpf_decimal_str`) remain
-for the tests and import ``mpmath`` only when called.
+for the tests, are not exported by the package root, and import ``mpmath``
+only when called: it comes with the ``test`` extra, not with the package.
 
 Every printed decimal's digits come from one routine, :func:`_round_decimal`:
 an exact rational, or the exact binary value of a float, rounded in integers

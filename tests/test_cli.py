@@ -593,12 +593,15 @@ def test_a_valid_invocation_imports_no_argparse():
 
 
 def test_no_subcommand_imports_mpmath():
-    """In one fresh process, every subcommand runs in-process through
-    ``main``, cos-pi ``plotdata`` over its exact zeros at +-1/2 included,
-    and leaves ``mpmath`` unimported; the float helpers the tests keep
-    still import it when called."""
+    """In one fresh process, ``import gramkernel`` alone imports no
+    submodule; then every subcommand runs in-process through ``main``,
+    cos-pi ``plotdata`` over its exact zeros at +-1/2 included, and leaves
+    ``mpmath`` unimported; the float helpers the tests keep still import it
+    when called."""
     src = Path(cli.__file__).resolve().parent.parent
     code = ("import contextlib, io, sys\n"
+            "import gramkernel\n"
+            "print(sorted(m for m in sys.modules if m.startswith('gramkernel')))\n"
             "from gramkernel.cli import main\n"
             "runs = [['kernel', '--family', 'hermite-odd', '--size', '3'],\n"
             "        ['cond', '--family', 'legendre-even', '--max-size', '4'],\n"
@@ -616,7 +619,60 @@ def test_no_subcommand_imports_mpmath():
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines() == ["False", "True True"]
+    assert done.stdout.splitlines() == ["['gramkernel']", "False", "True True"]
+
+
+ALL_SUBCOMMANDS = [
+    ["kernel", "--family", "hermite-odd", "--size", "3"],
+    ["cond", "--family", "legendre-even", "--max-size", "4"],
+    ["variance", "--target", "sin-pi", "--max-size", "4"],
+    ["project", "--target", "cos-pi", "--size", "3"],
+    ["plotdata", "--target", "cos-pi", "--size", "4", "--xmin=-1/2", "--xmax=1/2",
+     "--samples", "9"],
+    ["verify", "--max-size", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", ALL_SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_every_subcommand_runs_with_mpmath_blocked(monkeypatch, capsys, argv):
+    """``mpmath`` is a test dependency only: with its import refused, every
+    subcommand still exits 0, and prints what it prints with it."""
+    want = run_cli(capsys, argv)
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    assert run_cli(capsys, argv) == want
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("buffering", [-1, 1], ids=["buffered", "line-buffered"])
+def test_a_stdout_write_error_exits_2_with_one_line(capsys, buffering):
+    """A full device on stdout is an I/O error, whether the write or the
+    flush meets it; stdout's descriptor then points at the null device, so
+    the interpreter's own flush at exit cannot fail again."""
+    full = open("/dev/full", "w", buffering=buffering, encoding="utf-8")
+    with contextlib.redirect_stdout(full), pytest.raises(SystemExit) as excinfo:
+        main(["kernel", "--family", "laguerre", "--size", "3"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+    assert os.path.samestat(os.fstat(full.fileno()), os.stat(os.devnull))
+    full.close()  # what the failed flush left in the buffer goes to the null device
+
+
+@needs_dev_full
+def test_a_buffered_stdout_write_error_exits_2_in_a_process():
+    """The default, buffered stdout in a console run: exit 2 and one error
+    line, not Python's exit 120 from its final flush."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "gramkernel.cli", "kernel", "--family",
+                               "laguerre", "--size", "3"], env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True)
+    assert (done.returncode, done.stderr) == (
+        2, "error: cannot write stdout: No space left on device\n")
 
 
 def _own_flags(name):
@@ -682,6 +738,47 @@ def test_read_is_the_full_parsers_or_none(argv):
     read = cli._read(argv)
     if read is not None:
         assert vars(read) == _full_parse(argv)
+
+
+def _size_argvs(name, flag, value):
+    """``name``'s argv with every other required flag given, and ``flag``
+    set to ``value`` in the spaced and the ``=`` spelling."""
+    required = [token for other, spec in cli._SUBCOMMANDS[name][2]
+                if spec.get("required") and other != flag
+                for token in (other, GOOD_VALUES[other][0])]
+    return [[name, *required, flag, value], [name, *required, f"{flag}={value}"]]
+
+
+SIZE_OPTIONS = [(name, flag) for name in cli._SUBCOMMANDS for flag in _own_flags(name)
+                if flag in ("--size", "--max-size")]
+
+
+@pytest.mark.parametrize("name, flag", SIZE_OPTIONS, ids=[name for name, _ in SIZE_OPTIONS])
+def test_a_size_above_its_ceiling_exits_2_naming_the_ceiling(capsys, name, flag):
+    """Each subcommand's size has one ceiling, read alike by the option
+    table and argparse; the ceiling itself passes the option's type, and no
+    job runs at it here."""
+    ceiling = cli.MAX_SIZES[name]
+    size = dict(cli._SUBCOMMANDS[name][2])[flag]["type"]
+    assert size(str(ceiling)) == ceiling
+    for argv in _size_argvs(name, flag, str(ceiling + 1)):
+        assert cli._read(argv) is None
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"gramkernel {name}: error: argument {flag}: "
+            f"must be at most {ceiling}, got {ceiling + 1}")
+
+
+def test_size_ceilings_stay_above_the_sizes_in_use():
+    """Well above the largest size the benchmark (kernel 40, cond 32), CI
+    (verify 16) and the tests (30) run."""
+    in_use = {"kernel": 40, "cond": 32, "variance": 40, "project": 30, "plotdata": 30,
+              "verify": 16}
+    assert sorted(cli.MAX_SIZES) == sorted(cli._SUBCOMMANDS)
+    assert all(cli.MAX_SIZES[name] >= 1.5 * size for name, size in in_use.items())
 
 
 SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
