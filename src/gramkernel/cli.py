@@ -28,9 +28,10 @@ Exit codes: 0 success, 1 verification failed, 2 usage or I/O error: an
 argument argparse refuses (such as a size, ``--samples`` count or window end
 out of bounds or a numeric option that is not an integer) or a
 :class:`UsageError` (``plotdata``'s ``xmin >= xmax``, an ``--out`` path or a
-stdout that cannot be written; one line ``error: MESSAGE`` on stderr).  3 internal error: any other
-exception, ``ValueError`` and ``ZeroDivisionError`` included, is a fault of
-the program, not of the input (one line ``internal error: TYPE: MESSAGE``).
+stdout that cannot be written; one line ``error: MESSAGE`` on stderr).
+3 internal error: any other exception, ``ValueError`` and
+``ZeroDivisionError`` included, is a fault of the program, not of the input
+(one line ``internal error: TYPE: MESSAGE``).
 A well-formed argv is read from the option table alone; argparse runs only for
 help, errors and unusual spellings, and prints exactly what it always printed.
 """

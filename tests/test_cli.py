@@ -592,6 +592,18 @@ def test_a_valid_invocation_imports_no_argparse():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+ALL_SUBCOMMANDS = [
+    ["kernel", "--family", "hermite-odd", "--size", "3"],
+    ["cond", "--family", "legendre-even", "--max-size", "4"],
+    ["variance", "--target", "sin-pi", "--max-size", "4"],
+    ["project", "--target", "cos-pi", "--size", "3"],
+    ["plotdata", "--target", "cos-pi", "--size", "4", "--xmin=-1/2", "--xmax=1/2",
+     "--samples", "9"],
+    ["plotdata", "--target", "exp-neg", "--size", "3", "--samples", "5"],
+    ["verify", "--max-size", "2"],
+]
+
+
 def test_no_subcommand_imports_mpmath():
     """In one fresh process, ``import gramkernel`` alone imports no
     submodule; then every subcommand runs in-process through ``main``,
@@ -603,14 +615,7 @@ def test_no_subcommand_imports_mpmath():
             "import gramkernel\n"
             "print(sorted(m for m in sys.modules if m.startswith('gramkernel')))\n"
             "from gramkernel.cli import main\n"
-            "runs = [['kernel', '--family', 'hermite-odd', '--size', '3'],\n"
-            "        ['cond', '--family', 'legendre-even', '--max-size', '4'],\n"
-            "        ['variance', '--target', 'sin-pi', '--max-size', '4'],\n"
-            "        ['project', '--target', 'cos-pi', '--size', '3'],\n"
-            "        ['plotdata', '--target', 'cos-pi', '--size', '4', '--xmin=-1/2',\n"
-            "         '--xmax=1/2', '--samples', '9'],\n"
-            "        ['plotdata', '--target', 'exp-neg', '--size', '3', '--samples', '5'],\n"
-            "        ['verify', '--max-size', '2']]\n"
+            f"runs = {ALL_SUBCOMMANDS!r}\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert [main(argv) for argv in runs] == [0] * len(runs)\n"
             "print('mpmath' in sys.modules)\n"
@@ -622,18 +627,7 @@ def test_no_subcommand_imports_mpmath():
     assert done.stdout.splitlines() == ["['gramkernel']", "False", "True True"]
 
 
-ALL_SUBCOMMANDS = [
-    ["kernel", "--family", "hermite-odd", "--size", "3"],
-    ["cond", "--family", "legendre-even", "--max-size", "4"],
-    ["variance", "--target", "sin-pi", "--max-size", "4"],
-    ["project", "--target", "cos-pi", "--size", "3"],
-    ["plotdata", "--target", "cos-pi", "--size", "4", "--xmin=-1/2", "--xmax=1/2",
-     "--samples", "9"],
-    ["verify", "--max-size", "2"],
-]
-
-
-@pytest.mark.parametrize("argv", ALL_SUBCOMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", ALL_SUBCOMMANDS, ids=lambda argv: "-".join(argv[:3:2]))
 def test_every_subcommand_runs_with_mpmath_blocked(monkeypatch, capsys, argv):
     """``mpmath`` is a test dependency only: with its import refused, every
     subcommand still exits 0, and prints what it prints with it."""
