@@ -14,12 +14,11 @@ included; it is a ``Fraction`` whenever p and the moments are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, lcm
 from operator import mul
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactscalar import (
     DEFAULT_PRECISION_BITS,
@@ -42,6 +41,7 @@ from .families import (
     LAGUERRE,
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
+    Record,
     _cleared,
     coeff_matrix,
     moment_cores,
@@ -76,8 +76,7 @@ def _cos_integrals(m_max: int) -> dict[int, Exact]:
     return out
 
 
-@dataclass(frozen=True)
-class TargetFunction:
+class TargetFunction(Record):
     """A function to be approximated: the one record of everything the
     package knows about it.
 
@@ -371,8 +370,7 @@ def _value_at(target: TargetFunction, x: Fraction) -> str:
     return _ziv_decimal(partial(target.value, x), DEFAULT_PRECISION_BITS)[0]
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(Record):
     """Exact moments of some target against a family's basis monomials.
 
     Every entry is a core of the family's ``moment_grade``, which cancels
@@ -386,8 +384,7 @@ class MomentVector:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class ApproxPolynomial:
+class ApproxPolynomial(Record):
     """Polynomial on a family's basis powers: coefficient k multiplies
     ``x**(stride*k + offset)``."""
 

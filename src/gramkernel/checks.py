@@ -16,21 +16,19 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 from operator import mul
 
 from .approx import monomial_moment_vector, project
 from .families import (
-    ALL_FAMILIES, Family, GradedMatrix, _cleared, _matmul, coeff_matrix, norm_vector,
+    ALL_FAMILIES, Family, GradedMatrix, Record, _cleared, _matmul, coeff_matrix, norm_vector,
 )
 from .kernelbuild import build_kernel
 from .oracle import gram_from_moments, leading_inverses, leading_principal_minors
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     family: str
     size: int
@@ -38,8 +36,7 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True)
-class Artefacts:
+class Artefacts(Record):
     """Everything the checks compare for one (family, n).
 
     The Bareiss inverse of ``gram`` is kept in integers, as
@@ -71,7 +68,7 @@ def _block(rows, n: int) -> tuple[tuple, ...]:
 
 
 def _leading(matrix: GradedMatrix, n: int) -> GradedMatrix:
-    return replace(matrix, n=n, entries=_block(matrix.entries, n))
+    return matrix.replace(n=n, entries=_block(matrix.entries, n))
 
 
 def sweep_artefacts(family: Family, max_size: int) -> Iterator[Artefacts]:
@@ -223,7 +220,7 @@ CHECKS = {
 def _corrupted(kernel: GradedMatrix) -> GradedMatrix:
     rows = [list(r) for r in kernel.entries]
     rows[0][0] += Fraction(1, 7)
-    return replace(kernel, entries=tuple(tuple(r) for r in rows))
+    return kernel.replace(entries=tuple(tuple(r) for r in rows))
 
 
 def run_checks(
@@ -245,7 +242,7 @@ def run_checks(
     results = []
     for family in families:
         for arts in sweep_artefacts(family, max_size):
-            bad = replace(arts, kernel=_corrupted(arts.kernel)) if inject_corruption else arts
+            bad = arts.replace(kernel=_corrupted(arts.kernel)) if inject_corruption else arts
             for name, check in CHECKS.items():
                 detail = check(bad if check is check_oracle_equivalence else arts)
                 results.append(CheckResult(name, family.name, arts.n, not detail, detail))

@@ -13,11 +13,12 @@ an exact zero of sin(pi x) or cos(pi x): it prints what a 256-bit float
 evaluation returns there, rounding noise, not 0.  A table's rows are built
 once, under one column list: the CSV header and the keys of the JSON
 ``data`` objects.  ``--size`` and ``--max-size`` take 1 to a ceiling per
-subcommand (``MAX_SIZES``: kernel 200, cond 400, variance 100, project 100,
-plotdata 100, verify 24); at its ceiling no family or target takes more
-than about 6 s of CPU.  ``plotdata --samples`` takes 2 to 65536 points
-(65536 take about 3 s of CPU), and its window ends ``--xmin``/``--xmax``
-are at most 10**6 in magnitude with a denominator below 10**30.
+subcommand, which ``--help`` gives (``MAX_SIZES``: kernel 200, cond 400,
+variance 100, project 100, plotdata 100, verify 24); at its ceiling no
+family or target takes more than about 6 s of CPU.  ``plotdata --samples``
+takes 2 to 65536 points (65536 take about 3 s of CPU), and its window ends
+``--xmin``/``--xmax`` are at most 10**6 in magnitude with a denominator
+below 10**30.
 ``verify`` writes one stderr line ``FAIL <check> family=<f> size=<n>: <detail>``
 per failing check, in every format, and its JSON rows of failing checks carry
 that ``detail``; a passing run writes nothing to stderr.
@@ -28,7 +29,8 @@ Exit codes: 0 success, 1 verification failed, 2 usage or I/O error: an
 argument argparse refuses (such as a size, ``--samples`` count or window end
 out of bounds or a numeric option that is not an integer) or a
 :class:`UsageError` (``plotdata``'s ``xmin >= xmax``, an ``--out`` path or a
-stdout that cannot be written; one line ``error: MESSAGE`` on stderr).
+stdout that cannot be written, full or closed; one line ``error: MESSAGE`` on
+stderr).
 3 internal error: any other exception, ``ValueError`` and
 ``ZeroDivisionError`` included, is a fault of the program, not of the input
 (one line ``internal error: TYPE: MESSAGE``).
@@ -112,7 +114,7 @@ def _size(flag: str, command: str) -> tuple:
             raise _refused(f"must be at most {ceiling}, got {text}")
         return value
 
-    return flag, {"type": size, "required": True}
+    return flag, {"type": size, "required": True, "help": f"an integer from 1 to {ceiling}"}
 
 
 def _sample_count(text: str) -> int:
@@ -156,6 +158,8 @@ def _emit(args, head: dict | None, header: list[str], rows: list[list],
     else:
         text = "\n".join(lines) + "\n"
     if not args.out:
+        if sys.stdout is None:  # descriptor 1 was closed when Python started
+            raise UsageError("cannot write stdout: Bad file descriptor")
         try:
             sys.stdout.write(text)
             sys.stdout.flush()

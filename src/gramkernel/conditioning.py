@@ -8,9 +8,9 @@ renders it as a decimal afterwards.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
 from .families import Family, coeff_matrix, norm_vector
 from .kernelbuild import build_kernel

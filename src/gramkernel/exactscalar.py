@@ -34,17 +34,17 @@ by one ``divmod`` against a power of ten.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
 from operator import eq
-from typing import Iterator, Mapping, Union
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
 SIG_DIGITS = 17  # of every decimal the package prints
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 def _check_precision(precision_bits: int) -> None:
@@ -54,7 +54,7 @@ def _check_precision(precision_bits: int) -> None:
         )
 
 
-def _triple(x: Union[RationalLike, "PiLaurent"]) -> tuple:
+def _triple(x: RationalLike | PiLaurent) -> tuple:
     """The canonical triple of a PiLaurent (see :func:`_reduced`); an int or
     Fraction is read as its exponent-0 triple, not lifted to a PiLaurent."""
     if isinstance(x, PiLaurent):
@@ -112,7 +112,7 @@ class PiLaurent:
 
     __slots__ = ("_v",)
 
-    def __new__(cls, terms: Union[RationalLike, Mapping[int, RationalLike], None] = None):
+    def __new__(cls, terms: RationalLike | Mapping[int, RationalLike] | None = None):
         if isinstance(terms, (int, Fraction)):
             terms = {0: terms}
         qs = {int(m): Fraction(q) for m, q in (terms or {}).items()}
@@ -174,7 +174,7 @@ def _reduced(low: int, nums, den: int) -> PiLaurent:
     return p
 
 
-Exact = Union[Fraction, PiLaurent]  # a Fraction exactly when no pi appears
+Exact = Fraction | PiLaurent  # a Fraction exactly when no pi appears
 
 
 def _round_rational(p: int, q: int, prec: int) -> tuple:

@@ -20,15 +20,61 @@ do not depend on the matrix size, so each is computed once per process.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 
-@dataclass(frozen=True)
-class Family:
+class Record:
+    """Base of the package's immutable records: a frozen dataclass without
+    the ``dataclasses`` import.  Fields are a subclass's annotations, in
+    order, and a default is the class attribute of that name.  A record is
+    built positionally or by keyword, refuses assignment, equals a record of
+    the same class with equal fields, hashes as its field tuple (once, on
+    first use) and has the dataclass ``repr``.  Its caches in ``__dict__``
+    (the hash, ``cleared_rows``) are no fields: ``==`` and ``repr`` ignore
+    them and :meth:`replace` drops them."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._values = attrgetter(*cls._fields)
+        cls._names = frozenset(cls._fields)
+        cls._required = cls._names.difference(cls.__dict__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        given = self.__dict__
+        given.update(zip(self._fields, args), **kwargs)
+        if len(given) < len(args) + len(kwargs) or not self._required <= given.keys() <= self._names:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes) -> Record:
+        """A copy with ``changes`` to some fields, and none of the caches."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+
+class Family(Record):
     """A monomial basis over one of the three classical weighted domains.
 
     The 1-based basis element ``i`` is ``x**(stride*(i-1)+offset)``:
@@ -80,8 +126,7 @@ def double_factorial(m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class GradedMatrix:
+class GradedMatrix(Record):
     """An exact n x n matrix over a family's basis, with one sqrt(pi) grade.
 
     ``entries`` holds the rational core; every entry is that rational times

@@ -14,10 +14,10 @@ per-family factor tables, including the corrected Legendre factor placement.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Callable
 
 from .families import Family, GradedMatrix, _cleared, coeff_matrix, double_factorial, norm_vector
 

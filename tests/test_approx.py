@@ -8,7 +8,6 @@ dropped tail is below 200**k * exp(-200) < 1e-40 for every power used here.
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -206,7 +205,7 @@ class TestProject:
         moments = monomial_moment_vector(HERMITE_EVEN, 2, 0)
         project(kernel, moments)  # grades -1 and +1 cancel
         with pytest.raises(ValueError):
-            project(replace(kernel, sqrtpi_power=0), moments)
+            project(kernel.replace(sqrtpi_power=0), moments)
 
 
 def _summed_projection(kernel, moments):
@@ -256,7 +255,7 @@ class TestProjectMatchesFractionSums:
         assert "cleared_rows" in vars(kernel)
         entries = tuple(tuple(data.draw(rationals) for _ in range(kernel.n))
                         for _ in range(kernel.n))
-        _assert_projects_like_sums(replace(kernel, entries=entries), moments)
+        _assert_projects_like_sums(kernel.replace(entries=entries), moments)
 
     @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
     def test_built_in_targets(self, target):
@@ -733,7 +732,7 @@ class TestValuesOffTheGrid:
         decimal comes from ``target.value`` and is still the reference's."""
         assume(xmin != xmax)
         xmin, xmax = min(xmin, xmax), max(xmin, xmax)
-        wide = replace(target, grid=lambda nums, den: ((-1 << 200, 1 << 200, 1) for _ in nums))
+        wide = target.replace(grid=lambda nums, den: ((-1 << 200, 1 << 200, 1) for _ in nums))
         nums, den = sample_grid(xmin, xmax, samples)
         assert target_value(wide, nums, den) == [_f_reference(target, Fraction(num, den))
                                                  for num in nums]

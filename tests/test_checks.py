@@ -1,6 +1,5 @@
 """run_checks: one sweep of artefacts per family, and the negative controls."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import prod
 from unittest import mock
@@ -72,7 +71,7 @@ def test_sweep_views_equal_per_size_builds(family):
         # the integer form of the inverse depends on the sweep's largest G
         built, form = checks.build_artefacts(family, a.n), dict(adjugate=(), pivot=1, scale=1)
         assert _oracle_inverse(built) == _oracle_inverse(a)
-        assert replace(built, **form) == replace(a, **form)
+        assert built.replace(**form) == a.replace(**form)
 
 
 # zeros, negative entries and mixed denominators
@@ -146,7 +145,7 @@ def test_integer_gram_times_kernel_matches_fraction_product(pair):
     ``Fraction`` product, for any G and B, symmetric or not."""
     g, b = pair
     base = checks.build_artefacts(LAGUERRE, 1)
-    arts = replace(base, n=len(g), gram=GradedMatrix(LAGUERRE, len(g), g),
+    arts = base.replace(n=len(g), gram=GradedMatrix(LAGUERRE, len(g), g),
                    kernel=GradedMatrix(LAGUERRE, len(b), b))
     want = checks._diff("G B vs I", checks._diagonal((1,) * len(g)), _naive_matmul(g, b))
     assert checks.check_gram_times_kernel(arts) == want
@@ -192,7 +191,7 @@ def test_integer_oracle_equivalence_matches_fraction_comparison(case):
     b, adjugate, pivot, scale = case
     n = len(adjugate)
     base = checks.build_artefacts(LAGUERRE, 1)
-    arts = replace(base, n=n, kernel=GradedMatrix(LAGUERRE, len(b), b),
+    arts = base.replace(n=n, kernel=GradedMatrix(LAGUERRE, len(b), b),
                    adjugate=adjugate, pivot=pivot, scale=scale)
     want = checks._diff("B vs Bareiss inverse", _oracle_inverse(arts), b)
     assert checks.check_oracle_equivalence(arts) == want
@@ -211,7 +210,7 @@ def test_corruption_reaches_only_the_oracle_equivalence_check():
 def test_misgraded_kernel_fails_the_grade_checks(n):
     """A Hermite kernel of grade 0 instead of -1 no longer cancels G's +1."""
     arts = checks.build_artefacts(HERMITE_EVEN, n)
-    bad = replace(arts, kernel=replace(arts.kernel, sqrtpi_power=0))
+    bad = arts.replace(kernel=arts.kernel.replace(sqrtpi_power=0))
     for check in (
         checks.check_gram_times_kernel,
         checks.check_det_product,
@@ -227,7 +226,7 @@ def test_misgraded_kernel_fails_the_grade_checks(n):
 def test_misgraded_gram_fails_the_grade_checks(n):
     """A Hermite Gram matrix of grade 0 disagrees with its norms' grade 1."""
     arts = checks.build_artefacts(HERMITE_EVEN, n)
-    bad = replace(arts, gram=replace(arts.gram, sqrtpi_power=0))
+    bad = arts.replace(gram=arts.gram.replace(sqrtpi_power=0))
     for check in (
         checks.check_gram_times_kernel,
         checks.check_det_product,
@@ -244,11 +243,11 @@ SEVENTH = Fraction(1, 7)
 def _with_entry(matrix, i, j, value):
     rows = [list(row) for row in matrix.entries]
     rows[i][j] = value
-    return replace(matrix, entries=tuple(map(tuple, rows)))
+    return matrix.replace(entries=tuple(map(tuple, rows)))
 
 
 def _bump_kernel(a, i, j):
-    return replace(a, kernel=_with_entry(a.kernel, i, j, a.kernel.entries[i][j] + SEVENTH))
+    return a.replace(kernel=_with_entry(a.kernel, i, j, a.kernel.entries[i][j] + SEVENTH))
 
 
 # check name, tampering of the one artefact it reads, the detail it must give
@@ -262,7 +261,7 @@ NEGATIVE_CONTROLS = [
     ),
     pytest.param(
         "oracle-equivalence",
-        lambda a: replace(a, adjugate=(a.adjugate[0], (a.adjugate[1][0] + 1,) + a.adjugate[1][1:])
+        lambda a: a.replace(adjugate=(a.adjugate[0], (a.adjugate[1][0] + 1,) + a.adjugate[1][1:])
                           + a.adjugate[2:]),
         lambda a: f"B vs Bareiss inverse (2, 1): "
                   f"want {_oracle_inverse(a)[1][0] + Fraction(a.scale, a.pivot)}, "
@@ -271,7 +270,7 @@ NEGATIVE_CONTROLS = [
     ),
     pytest.param(
         "oracle-equivalence",
-        lambda a: replace(a, inverse_grade=a.inverse_grade + 1),
+        lambda a: a.replace(inverse_grade=a.inverse_grade + 1),
         lambda a: f"grade of B vs Bareiss inverse: want {a.inverse_grade + 1}, "
                   f"got {a.kernel.sqrtpi_power}",
         id="oracle-equivalence-grade",
@@ -284,26 +283,26 @@ NEGATIVE_CONTROLS = [
     ),
     pytest.param(
         "gram-kernel-identity",
-        lambda a: replace(a, gram=_with_entry(a.gram, 1, 0, a.gram.entries[1][0] + SEVENTH)),
+        lambda a: a.replace(gram=_with_entry(a.gram, 1, 0, a.gram.entries[1][0] + SEVENTH)),
         lambda a: f"G B vs I (2, 1): want 0, got {SEVENTH * a.kernel.entries[0][0]}",
         id="gram-kernel-identity-G21",
     ),
     pytest.param(
         "orthogonality",
-        lambda a: replace(a, norms=(a.norms[0] + SEVENTH,) + a.norms[1:]),
+        lambda a: a.replace(norms=(a.norms[0] + SEVENTH,) + a.norms[1:]),
         lambda a: f"A G A^T vs diag(norms) (1, 1): want {a.norms[0] + SEVENTH}, got {a.norms[0]}",
         id="orthogonality-norm1",
     ),
     pytest.param(
         "orthogonality",
-        lambda a: replace(a, agat=(a.agat[0], (a.agat[1][0] + SEVENTH,) + a.agat[1][1:])
+        lambda a: a.replace(agat=(a.agat[0], (a.agat[1][0] + SEVENTH,) + a.agat[1][1:])
                           + a.agat[2:]),
         lambda a: "A G A^T vs diag(norms) (2, 1): want 0, got 1/7",
         id="orthogonality-AGAT21",
     ),
     pytest.param(
         "determinant-identity",
-        lambda a: replace(a, det_gram=2 * a.det_gram),
+        lambda a: a.replace(det_gram=2 * a.det_gram),
         lambda a: f"prod(norms) vs det(A)^2 det(G): want {prod(a.norms)}, "
                   f"got {2 * prod(a.norms)}",
         id="determinant-identity-detG",
@@ -317,20 +316,20 @@ NEGATIVE_CONTROLS = [
     ),
     pytest.param(
         "kernel-symmetry-pd",
-        lambda a: replace(a, kernel_minors=a.kernel_minors[:1] + (0,) + a.kernel_minors[2:]),
+        lambda a: a.replace(kernel_minors=a.kernel_minors[:1] + (0,) + a.kernel_minors[2:]),
         lambda a: "sign of B's leading principal minor (2): want 1, got 0",
         id="kernel-symmetry-pd-minor2",
     ),
     pytest.param(
         "gram-hankel",
-        lambda a: replace(a, gram=_with_entry(a.gram, 1, 0, a.gram.entries[1][0] + SEVENTH)),
+        lambda a: a.replace(gram=_with_entry(a.gram, 1, 0, a.gram.entries[1][0] + SEVENTH)),
         lambda a: f"G vs Hankel of its first row and last column (2, 1): "
                   f"want {a.gram.entries[0][1]}, got {a.gram.entries[1][0] + SEVENTH}",
         id="gram-hankel-G21",
     ),
     pytest.param(
         "det-product",
-        lambda a: replace(a, det_gram=2 * a.det_gram),
+        lambda a: a.replace(det_gram=2 * a.det_gram),
         lambda a: "det(G) det(B): want 1, got 2",
         id="det-product-detG",
     ),

@@ -10,6 +10,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from fractions import Fraction
@@ -627,6 +628,22 @@ def test_no_subcommand_imports_mpmath():
     assert done.stdout.splitlines() == ["['gramkernel']", "False", "True True"]
 
 
+def test_the_cli_imports_no_dataclasses_inspect_typing_or_mpmath():
+    """In a fresh ``python -S`` process, so that no ``site`` hook imports
+    them first, the CLI's import and a ``cond`` run leave the four modules
+    unimported: ``dataclasses`` and ``typing`` cost every process several
+    ms of set-up, and ``mpmath`` is a test dependency only."""
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from gramkernel.cli import main\n"
+            "assert main(['cond', '--family', 'laguerre', '--max-size', '2']) == 0\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'mpmath'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("argv", ALL_SUBCOMMANDS, ids=lambda argv: "-".join(argv[:3:2]))
 def test_every_subcommand_runs_with_mpmath_blocked(monkeypatch, capsys, argv):
     """``mpmath`` is a test dependency only: with its import refused, every
@@ -667,6 +684,16 @@ def test_a_buffered_stdout_write_error_exits_2_in_a_process():
                               stderr=subprocess.PIPE, text=True)
     assert (done.returncode, done.stderr) == (
         2, "error: cannot write stdout: No space left on device\n")
+
+
+def test_a_closed_stdout_exits_2_with_one_line(monkeypatch, capsys):
+    """Python sets ``sys.stdout`` to None when descriptor 1 is closed at
+    start-up (``>&-``): an I/O error on stdout, not an internal error."""
+    with monkeypatch.context() as patch, pytest.raises(SystemExit) as excinfo:
+        patch.setattr(sys, "stdout", None)
+        main(["kernel", "--family", "laguerre", "--size", "3"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: Bad file descriptor\n"
 
 
 def _own_flags(name):
@@ -734,6 +761,47 @@ def test_read_is_the_full_parsers_or_none(argv):
         assert vars(read) == _full_parse(argv)
 
 
+@contextlib.contextmanager
+def _working_directory(path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+@given(argvs())
+@example(["plotdata", "--target", "sin-pi", "--size", "2", "--xmax=-1/4"])
+@example(["cond", "--family", "laguerre", "--max-size", "2", "--out=-1/2"])
+@example(["verify", "--max-size", "2", "--inject-corruption"])
+@settings(max_examples=500, deadline=None)
+def test_any_argv_exits_0_1_or_2_with_one_error_line(argv):
+    """``main`` in-process on any argv of the six subcommands exits 0, 1 or
+    2 and prints no traceback.  Exit 0 writes nothing to stderr, exit 1 only
+    ``verify``'s FAIL lines, and exit 2 one error line after argparse's
+    usage lines, if any.  ``--out`` files go to a temporary directory."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, _working_directory(tmp), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert lines == []
+    elif code == 1:
+        assert argv[0] == "verify" and lines
+        assert all(line.startswith("FAIL ") for line in lines)
+    else:
+        *usage, error = lines
+        assert error.startswith(("error: ", "gramkernel: error: ", f"gramkernel {argv[0]}: error: "))
+        assert not usage or usage[0].startswith("usage: gramkernel ")
+        assert all(line.startswith(" ") for line in usage[1:])
+
+
 def _size_argvs(name, flag, value):
     """``name``'s argv with every other required flag given, and ``flag``
     set to ``value`` in the spaced and the ``=`` spelling."""
@@ -764,6 +832,18 @@ def test_a_size_above_its_ceiling_exits_2_naming_the_ceiling(capsys, name, flag)
         assert captured.err.splitlines()[-1] == (
             f"gramkernel {name}: error: argument {flag}: "
             f"must be at most {ceiling}, got {ceiling + 1}")
+
+
+@pytest.mark.parametrize("name, flag", SIZE_OPTIONS, ids=[name for name, _ in SIZE_OPTIONS])
+def test_help_names_the_size_ceiling(capsys, name, flag):
+    """Each subcommand's ``--help`` gives its own size range."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([name, "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # as argparse wraps it
+    assert excinfo.value.code == 0
+    metavar = flag[2:].upper().replace("-", "_")
+    assert f"{flag} {metavar} an integer from 1 to {cli.MAX_SIZES[name]} " in f"{text} "
+    assert text.count("an integer from 1 to") == 1
 
 
 def test_size_ceilings_stay_above_the_sizes_in_use():

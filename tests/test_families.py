@@ -6,13 +6,15 @@ high-precision quadrature, and the whole triple (A, lambda, moments) against
 the diagonalisation identity A G A^T = diag(lambda).
 """
 
-from dataclasses import fields, replace
+import dataclasses
 from fractions import Fraction
 from math import lcm
 
 import pytest
 from mpmath import exp, inf, mp, mpf, quad
 
+from gramkernel.approx import SIN_PI, ApproxPolynomial, MomentVector, function_moments, project
+from gramkernel.checks import build_artefacts, run_checks
 from gramkernel.exactscalar import to_bigfloat
 from gramkernel.families import (
     ALL_FAMILIES,
@@ -21,7 +23,9 @@ from gramkernel.families import (
     LAGUERRE,
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
+    Family,
     GradedMatrix,
+    Record,
     _coeff_entry,
     coeff_matrix,
     double_factorial,
@@ -30,6 +34,7 @@ from gramkernel.families import (
     norm_vector,
     printed_legendre_norm,
 )
+from gramkernel.kernelbuild import build_kernel
 from gramkernel.oracle import gram_from_moments, invert_exact
 
 
@@ -135,8 +140,7 @@ class TestCoeffMatrixAgainstRecurrence:
 
 class TestGradedMatrixClearedRows:
     def test_fields_are_unchanged(self):
-        names = [f.name for f in fields(GradedMatrix)]
-        assert names == ["family", "n", "entries", "sqrtpi_power"]
+        assert list(GradedMatrix._fields) == ["family", "n", "entries", "sqrtpi_power"]
 
     def test_rows_are_integers_over_the_lcm_of_their_denominators(self):
         a = coeff_matrix(HERMITE_EVEN, 6)
@@ -145,14 +149,86 @@ class TestGradedMatrixClearedRows:
             assert [Fraction(x, d) for x in ints] == list(row)
 
     def test_cache_does_not_change_equality_hash_or_repr(self):
-        """The rows are cached per instance, outside the dataclass fields;
-        a replaced matrix starts without them."""
+        """The rows and the hash are cached per instance, outside the
+        record's fields; a replaced matrix starts without them."""
         cached = coeff_matrix(HERMITE_ODD, 5)
         fresh = GradedMatrix(HERMITE_ODD, 5, cached.entries)
         assert cached.cleared_rows
         assert "cleared_rows" in vars(cached) and "cleared_rows" not in vars(fresh)
         assert cached == fresh and hash(cached) == hash(fresh) and repr(cached) == repr(fresh)
-        assert "cleared_rows" not in vars(replace(cached))
+        assert not {"cleared_rows", "_hash"} & vars(cached.replace()).keys()
+
+
+def _records():
+    """One record of each of the package's seven record types, as built."""
+    kernel = build_kernel(LEGENDRE_ODD, 3)
+    moments = function_moments(SIN_PI, 3)
+    return [LAGUERRE, kernel, SIN_PI, moments, project(kernel, moments), run_checks(1)[0],
+            build_artefacts(HERMITE_EVEN, 2)]
+
+
+def _dataclass_twin(record):
+    """The frozen dataclass with ``record``'s class name, fields and
+    defaults, and ``record``'s field values."""
+    cls = type(record)
+    twin = dataclasses.make_dataclass(cls.__name__, [
+        (name, object, dataclasses.field(default=cls.__dict__[name]))
+        if name in cls.__dict__ else (name, object) for name in cls._fields], frozen=True)
+    return twin(*(getattr(record, name) for name in cls._fields))
+
+
+class TestRecord:
+    def test_the_seven_record_types(self):
+        assert [type(r).__name__ for r in _records()] == [
+            "Family", "GradedMatrix", "TargetFunction", "MomentVector", "ApproxPolynomial",
+            "CheckResult", "Artefacts"]
+        assert all(isinstance(r, Record) for r in _records())
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_repr_hash_and_equality_are_a_frozen_dataclass(self, index):
+        record = _records()[index]
+        twin, cls = _dataclass_twin(record), type(record)
+        assert repr(record) == repr(twin) and hash(record) == hash(twin)
+        assert cls._fields == tuple(f.name for f in dataclasses.fields(twin))
+        values = tuple(getattr(twin, name) for name in cls._fields)
+        assert cls(*values) == record == cls(**dict(zip(cls._fields, values)))
+        assert record != twin and record != values
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_fields_refuse_assignment_and_deletion(self, index):
+        record = _records()[index]
+        for name in type(record)._fields:
+            with pytest.raises(AttributeError, match="is frozen"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match="is frozen"):
+                delattr(record, name)
+        with pytest.raises(AttributeError, match="is frozen"):
+            record.other = 1
+
+    def test_defaults_and_construction_errors(self):
+        assert Family("x", "legendre", 2, 0).moment_grade == 0
+        assert Family("x", "legendre", 2, 0) == Family(offset=0, stride=2, measure="legendre",
+                                                      name="x", moment_grade=0)
+        for args, kwargs in [(("x", "legendre", 2), {}), (("x", "legendre", 2, 0, 0, 1), {}),
+                             (("x", "legendre", 2, 0), {"name": "y"}),
+                             (("x", "legendre", 2, 0), {"grade": 1})]:
+            with pytest.raises(TypeError, match="takes the fields name, measure, stride"):
+                Family(*args, **kwargs)
+
+    def test_replace_changes_fields_and_drops_the_caches(self):
+        hashed = LAGUERRE.replace()
+        assert hashed == LAGUERRE and hashed is not LAGUERRE and hash(hashed)
+        assert "_hash" in vars(hashed) and "_hash" not in vars(hashed.replace())
+        moved = LAGUERRE.replace(offset=1, moment_grade=2)
+        assert (moved.name, moved.offset, moved.moment_grade) == ("laguerre", 1, 2)
+        with pytest.raises(TypeError):
+            LAGUERRE.replace(grade=1)
+
+    def test_records_of_different_types_never_compare_equal(self):
+        moments = function_moments(SIN_PI, 3)
+        estimate = ApproxPolynomial(moments.family, moments.entries)
+        assert moments != estimate and not moments == estimate
+        assert MomentVector(*moments._values(moments)) == moments
 
 
 class TestLaguerreConstantTerm:
