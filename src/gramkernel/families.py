@@ -28,8 +28,8 @@ from operator import attrgetter, mul
 
 class Record:
     """Base of the package's records: a frozen dataclass without the
-    ``dataclasses`` import.  Fields are a subclass's annotations, in order; a
-    default is the class attribute of that name.  A record is built by
+    ``dataclasses`` import.  Fields (two or more) are a subclass's
+    annotations, in order; a default is the class attribute of that name.  A record is built by
     position or keyword, refuses assignment, and has the dataclass ``==``,
     ``repr`` and ``hash`` (computed once).  Caches in ``__dict__`` (the hash,
     ``cleared_rows``) are no fields, and :meth:`replace` drops them."""
