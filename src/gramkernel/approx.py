@@ -43,8 +43,8 @@ from .families import (
     LEGENDRE_ODD,
     Record,
     _cleared,
-    coeff_matrix,
-    moment_cores,
+    coeff_rows,
+    monomial_moment,
     norm_vector,
 )
 from .oracle import gram_from_moments
@@ -413,7 +413,8 @@ def monomial_moment_vector(family: Family, n: int, power: int) -> MomentVector:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return MomentVector(family, moment_cores(family, n, power))
+    return MomentVector(family, tuple(monomial_moment(family, family.basis_power(i) + power)
+                                      for i in range(1, n + 1)))
 
 
 def _dots(rows, values: Sequence[Exact]) -> list[Exact]:
@@ -559,8 +560,7 @@ def variance_rows(target: TargetFunction, max_size: int) -> list[tuple[Exact, Ex
     extra = target.comparator_extra_terms
     tay = list(_prefix_variances(target, taylor, moments, gram))[extra:]
 
-    a = coeff_matrix(fam, max_size).cleared_rows
-    projections = _dots([(ints[: k + 1], d) for k, (ints, d) in enumerate(a)], moments.entries)
+    projections = _dots(coeff_rows(fam, max_size), moments.entries)
     est, var = [], target.squared_integral
     for proj, lam in zip(projections, norm_vector(fam, max_size)):
         var = var - proj * proj * (1 / lam)

@@ -1,4 +1,4 @@
-"""The five classical kernel families and their closed-form ingredients.
+"""The five classical kernel families and their exact ingredients.
 
 Each family is a monomial basis attached to a weighted domain.  On the two
 symmetric domains the even and odd monomials are mutually orthogonal, so
@@ -6,8 +6,8 @@ Legendre and Hermite each split into an even and an odd family; Laguerre's
 half-line keeps the full basis.  For every family this module produces, in
 exact arithmetic:
 
-* ``coeff_matrix`` -- the lower-triangular expansion of the family's
-  orthogonal polynomials in ascending monomial powers,
+* ``coeff_rows`` -- A, the family's orthogonal polynomials in ascending
+  monomial powers, as integer rows (``coeff_matrix`` is its rational view),
 * ``norm_vector``  -- the true squared weighted L2 norms of those
   polynomials,
 * ``monomial_moment`` -- the weighted moments that define the Gram matrix.
@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm
+from itertools import accumulate
+from math import comb, factorial, gcd, lcm
 from operator import attrgetter, mul
 
 
@@ -174,44 +175,44 @@ def _matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def _coeff_entry(family: Family, i: int, j: int) -> Fraction:
-    """a_ij (1-based, j <= i) from the family's closed form."""
-    if family.measure == "laguerre":
-        return Fraction((-1) ** (j - 1) * comb(i - 1, j - 1), factorial(j - 1))
-    if family.measure == "legendre":
-        # the rising product (b_j/2 + 1) ... (b_j/2 + i - 1), a ratio of
-        # half-integer Gammas, is (b_j + 2i - 2)!! / (b_j!! * 2**(i-1))
-        b_j = 2 * j - 3 + 2 * family.offset
-        return Fraction(
-            (-1) ** (i + j) * comb(i - 1, j - 1) * double_factorial(b_j + 2 * i - 2),
-            double_factorial(b_j) * 2 ** (i - 1) * factorial(i - 1),
-        )
-    # hermite
-    deg_i = family.basis_power(i)
-    pow_j = family.basis_power(j)
-    return Fraction(
-        (-1) ** (i - j) * factorial(deg_i) * 2**pow_j, factorial(i - j) * factorial(pow_j)
-    )
-
-
 @lru_cache(maxsize=None)
-def _coeff_row(family: Family, i: int) -> tuple[Fraction, ...]:
-    """a_i1..a_ii: row i of A up to its diagonal, the same at every size."""
-    return tuple(_coeff_entry(family, i, j) for j in range(1, i + 1))
+def _coeff_row(family: Family, i: int) -> tuple[tuple[int, ...], int]:
+    """Row i of A to its diagonal, in integers over one denominator.  With n = p_i
+    and k = p_j, a_i,j+1 / a_ij is -(n-k)/(k+1)**2 (Laguerre), -(n-k)(n+k+1) /
+    ((k+1)(k+2)) (Legendre) or -2(n-k)/((k+1)(k+2)) (Hermite), each step exact over
+    n!, 2**n or 1 (multiples of the row's denominators).  One gcd then leaves
+    ``_cleared`` of the row, the only form sharing no factor with its denominator."""
+    n, off = family.basis_power(i), family.offset
+    if family.measure == "laguerre":
+        d = first = factorial(n)
+        step = lambda c, k: c * (k - n) // (k + 1) ** 2
+    elif family.measure == "legendre":
+        d, m = 1 << n, i - 1 + off
+        first = (-1) ** (i - 1) * comb(2 * m, m) * m**off
+        step = lambda c, k: c * ((k - n) * (n + k + 1)) // ((k + 1) * (k + 2))
+    else:
+        d, first = 1, (-1) ** (i - 1) * factorial(n) // factorial(i - 1) << off
+        step = lambda c, k: c * (2 * (k - n)) // ((k + 1) * (k + 2))
+    row = list(accumulate(range(off, n, family.stride), step, initial=first))
+    g = gcd(d, *reversed(row))  # the diagonal first: gcd stops early once it is 1
+    return tuple(c // g for c in row), d // g
+
+
+def coeff_rows(family: Family, n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Rows 1..n of A, row i as i integers over one denominator (``_coeff_row``)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return [_coeff_row(family, i) for i in range(1, n + 1)]
 
 
 def coeff_matrix(family: Family, n: int) -> GradedMatrix:
-    """Exact expansion matrix for the first ``n`` polynomials of the family.
-
-    Row ``i`` lists the coefficients of the family's i-th orthogonal
-    polynomial on the basis powers, ascending; entries above the diagonal
-    are zero and the diagonal never vanishes.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """A for the first ``n`` polynomials as ``Fraction``s, the view of
+    :func:`coeff_rows` that ``verify`` and the tests read: lower triangular,
+    with a diagonal that never vanishes."""
     zero = (Fraction(0),)
     return GradedMatrix(family, n, tuple(
-        _coeff_row(family, i) + zero * (n - i) for i in range(1, n + 1)))
+        tuple(Fraction(c, d) for c in ints) + zero * (n - len(ints))
+        for ints, d in coeff_rows(family, n)))
 
 
 def norm_vector(family: Family, n: int) -> tuple[Fraction, ...]:
@@ -269,9 +270,3 @@ def monomial_moment(family: Family, k: int) -> Fraction:
     if family.measure == "legendre":
         return Fraction(2, k + 1)
     return Fraction(double_factorial(k - 1), 2 ** (k // 2))
-
-
-def moment_cores(family: Family, n: int, power: int) -> tuple[Fraction, ...]:
-    """Moment cores of ``x**(p_i + power)``, i = 1..n, all of the family's
-    ``moment_grade``, which the caller attaches once to the matrix or vector."""
-    return tuple(monomial_moment(family, family.basis_power(i) + power) for i in range(1, n + 1))

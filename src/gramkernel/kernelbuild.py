@@ -16,29 +16,28 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
-from .families import Family, GradedMatrix, _cleared, coeff_matrix, double_factorial, norm_vector
+from .families import Family, GradedMatrix, coeff_rows, double_factorial, norm_vector
 
 
 def build_kernel(family: Family, n: int) -> GradedMatrix:
     """Kernel matrix B = G**-1 of size n, exact.
 
     B is the Christoffel-Darboux sum of the terms ``a_k a_k^T / lambda_k``
-    over the rows of A, in integers: with column i of A cleared by e_i and
-    the norms by D (lcms of denominators resp. numerators), b_ij is
+    over the integer rows of A, in integers: with column i of A re-cleared by
+    e_i and the norms by D (lcms of denominators resp. numerators), b_ij is
     ``sum_k c_ki c_kj D / lambda_k`` over ``D e_i e_j``.  B is symmetric
     positive definite with grade ``-family.moment_grade``; the kernel
     polynomial is ``K(x, y) = sum_ij b_ij x**p_i y**p_j``, p_i the basis powers.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a = coeff_matrix(family, n).entries
+    rows = coeff_rows(family, n)
     lam = norm_vector(family, n)
     d = lcm(*(q.numerator for q in lam))
-    cols = [[row[i] for row in a[i:]] for i in range(n)]  # column i from row i down
-    ints, scales = zip(*map(_cleared, cols))
+    cols = [[(row[i], e) for row, e in rows[i:]] for i in range(n)]  # column i from row i down
+    scales = [lcm(*(e // gcd(c, e) for c, e in col)) for col in cols]
+    ints = [[c * s // e for c, e in col] for col, s in zip(cols, scales)]
     b = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         weighted = [c * (d // q.numerator * q.denominator) for c, q in zip(ints[i], lam[i:])]
@@ -92,7 +91,7 @@ def closed_form_kernel(
 
     Every family's closed form is one sum ``b_ij = sum_{k >= max(i,j)}
     u_ik u_jk w_k`` over its own factor tables, typed in independently of
-    :func:`~gramkernel.families.coeff_matrix` and the norms.  The Laguerre
+    :func:`~gramkernel.families.coeff_rows` and the norms.  The Laguerre
     and Hermite closed forms match the generic construction as they stand.
     The Legendre forms only match with the ``(2k - 3/2)`` / ``(2k - 1/2)``
     factor as a multiplier; ``legendre_printed=True`` keeps it as a divisor

@@ -32,7 +32,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 
-from .families import Family, GradedMatrix, moment_cores
+from .families import Family, GradedMatrix, monomial_moment
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -44,13 +44,14 @@ class SingularMatrixError(ArithmeticError):
 def gram_from_moments(family: Family, n: int) -> GradedMatrix:
     """Entry (i, j) = moment of x**(p_i + p_j) under the family weight.
 
-    Hankel-structured (entry (i, j) depends only on i + j), positive
-    definite, and of the family's moment grade.
+    Positive definite, of the family's moment grade, and Hankel: p_i + p_j
+    depends only on i + j, so the rows are windows of one vector of 2n - 1 moments.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows = tuple(moment_cores(family, n, family.basis_power(i)) for i in range(1, n + 1))
-    return GradedMatrix(family, n, rows, family.moment_grade)
+    hankel = tuple(monomial_moment(family, family.basis_power(k) + family.offset)
+                   for k in range(1, 2 * n))
+    return GradedMatrix(family, n, tuple(hankel[i:i + n] for i in range(n)), family.moment_grade)
 
 
 # not families._cleared: the oracle shares no code with the construction

@@ -8,7 +8,7 @@ the diagonalisation identity A G A^T = diag(lambda).
 
 import dataclasses
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from mpmath import exp, inf, mp, mpf, quad
@@ -26,8 +26,10 @@ from gramkernel.families import (
     Family,
     GradedMatrix,
     Record,
-    _coeff_entry,
+    _cleared,
+    _coeff_row,
     coeff_matrix,
+    coeff_rows,
     double_factorial,
     family_by_name,
     monomial_moment,
@@ -75,6 +77,53 @@ def classical_polynomial(measure: str, degree: int) -> list[Fraction]:
     for k in range(1, degree):
         prev, cur = cur, step(k, cur, prev)
     return cur
+
+
+def _coeff_entry(family: Family, i: int, j: int) -> Fraction:
+    """a_ij (1-based, j <= i) from the family's closed form: the reference
+    for the package's row recurrences."""
+    if family.measure == "laguerre":
+        return Fraction((-1) ** (j - 1) * comb(i - 1, j - 1), factorial(j - 1))
+    if family.measure == "legendre":
+        # the rising product (b_j/2 + 1) ... (b_j/2 + i - 1), a ratio of
+        # half-integer Gammas, is (b_j + 2i - 2)!! / (b_j!! * 2**(i-1))
+        b_j = 2 * j - 3 + 2 * family.offset
+        return Fraction(
+            (-1) ** (i + j) * comb(i - 1, j - 1) * double_factorial(b_j + 2 * i - 2),
+            double_factorial(b_j) * 2 ** (i - 1) * factorial(i - 1),
+        )
+    # hermite
+    deg_i = family.basis_power(i)
+    pow_j = family.basis_power(j)
+    return Fraction(
+        (-1) ** (i - j) * factorial(deg_i) * 2**pow_j, factorial(i - j) * factorial(pow_j)
+    )
+
+
+def _closed_form_row(family: Family, i: int) -> tuple[tuple[int, ...], int]:
+    """Row i of A from the closed form, cleared over the lcm of its denominators."""
+    ints, d = _cleared([_coeff_entry(family, i, j) for j in range(1, i + 1)])
+    return tuple(ints), d
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+class TestCoeffRowsAgainstClosedForm:
+    """The integer rows come from a ratio recurrence along each row; the
+    closed form, cleared, is their independent reference."""
+
+    def test_every_row_to_60(self, family):
+        rows = coeff_rows(family, 60)
+        assert rows == [_closed_form_row(family, i) for i in range(1, 61)]
+        for ints, d in rows:
+            assert d > 0 and gcd(d, *ints) == 1 and all(type(c) is int for c in ints)
+
+    @pytest.mark.parametrize("i", (100, 199, 200, 301, 400))  # 400: cond's size ceiling
+    def test_spot_rows_to_400(self, family, i):
+        assert _coeff_row(family, i) == _closed_form_row(family, i)
+
+    def test_rejects_empty(self, family):
+        with pytest.raises(ValueError):
+            coeff_rows(family, 0)
 
 
 class TestCoeffMatrixExamples:

@@ -14,6 +14,7 @@ from gramkernel.families import (
     LAGUERRE,
     LEGENDRE_ODD,
     GradedMatrix,
+    monomial_moment,
 )
 from gramkernel.kernelbuild import build_kernel
 from gramkernel.oracle import (
@@ -55,6 +56,18 @@ class TestGramFromMoments:
         for i in range(1, 8):
             for j in range(7):
                 assert g.entries[i][j] == g.entries[i - 1][j + 1]
+
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_every_entry_is_the_moment_of_its_power(self, family):
+        """The rows, windows of one moment vector, equal the moments of
+        x**(p_i + p_j) looked up one entry at a time, at every size to 40."""
+        for n in range(1, 41):
+            powers = [family.basis_power(i) for i in range(1, n + 1)]
+            want = tuple(tuple(monomial_moment(family, p + q) for q in powers) for p in powers)
+            g = gram_from_moments(family, n)
+            assert (g.family, g.n, g.entries, g.sqrtpi_power) == (
+                family, n, want, family.moment_grade)
 
 
 class TestBareissInverse:

@@ -1,4 +1,5 @@
-"""Each table builds its inputs once, at its largest size, not once per size,
+"""Each table builds its inputs once, at its largest size, not once per size
+(A as integer rows, with no ``Fraction`` matrix),
 and ``plotdata`` brackets each pi-Laurent polynomial coefficient once per
 precision, not once per sample, and no rational one, with no mpmath float."""
 
@@ -10,7 +11,7 @@ from gramkernel.cli import main
 from gramkernel.conditioning import condition_table
 from gramkernel.families import ALL_FAMILIES
 
-BUILDERS = ("coeff_matrix", "norm_vector", "gram_from_moments", "build_kernel")
+BUILDERS = ("coeff_rows", "coeff_matrix", "norm_vector", "gram_from_moments", "build_kernel")
 
 
 def count_calls(monkeypatch, names):
@@ -37,8 +38,9 @@ def count_calls(monkeypatch, names):
 def test_condition_table_builds_once(monkeypatch, family):
     calls = count_calls(monkeypatch, BUILDERS)
     condition_table(family, 6)
-    assert calls == {"coeff_matrix": 1, "norm_vector": 1, "gram_from_moments": 1,
-                     "build_kernel": 0}
+    # A is built once, as integer rows, and never as Fractions
+    assert calls == {"coeff_rows": 1, "coeff_matrix": 0, "norm_vector": 1,
+                     "gram_from_moments": 1, "build_kernel": 0}
 
 
 @pytest.mark.parametrize("target", ("exp-neg", "sin-pi", "cos-pi"))
@@ -46,8 +48,9 @@ def test_variance_command_builds_once(monkeypatch, capsys, target):
     calls = count_calls(monkeypatch, BUILDERS + ("function_moments", "error_variance"))
     assert main(["variance", "--target", target, "--max-size", "6"]) == 0
     capsys.readouterr()
-    assert calls == {"coeff_matrix": 1, "norm_vector": 1, "gram_from_moments": 1,
-                     "build_kernel": 0, "function_moments": 1, "error_variance": 0}
+    assert calls == {"coeff_rows": 1, "coeff_matrix": 0, "norm_vector": 1,
+                     "gram_from_moments": 1, "build_kernel": 0, "function_moments": 1,
+                     "error_variance": 0}
 
 
 @pytest.mark.parametrize("samples", ("9", "65"))
