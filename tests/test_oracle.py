@@ -57,7 +57,6 @@ class TestGramFromMoments:
             for j in range(7):
                 assert g.entries[i][j] == g.entries[i - 1][j + 1]
 
-
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
     def test_every_entry_is_the_moment_of_its_power(self, family):
         """The rows, windows of one moment vector, equal the moments of
