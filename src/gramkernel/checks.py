@@ -8,8 +8,9 @@ entry, 1-based: ``what (i, j): want W, got G`` for a matrix (``(k)`` for a
 vector), ``what: want W, got G`` for a scalar or a sqrt(pi) grade.  The CLI
 ``verify`` subcommand runs all of them over every family and size.
 
-Each family is one sweep to the largest size (:func:`sweep_artefacts`);
-only the kernel, its leading minors and the checks themselves run per size.
+Each family is one sweep to the largest size (:func:`sweep_artefacts`),
+its kernels included; only the kernel's entries, its leading minors and the
+checks themselves are computed per size.
 """
 
 from __future__ import annotations
@@ -17,14 +18,16 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import prod
 from operator import mul
 
 from .approx import monomial_moment_vector, project
 from .families import (
-    ALL_FAMILIES, Family, GradedMatrix, Record, _cleared, _matmul, coeff_matrix, norm_vector,
+    ALL_FAMILIES, Family, GradedMatrix, Record, _cleared, _matmul, coeff_matrix, coeff_rows,
+    norm_vector,
 )
-from .kernelbuild import build_kernel
+from .kernelbuild import build_kernel, kernel_sweep
 from .oracle import gram_from_moments, leading_inverses, leading_principal_minors
 
 
@@ -71,22 +74,43 @@ def _leading(matrix: GradedMatrix, n: int) -> GradedMatrix:
     return matrix.replace(n=n, entries=_block(matrix.entries, n))
 
 
+def _congruence(rows: list[tuple[tuple[int, ...], int]], gram: GradedMatrix):
+    """A G A^T from A's integer rows (``coeff_rows``) and G's Hankel vector
+    (its first row and last column), cleared once over D_G: entry (k, l) is
+    ``sum_ij c_ki h_(i+j) c_lj`` over ``e_k e_l D_G``, one ``Fraction`` each.
+    It is A G A^T of G itself where G is Hankel, which ``gram-hankel`` checks."""
+    g = gram.entries
+    h, d_g = _cleared(g[0] + tuple(row[-1] for row in g[1:]))
+    n = len(g)
+    # row k of A G, over e_k D_G; row k of A has k entries
+    ag = [[sum(map(mul, c, h[j:j + len(c)])) for j in range(n)] for c, _ in rows]
+    return tuple(
+        tuple(Fraction(sum(map(mul, ag_k, c_l)), e_k * e_l * d_g) for c_l, e_l in rows)
+        for ag_k, (_, e_k) in zip(ag, rows)
+    )
+
+
 def sweep_artefacts(family: Family, max_size: int) -> Iterator[Artefacts]:
     """The artefacts of sizes 1..max_size, from one sweep of the family.
 
     G, A and the norms are built once, at ``max_size``; size n reads their
     leading n-blocks, which are exactly G_n, A_n and the first n norms.  The
     inverses and determinants of every G_n come from one elimination of G
-    (:func:`~gramkernel.oracle.leading_inverses`).  A is lower triangular,
-    so the leading n-block of A_N G_N A_N^T is exactly A_n G_n A_n^T: one
-    product serves every size.
+    (:func:`~gramkernel.oracle.leading_inverses`), and the smaller kernels
+    from one :func:`~gramkernel.kernelbuild.kernel_sweep`.  A is lower
+    triangular, so the leading n-block of A_N G_N A_N^T is exactly A_n G_n
+    A_n^T: one product, in integers, serves every size.
     """
     gram = gram_from_moments(family, max_size)
     coeffs = coeff_matrix(family, max_size)
     norms = norm_vector(family, max_size)
-    agat = _matmul(_matmul(coeffs.entries, gram.entries), tuple(zip(*coeffs.entries)))
-    for n, (adjugate, pivot, scale) in enumerate(leading_inverses(gram.entries), start=1):
-        kernel = build_kernel(family, n)
+    agat = _congruence(coeff_rows(family, max_size), gram)
+    # the largest kernel from build_kernel, which the other commands print,
+    # so that both constructions are checked
+    kernels = chain(kernel_sweep(family, max_size - 1) if max_size > 1 else (),
+                    [build_kernel(family, max_size)])
+    for n, ((adjugate, pivot, scale), kernel) in enumerate(
+            zip(leading_inverses(gram.entries), kernels), start=1):
         yield Artefacts(
             family, n, kernel, _leading(gram, n), adjugate, pivot, scale, -gram.sqrtpi_power,
             Fraction(pivot, scale**n),
@@ -163,11 +187,19 @@ def check_orthogonality(a: Artefacts) -> str:
 
 
 def check_determinant_formula(a: Artefacts) -> str:
-    """prod(lambda_i) == det(A)**2 * det(G), exactly, grade included."""
-    det_a = prod(row[i] for i, row in enumerate(a.coeffs.entries))  # triangular
+    """prod(lambda_i) == det(A)**2 * det(G), exactly, grade included.  The
+    products are taken over numerators and denominators apart and compared
+    crosswise; the ``Fraction`` sides are built only to name a mismatch."""
     # the norms' product has grade n * moment_grade, det(G) n * gram grade
-    return (_diff("grade of G vs the norms' grade", a.family.moment_grade, a.gram.sqrtpi_power)
-            or _diff("prod(norms) vs det(A)^2 det(G)", prod(a.norms), det_a**2 * a.det_gram))
+    detail = _diff("grade of G vs the norms' grade", a.family.moment_grade, a.gram.sqrtpi_power)
+    diag = [row[i] for i, row in enumerate(a.coeffs.entries)]  # A is triangular
+    # prod(norms) = p / q and det(A) = s / t, unreduced
+    (p, q), (s, t) = ((prod(x.numerator for x in v), prod(x.denominator for x in v))
+                      for v in (a.norms, diag))
+    g = a.det_gram
+    if detail or p * t * t * g.denominator == q * s * s * g.numerator:
+        return detail
+    return _diff("prod(norms) vs det(A)^2 det(G)", prod(a.norms), prod(diag) ** 2 * g)
 
 
 def check_kernel_shape(a: Artefacts) -> str:

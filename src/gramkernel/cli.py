@@ -16,9 +16,9 @@ once, under one column list: the CSV header and the keys of the JSON
 subcommand, which ``--help`` gives (``MAX_SIZES``: kernel 200, cond 400,
 variance 100, project 100, plotdata 100, verify 24); at its ceiling no
 family or target takes more than about 6 s of CPU.  ``plotdata --samples``
-takes 2 to 65536 points (65536 take about 3 s of CPU), and its window ends
-``--xmin``/``--xmax`` are at most 10**6 in magnitude with a denominator
-below 10**30.
+takes 2 to 65536 points, with ``--size`` times ``--samples`` at most
+``MAX_PLOT_POINTS``, and its window ends ``--xmin``/``--xmax`` are at most
+10**6 in magnitude with a denominator below 10**30.
 ``verify`` writes one stderr line ``FAIL <check> family=<f> size=<n>: <detail>``
 per failing check, in every format, and its JSON rows of failing checks carry
 that ``detail``; a passing run writes nothing to stderr.
@@ -28,9 +28,9 @@ such as a FIFO or a device, in place.
 Exit codes: 0 success, 1 verification failed, 2 usage or I/O error: an
 argument argparse refuses (such as a size, ``--samples`` count or window end
 out of bounds or a numeric option that is not an integer) or a
-:class:`UsageError` (``plotdata``'s ``xmin >= xmax``, an ``--out`` path or a
-stdout that cannot be written, full or closed; one line ``error: MESSAGE`` on
-stderr).
+:class:`UsageError` (``plotdata``'s ``xmin >= xmax`` or size times samples
+above ``MAX_PLOT_POINTS``, an ``--out`` path or a stdout that cannot be
+written, full or closed; one line ``error: MESSAGE`` on stderr).
 3 internal error: any other exception, ``ValueError`` and
 ``ZeroDivisionError`` included, is a fault of the program, not of the input
 (one line ``internal error: TYPE: MESSAGE``).
@@ -74,6 +74,7 @@ from .families import FAMILIES, family_by_name
 from .kernelbuild import build_kernel
 
 MIN_SAMPLES, MAX_SAMPLES = 2, 65536
+MAX_PLOT_POINTS = 16384  # the largest plotdata --size times --samples
 MAX_WINDOW_END, MAX_WINDOW_DEN = 10**6, 10**30
 # the largest --size or --max-size of each subcommand
 MAX_SIZES = {"kernel": 200, "cond": 400, "variance": 100, "project": 100, "plotdata": 100,
@@ -302,6 +303,9 @@ def cmd_plotdata(args) -> int:
     xmin, xmax = args.xmin, args.xmax
     if not xmin < xmax:
         raise UsageError(f"xmin must be < xmax, got {xmin} >= {xmax}")
+    if args.size * args.samples > MAX_PLOT_POINTS:
+        raise UsageError(f"size x samples must be at most {MAX_PLOT_POINTS}, "
+                         f"got {args.size} x {args.samples} = {args.size * args.samples}")
     estimate, taylor = _estimate_and_taylor(target, args.size)
 
     nums, den = sample_grid(xmin, xmax, args.samples)
@@ -367,7 +371,9 @@ _SUBCOMMANDS = {  # name -> (help, command function's name, options, other defau
     "plotdata": ("CSV samples of f, estimate, and Taylor", "cmd_plotdata", (
         _TARGET, _size("--size", "plotdata"), ("--xmin", {"type": _window_end, "default": "0"}),
         ("--xmax", {"type": _window_end, "default": "10"}),
-        ("--samples", {"type": _sample_count, "default": 512}), _OUT),
+        ("--samples", {"type": _sample_count, "default": 512, "help": (
+            f"{MIN_SAMPLES} to {MAX_SAMPLES}, with size x samples at most {MAX_PLOT_POINTS}")}),
+        _OUT),
         {"format": "csv"}),
     "verify": ("run the exact self-verification suites", "cmd_verify", (
         _size("--max-size", "verify"), ("--inject-corruption", {

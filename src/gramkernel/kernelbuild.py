@@ -6,7 +6,9 @@ true squared norms,
 
     b_ij = sum_{k >= max(i,j)} a_ki * a_kj / lambda_k.
 
-:func:`build_kernel` sums it in integers, the one construction here.  The
+:func:`build_kernel` sums it in integers for one size, and
+:func:`kernel_sweep` takes the same sums' prefix sums for every size to N:
+one construction.  The
 per-family closed forms are kept only as an independently typed cross-check:
 :func:`closed_form_kernel` is one sum ``b_ij = sum_k u_ik u_jk w_k`` over
 per-family factor tables, including the corrected Legendre factor placement.
@@ -14,12 +16,28 @@ per-family factor tables, including the corrected Legendre factor placement.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .families import Family, GradedMatrix, coeff_rows, double_factorial, norm_vector
+
+
+def _terms(family: Family, n: int) -> tuple[int, list[int], list[list[int]], list[list[int]]]:
+    """B's terms to size n in integers: D (the lcm of the norms' numerators),
+    the column scales e_i, column i of A from row i down as ``c_ki`` over
+    e_i, and that column times ``D / lambda_k``."""
+    rows = coeff_rows(family, n)
+    lam = norm_vector(family, n)
+    d = lcm(*(q.numerator for q in lam))
+    cols = [[(row[i], e) for row, e in rows[i:]] for i in range(n)]  # column i from row i down
+    scales = [lcm(*(e // gcd(c, e) for c, e in col)) for col in cols]
+    ints = [[c * s // e for c, e in col] for col, s in zip(cols, scales)]
+    weights = [d // q.numerator * q.denominator for q in lam]
+    weighted = [list(map(mul, col, weights[i:])) for i, col in enumerate(ints)]
+    return d, scales, ints, weighted
 
 
 def build_kernel(family: Family, n: int) -> GradedMatrix:
@@ -28,23 +46,40 @@ def build_kernel(family: Family, n: int) -> GradedMatrix:
     B is the Christoffel-Darboux sum of the terms ``a_k a_k^T / lambda_k``
     over the integer rows of A, in integers: with column i of A re-cleared by
     e_i and the norms by D (lcms of denominators resp. numerators), b_ij is
-    ``sum_k c_ki c_kj D / lambda_k`` over ``D e_i e_j``.  B is symmetric
-    positive definite with grade ``-family.moment_grade``; the kernel
+    ``sum_k c_ki c_kj D / lambda_k`` over ``D e_i e_j`` (see ``_terms``).  B is
+    symmetric positive definite with grade ``-family.moment_grade``; the kernel
     polynomial is ``K(x, y) = sum_ij b_ij x**p_i y**p_j``, p_i the basis powers.
     """
-    rows = coeff_rows(family, n)
-    lam = norm_vector(family, n)
-    d = lcm(*(q.numerator for q in lam))
-    cols = [[(row[i], e) for row, e in rows[i:]] for i in range(n)]  # column i from row i down
-    scales = [lcm(*(e // gcd(c, e) for c, e in col)) for col in cols]
-    ints = [[c * s // e for c, e in col] for col, s in zip(cols, scales)]
+    d, scales, ints, weighted = _terms(family, n)
     b = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        weighted = [c * (d // q.numerator * q.denominator) for c, q in zip(ints[i], lam[i:])]
         for j in range(i, n):
-            acc = sum(map(mul, weighted[j - i :], ints[j]))  # integer: one gcd per entry
+            acc = sum(map(mul, weighted[i][j - i :], ints[j]))  # integer: one gcd per entry
             b[i][j] = b[j][i] = Fraction(acc, d * scales[i] * scales[j])
     return GradedMatrix(family, n, tuple(map(tuple, b)), -family.moment_grade)
+
+
+def kernel_sweep(family: Family, max_size: int) -> Iterator[GradedMatrix]:
+    """The kernels of sizes 1..max_size, each equal to ``build_kernel(family, n)``.
+
+    Size n adds row n's term to every entry (the bordering B_n = B_(n-1) (+)
+    0 + a_n a_n^T / lambda_n), so with the column scales and D of
+    ``max_size``, b_ij at size n is the n-th prefix sum of the integer terms
+    ``build_kernel`` sums: one ``Fraction`` per upper-triangle entry per size.
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    d, scales, ints, weighted = _terms(family, max_size)
+    # sums[i][j - i][m] is b_ij at size j + m + 1, over d * scales[i] * scales[j]
+    sums = [[list(accumulate(map(mul, w_i[j - i :], ints[j]))) for j in range(i, max_size)]
+            for i, w_i in enumerate(weighted)]
+    for n in range(1, max_size + 1):
+        b = [[None] * n for _ in range(n)]
+        for i in range(n):
+            den = d * scales[i]
+            for j in range(i, n):
+                b[i][j] = b[j][i] = Fraction(sums[i][j - i][n - 1 - j], den * scales[j])
+        yield GradedMatrix(family, n, tuple(map(tuple, b)), -family.moment_grade)
 
 
 def _closed_form_factors(

@@ -19,15 +19,18 @@ from gramkernel.families import (
 )
 from gramkernel.oracle import bareiss_inverse, gram_from_moments
 
-# built once per family, at the largest size, and once per (family, size)
-PER_FAMILY = ("gram_from_moments", "leading_inverses", "coeff_matrix", "norm_vector")
-PER_SIZE = ("build_kernel", "leading_principal_minors")
+# built once per family, at the largest size (the kernel sweep to the size
+# below it), and once per (family, size)
+PER_FAMILY = ("gram_from_moments", "leading_inverses", "coeff_matrix", "coeff_rows",
+              "norm_vector", "kernel_sweep", "build_kernel")
+PER_SIZE = ("leading_principal_minors",)
 
 
 def test_artefacts_built_once_per_family_and_size(monkeypatch):
-    """Each family is one sweep: G, its elimination, A and the norms are
-    built once, at the largest size; the kernel and its leading minors once
-    per (family, size)."""
+    """Each family is one sweep: G, its elimination, A (as ``Fraction``s and
+    as integer rows), the norms and the largest kernel are built once, at
+    the largest size, and the smaller kernels by one ``kernel_sweep`` to the
+    size below it; the kernel's leading minors once per (family, size)."""
     calls = {name: [] for name in PER_FAMILY + PER_SIZE}
     for name in calls:
         def counted(*args, _fn=getattr(checks, name), _name=name):
@@ -38,10 +41,11 @@ def test_artefacts_built_once_per_family_and_size(monkeypatch):
     results = checks.run_checks(3, families=(LAGUERRE, HERMITE_ODD))
     assert len(results) == 2 * 3 * 8
     assert all(r.passed for r in results)
-    for name in ("gram_from_moments", "coeff_matrix", "norm_vector"):
+    for name in ("gram_from_moments", "coeff_matrix", "coeff_rows", "norm_vector",
+                 "build_kernel"):
         assert calls[name] == [(LAGUERRE, 3), (HERMITE_ODD, 3)]
+    assert calls["kernel_sweep"] == [(LAGUERRE, 2), (HERMITE_ODD, 2)]
     assert [len(entries) for entries, in calls["leading_inverses"]] == [3, 3]
-    assert calls["build_kernel"] == [(f, n) for f in (LAGUERRE, HERMITE_ODD) for n in (1, 2, 3)]
     assert len(calls["leading_principal_minors"]) == 2 * 3
 
 
@@ -198,6 +202,51 @@ def test_integer_oracle_equivalence_matches_fraction_comparison(case):
     if not want:
         with mock.patch.object(checks, "Fraction", side_effect=AssertionError("built a Fraction")):
             assert checks.check_oracle_equivalence(arts) == ""
+
+
+@st.composite
+def determinant_sides(draw):
+    """Random nonzero norms, a triangular A with a nonzero diagonal, and
+    det(G): the identity holding (det(G) solved for), or det(G) bumped, or
+    det(G) unrelated.  Negative norms and diagonal entries exercise the
+    signs of the crosswise products."""
+    n = draw(st.integers(1, 5))
+    nonzero = st.builds(lambda q, negative: -q if negative else q,
+                        st.fractions(Fraction(1, 30), 20, max_denominator=30), st.booleans())
+    norms = tuple(draw(nonzero) for _ in range(n))
+    coeffs = tuple(tuple(draw(rationals) if j < i else draw(nonzero) if j == i else Fraction(0)
+                         for j in range(n)) for i in range(n))
+    det_gram = prod(norms) / prod(row[i] for i, row in enumerate(coeffs)) ** 2
+    kind = draw(st.sampled_from(("identity", "bumped", "random")))
+    if kind == "bumped":
+        det_gram += draw(st.fractions(-3, 3, max_denominator=9).filter(bool))
+    elif kind == "random":
+        det_gram = draw(rationals)
+    return norms, coeffs, det_gram
+
+
+@given(determinant_sides())
+@settings(max_examples=200)
+def test_integer_determinant_identity_matches_fraction_comparison(case):
+    """The crosswise integer comparison gives the verdict and detail of the
+    ``Fraction`` products prod(norms) and det(A)^2 det(G), and a pass
+    compares no ``Fraction``s."""
+    norms, coeffs, det_gram = case
+    n = len(norms)
+    base = checks.build_artefacts(LAGUERRE, 1)
+    arts = base.replace(n=n, norms=norms, coeffs=GradedMatrix(LAGUERRE, n, coeffs),
+                        det_gram=det_gram)
+    det_a = prod(row[i] for i, row in enumerate(coeffs))
+    want = checks._diff("prod(norms) vs det(A)^2 det(G)", prod(norms), det_a**2 * det_gram)
+    assert checks.check_determinant_formula(arts) == want
+    if not want:  # a pass is decided in integers alone
+
+        def grade_only(what, *args, _diff=checks._diff):
+            assert what.startswith("grade"), "compared the Fraction products"
+            return _diff(what, *args)
+
+        with mock.patch.object(checks, "_diff", grade_only):
+            assert checks.check_determinant_formula(arts) == ""
 
 
 def test_corruption_reaches_only_the_oracle_equivalence_check():

@@ -224,6 +224,27 @@ class TestPlotdataCommand:
         assert "65536" in err_lines[-1]
         assert not any("65536" in line for line in err_lines[:-1])
 
+    @pytest.mark.parametrize("size, samples", ((100, 65536), (100, 164), (1, 16385), (2, 8193)))
+    def test_size_times_samples_above_the_ceiling_is_refused_at_once(self, capsys, size, samples):
+        argv = ["plotdata", "--target", "sin-pi", "--size", str(size), "--samples", str(samples)]
+        start = time.process_time()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert time.process_time() - start < 1
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: size x samples must be at most {cli.MAX_PLOT_POINTS}, "
+            f"got {size} x {samples} = {size * samples}"]
+
+    def test_size_times_samples_at_the_ceiling_runs(self, capsys):
+        samples = cli.MAX_PLOT_POINTS // 4
+        assert 4 * samples == cli.MAX_PLOT_POINTS
+        code, out = run_cli(capsys, ["plotdata", "--target", "exp-neg", "--size", "4",
+                                     "--samples", str(samples)])
+        assert code == 0
+        assert len(parse_csv(out)[1]) == samples
+
     @pytest.mark.parametrize("end", ("1e100000000", "1e-100000000", "1000001", "-1000001",
                                      "1/1000000000000000000000000000000", "1/0", "abc"))
     @pytest.mark.parametrize("side", ("--xmin", "--xmax"))
@@ -853,6 +874,13 @@ def test_size_ceilings_stay_above_the_sizes_in_use():
               "verify": 16}
     assert sorted(cli.MAX_SIZES) == sorted(cli._SUBCOMMANDS)
     assert all(cli.MAX_SIZES[name] >= 1.5 * size for name, size in in_use.items())
+
+
+def test_plot_points_ceiling_admits_the_plots_in_use():
+    """At or above the largest plotdata the benchmark runs (size 16 at 512
+    samples), the snapshots (size 30 at 65) and the default 512 samples to
+    size 32."""
+    assert cli.MAX_PLOT_POINTS >= max(16 * 512, 30 * 65, 32 * 512)
 
 
 SNAPSHOT_DIR = Path(__file__).parent / "snapshots"

@@ -15,7 +15,7 @@ from gramkernel.families import (
     coeff_matrix,
     norm_vector,
 )
-from gramkernel.kernelbuild import build_kernel, closed_form_kernel
+from gramkernel.kernelbuild import build_kernel, closed_form_kernel, kernel_sweep
 from gramkernel.oracle import gram_from_moments, invert_exact, leading_principal_minors
 
 
@@ -121,6 +121,28 @@ class TestKernelSweep:
     def test_rejects_empty(self, max_n):
         with pytest.raises(ValueError):
             build_kernel(LAGUERRE, max_n)
+
+
+class TestKernelSweepPrefixSums:
+    """``kernel_sweep`` gives every size's kernel from one set of prefix sums,
+    with the column scales and the norm lcm of the largest size."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_every_size_equals_build_kernel(self, family):
+        kernels = list(kernel_sweep(family, 24))
+        assert [k.n for k in kernels] == list(range(1, 25))
+        for n, kernel in enumerate(kernels, start=1):
+            single = build_kernel(family, n)
+            assert (kernel.family, kernel.n) == (family, n)
+            assert kernel.entries == single.entries
+            assert kernel.sqrtpi_power == single.sqrtpi_power
+            assert all(type(q) is Fraction for row in kernel.entries for q in row)
+        assert kernels[-1].entries == closed_form_kernel(family, 24).entries
+
+    @pytest.mark.parametrize("max_size", (0, -3))
+    def test_rejects_empty(self, max_size):
+        with pytest.raises(ValueError):
+            next(kernel_sweep(LAGUERRE, max_size))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
