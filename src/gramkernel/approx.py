@@ -87,12 +87,10 @@ class TargetFunction(Record):
       ``k <= k_max``, keyed by ``k``;
     * ``taylor_term(k)`` -- the exact Maclaurin coefficient of the k-th
       (0-based) basis element;
-    * ``grid(nums, den)`` -- integers ``(lo, hi, q)`` with lo/q <= f(x) <= hi/q
-      at every x = num/den, num in the range ``nums``, by a recurrence along
-      the grid;
-    * ``value(x, w)`` -- such integers at one rational x, from a series at
-      ``w`` bits whose width shrinks like 2**-w, where ``grid`` cannot
-      decide a decimal;
+    * ``grid(nums, den, w)`` -- integers ``(lo, hi, q)`` with lo/q <= f(x)
+      <= hi/q at every x = num/den, num in the range ``nums``, by a
+      recurrence along the grid at w bits plus the bit length of the sample
+      count; at one x, the width shrinks like 2**-w as w grows;
     * ``comparator_extra_terms`` -- Taylor terms the tabulated comparator
       keeps beyond ``size`` (see :func:`taylor_comparator`);
     * ``zero`` -- for f(x) = g(pi x) with g sin or cos, ``(phase, slope)``:
@@ -108,8 +106,7 @@ class TargetFunction(Record):
     squared_integral: Exact
     moments: Callable[[int], Mapping[int, Exact]]
     taylor_term: Callable[[int], Exact]
-    grid: Callable[[range, int], Iterator[tuple[int, int, int]]]
-    value: Callable[[Fraction, int], tuple[int, int, int]]
+    grid: Callable[[range, int, int], Iterator[tuple[int, int, int]]]
     comparator_extra_terms: int = 0
     zero: tuple[Fraction, int] | None = None
 
@@ -150,36 +147,30 @@ def _cis_pi(t: Fraction, w: int) -> tuple[int, int, int]:
     return c, s, 5 * j + 26
 
 
-def _sin_pi(x: Fraction, w: int) -> tuple[int, int, int]:
-    _, s, e = _cis_pi(x, w)
-    return s - e, s + e, 1 << w
-
-
-def _cos_pi(x: Fraction, w: int) -> tuple[int, int, int]:
-    c, _, e = _cis_pi(x, w)
-    return c - e, c + e, 1 << w
-
-
-def _cis_pi_grid(nums: range, den: int) -> Iterator[tuple[int, int, int, int]]:
+def _cis_pi_grid(nums: range, den: int, w: int) -> Iterator[tuple[int, int, int, int]]:
     """(C, S, R, W) at every x = num/den, num in ``nums``, with
-    |(C, S) - 2**W (cos pi x, sin pi x)| <= R, Euclidean, W = 128 + the
+    |(C, S) - 2**W (cos pi x, sin pi x)| <= R, Euclidean, W = w + the
     bit length of the sample count.
 
-    The grid turns by one fixed rotation r = cis(pi step / den) per sample.
-    Both the first value and r are :func:`_cis_pi`'s, within E_0 and E_r
-    units (of 2**-W).  Proof that sample i is within R_i = E_0 + i (E_r + 3):
-    with z_i the true value and Z_i, Q the integer vectors, Z_i Q / 2**W -
-    2**W z_i r = (Z_i - 2**W z_i) Q / 2**W + z_i (Q - 2**W r), whose norm is
-    at most R_i (1 + E_r 2**-W) + E_r, as |z_i| = 1 and |Q| <= 2**W + E_r;
-    flooring both coordinates adds less than sqrt(2).  With R_i E_r < 2**W
-    (both stay below 2**40 here), R_{i+1} = R_i + E_r + 3 holds.
+    The grid turns by one fixed rotation r = cis(pi step / den) per sample,
+    taken after the first.  Both the first value and r are :func:`_cis_pi`'s,
+    within E_0 and E_r units (of 2**-W).  Proof that sample i is within
+    R_i = E_0 + i (E_r + 3): with z_i the true value and Z_i, Q the integer
+    vectors, Z_i Q / 2**W - 2**W z_i r = (Z_i - 2**W z_i) Q / 2**W + z_i
+    (Q - 2**W r), whose norm is at most R_i (1 + E_r 2**-W) + E_r, as |z_i|
+    = 1 and |Q| <= 2**W + E_r; flooring both coordinates adds less than
+    sqrt(2).  With R_i E_r < 2**W (both stay below 2**40 here),
+    R_{i+1} = R_i + E_r + 3 holds.
     """
-    w = 128 + len(nums).bit_length()
+    if not nums:
+        return
+    w += len(nums).bit_length()
     c, s, radius = _cis_pi(Fraction(nums.start, den), w)
+    yield c, s, radius, w
     rc, rs, step_error = _cis_pi(Fraction(nums.step, den), w)
-    for _ in nums:
-        yield c, s, radius, w
+    for _ in nums[1:]:
         c, s, radius = (c * rc - s * rs) >> w, (c * rs + s * rc) >> w, radius + step_error + 3
+        yield c, s, radius, w
 
 
 def _exp_neg(y: Fraction, w: int) -> tuple[int, int, int]:
@@ -218,32 +209,36 @@ def _exp_neg(y: Fraction, w: int) -> tuple[int, int, int]:
 
 def _mantissa_bracket(m: int, k: int, a: int) -> tuple[int, int, int]:
     """(lo, hi, q) holding v, from M 2**k = v (1 + d) with |d| <= a 2**(1-W)
-    <= 1/2 and 2**(W-1) <= M < 2**W: v lies in [(M - 2a) 2**k, (M + 4a) 2**k]."""
+    <= 1/2 and 2**(W-1) <= M < 2**W: as M |d| < 2a and 1 - |d| <= 1/(1 + d)
+    <= 1 + 2|d|, v lies in [(M - 2a) 2**k, (M + 4a) 2**k], so in the
+    symmetric [(M - 4a) 2**k, (M + 4a) 2**k] returned."""
     lo, hi = m - 4 * a, m + 4 * a
     return (lo << k, hi << k, 1) if k >= 0 else (lo, hi, 1 << -k)
 
 
-def _exp_neg_grid(nums: range, den: int) -> Iterator[tuple[int, int, int]]:
+def _exp_neg_grid(nums: range, den: int, w: int) -> Iterator[tuple[int, int, int]]:
     """Enclosures (lo, hi, q) of exp(-x) at every x = num/den, num in ``nums``.
 
-    The grid multiplies by one fixed ratio exp(-step / den) per sample, in
-    mantissa and exponent form at W = 128 + the bit length of the sample
-    count, so exp(10**6) and exp(-10**6) are in range.  Both the first value
-    and the ratio are :func:`_exp_neg`'s, within a_0 and b units of 2**(1-W)
-    relative.  Each product floored to W bits gives (1 + d)(1 + e)(1 - f),
-    0 <= f < 2**(1-W), so sample i is within a_i = a_0 + i (b + 1) units
-    while a_i b 2**(1-W) <= 1, which holds as both stay below 2**40.  With
-    M 2**k = v (1 + d), |d| <= a 2**(1-W) <= 1/2 and M < 2**W, v lies in
-    [(M - 2a) 2**k, (M + 4a) 2**k] (:func:`_mantissa_bracket`).
+    The grid multiplies by one fixed ratio exp(-step / den) per sample,
+    taken after the first, in mantissa and exponent form at W = w + the bit
+    length of the sample count, so exp(10**6) and exp(-10**6) are in range.
+    Both the first value and the ratio are :func:`_exp_neg`'s, within a_0
+    and b units of 2**(1-W) relative.  Each product floored to W bits gives
+    (1 + d)(1 + e)(1 - f), 0 <= f < 2**(1-W), so sample i is within a_i =
+    a_0 + i (b + 1) units while a_i b 2**(1-W) <= 1, which holds as both
+    stay below 2**40; :func:`_mantissa_bracket` encloses each sample.
     """
-    w = 128 + len(nums).bit_length()
+    if not nums:
+        return
+    w += len(nums).bit_length()
     m, k, a = _exp_neg(Fraction(nums.start, den), w)
+    yield _mantissa_bracket(m, k, a)
     ratio, ratio_k, b = _exp_neg(Fraction(nums.step, den), w)
-    for _ in nums:
-        yield _mantissa_bracket(m, k, a)
+    for _ in nums[1:]:
         m *= ratio
         shift = m.bit_length() - w
         m, k, a = m >> shift, k + ratio_k + shift, a + b + 1
+        yield _mantissa_bracket(m, k, a)
 
 
 @lru_cache(maxsize=None)
@@ -304,16 +299,14 @@ SIN_PI = TargetFunction(
     "sin-pi", LEGENDRE_ODD, Fraction(1),
     moments=_sin_integrals,
     taylor_term=lambda k: PiLaurent.pi_power(2 * k + 1, Fraction((-1) ** k, factorial(2 * k + 1))),
-    grid=lambda nums, den: ((s - r, s + r, 1 << w) for _, s, r, w in _cis_pi_grid(nums, den)),
-    value=_sin_pi,
+    grid=lambda nums, den, w: ((s - r, s + r, 1 << v) for _, s, r, v in _cis_pi_grid(nums, den, w)),
     zero=(Fraction(0), 1),
 )
 COS_PI = TargetFunction(
     "cos-pi", LEGENDRE_EVEN, Fraction(1),
     moments=_cos_integrals,
     taylor_term=lambda k: PiLaurent.pi_power(2 * k, Fraction((-1) ** k, factorial(2 * k))),
-    grid=lambda nums, den: ((c - r, c + r, 1 << w) for c, _, r, w in _cis_pi_grid(nums, den)),
-    value=_cos_pi,
+    grid=lambda nums, den, w: ((c - r, c + r, 1 << v) for c, _, r, v in _cis_pi_grid(nums, den, w)),
     comparator_extra_terms=1,
     zero=(Fraction(1, 2), -1),
 )
@@ -323,7 +316,6 @@ EXP_NEG = TargetFunction(
     moments=lambda k_max: {k: Fraction(factorial(k), 2 ** (k + 1)) for k in range(k_max + 1)},
     taylor_term=lambda k: Fraction((-1) ** k, factorial(k)),
     grid=_exp_neg_grid,
-    value=lambda x, w: _mantissa_bracket(*_exp_neg(x, w)),
 )
 
 TARGETS = {t.name: t for t in (SIN_PI, COS_PI, EXP_NEG)}
@@ -348,9 +340,9 @@ def sample_grid(xmin: Fraction, xmax: Fraction, samples: int) -> tuple[range, in
 def target_value(target: TargetFunction, nums: range, den: int) -> list[str]:
     """f(x) at every x = num/den, num in the range ``nums`` (den > 0), as the
     decimal ``plotdata`` prints: f(x) correctly rounded, from the sample's
-    enclosure along the grid (``target.grid``) or, where that holds a
-    rounding boundary, from Ziv's loop (:func:`_ziv_decimal`) over
-    ``target.value`` at x (a rational x gives no decimal tie and, off the
+    enclosure along the grid (``target.grid`` at 128 bits) or, where that
+    holds a rounding boundary, from Ziv's loop (:func:`_ziv_decimal`) over
+    the grid of x alone (a rational x gives no decimal tie and, off the
     exact zeros, no zero, by Niven's and Lindemann's theorems).
 
     At an exact zero of sin(pi x) or cos(pi x) other than x = 0, the decimal
@@ -358,7 +350,7 @@ def target_value(target: TargetFunction, nums: range, den: int) -> list[str]:
     g(round(round(pi) x)) returns (:func:`_float_residue`), not 0.
     """
     return [_certified_digits(lo + hi, hi - lo, 2 * q) or _value_at(target, Fraction(num, den))
-            for num, (lo, hi, q) in zip(nums, target.grid(nums, den))]
+            for num, (lo, hi, q) in zip(nums, target.grid(nums, den, 128))]
 
 
 def _value_at(target: TargetFunction, x: Fraction) -> str:
@@ -367,7 +359,9 @@ def _value_at(target: TargetFunction, x: Fraction) -> str:
         n, q = _float_residue(x, DEFAULT_PRECISION_BITS)
         slope = target.zero[1] * (-1) ** (int(x - target.zero[0]) & 1)
         return _render(slope * n, q, SIG_DIGITS, False, ".0")
-    return _ziv_decimal(partial(target.value, x), DEFAULT_PRECISION_BITS)[0]
+    a, b = x.as_integer_ratio()
+    return _ziv_decimal(lambda w: next(target.grid(range(a, a + 1), b, w)),
+                        DEFAULT_PRECISION_BITS)[0]
 
 
 class MomentVector(Record):

@@ -23,10 +23,7 @@ from math import prod
 from operator import mul
 
 from .approx import monomial_moment_vector, project
-from .families import (
-    ALL_FAMILIES, Family, GradedMatrix, Record, _cleared, _matmul, coeff_matrix, coeff_rows,
-    norm_vector,
-)
+from .families import ALL_FAMILIES, Family, GradedMatrix, Record, _cleared, coeff_rows, norm_vector
 from .kernelbuild import build_kernel, kernel_sweep
 from .oracle import gram_from_moments, leading_inverses, leading_principal_minors
 
@@ -46,7 +43,8 @@ class Artefacts(Record):
     ``scale * adjugate / pivot`` (see
     :func:`~gramkernel.oracle.leading_inverses`), with the sqrt(pi) grade
     ``inverse_grade``; ``det_gram`` is its determinant, a core of grade
-    ``n * gram.sqrtpi_power``.  ``norms`` are cores of grade
+    ``n * gram.sqrtpi_power``.  ``coeffs`` are the first n integer rows of
+    A (``coeff_rows``), exactly A_n; ``norms`` are cores of grade
     ``family.moment_grade``; ``agat`` is A G A^T of ``coeffs`` and ``gram``;
     ``kernel_minors`` are the leading principal minors of ``kernel``.
     """
@@ -60,7 +58,7 @@ class Artefacts(Record):
     scale: int
     inverse_grade: int
     det_gram: Fraction
-    coeffs: GradedMatrix
+    coeffs: tuple[tuple[tuple[int, ...], int], ...]
     norms: tuple[Fraction, ...]
     agat: tuple[tuple[Fraction, ...], ...]
     kernel_minors: tuple[Fraction, ...]
@@ -102,9 +100,9 @@ def sweep_artefacts(family: Family, max_size: int) -> Iterator[Artefacts]:
     A_n^T: one product, in integers, serves every size.
     """
     gram = gram_from_moments(family, max_size)
-    coeffs = coeff_matrix(family, max_size)
+    rows = coeff_rows(family, max_size)
     norms = norm_vector(family, max_size)
-    agat = _congruence(coeff_rows(family, max_size), gram)
+    agat = _congruence(rows, gram)
     # the largest kernel from build_kernel, which the other commands print,
     # so that both constructions are checked
     kernels = chain(kernel_sweep(family, max_size - 1) if max_size > 1 else (),
@@ -114,7 +112,7 @@ def sweep_artefacts(family: Family, max_size: int) -> Iterator[Artefacts]:
         yield Artefacts(
             family, n, kernel, _leading(gram, n), adjugate, pivot, scale, -gram.sqrtpi_power,
             Fraction(pivot, scale**n),
-            _leading(coeffs, n), norms[:n], _block(agat, n),
+            tuple(rows[:n]), norms[:n], _block(agat, n),
             leading_principal_minors(kernel.entries),
         )
 
@@ -170,11 +168,12 @@ def check_gram_times_kernel(a: Artefacts) -> str:
     product is built only to name a mismatch."""
     detail = _diff("grade of G B", 0, a.gram.sqrtpi_power + a.kernel.sqrtpi_power)
     cols = [_cleared(col) for col in zip(*a.kernel.entries)]
-    if detail or all(sum(map(mul, row, col)) == (d_row * d_col if i == j else 0)
-                     for i, (row, d_row) in enumerate(a.gram.cleared_rows)
-                     for j, (col, d_col) in enumerate(cols)):
+    dots = [[(sum(map(mul, row, col)), d_row * d_col) for col, d_col in cols]
+            for row, d_row in a.gram.cleared_rows]
+    if detail or all(t == d * (i == j) for i, r in enumerate(dots) for j, (t, d) in enumerate(r)):
         return detail
-    return _diff("G B vs I", _diagonal((1,) * a.n), _matmul(a.gram, a.kernel.entries))
+    gb = tuple(tuple(Fraction(t, d) for t, d in r) for r in dots)
+    return _diff("G B vs I", _diagonal((1,) * a.n), gb)
 
 
 def check_orthogonality(a: Artefacts) -> str:
@@ -192,14 +191,14 @@ def check_determinant_formula(a: Artefacts) -> str:
     crosswise; the ``Fraction`` sides are built only to name a mismatch."""
     # the norms' product has grade n * moment_grade, det(G) n * gram grade
     detail = _diff("grade of G vs the norms' grade", a.family.moment_grade, a.gram.sqrtpi_power)
-    diag = [row[i] for i, row in enumerate(a.coeffs.entries)]  # A is triangular
-    # prod(norms) = p / q and det(A) = s / t, unreduced
-    (p, q), (s, t) = ((prod(x.numerator for x in v), prod(x.denominator for x in v))
-                      for v in (a.norms, diag))
+    # prod(norms) = p / q, unreduced; A is triangular, so det(A) = s / t is the
+    # product of each row's last integer over the product of the row denominators
+    p, q = prod(x.numerator for x in a.norms), prod(x.denominator for x in a.norms)
+    s, t = prod(ints[-1] for ints, _ in a.coeffs), prod(d for _, d in a.coeffs)
     g = a.det_gram
     if detail or p * t * t * g.denominator == q * s * s * g.numerator:
         return detail
-    return _diff("prod(norms) vs det(A)^2 det(G)", prod(a.norms), prod(diag) ** 2 * g)
+    return _diff("prod(norms) vs det(A)^2 det(G)", prod(a.norms), Fraction(s, t) ** 2 * g)
 
 
 def check_kernel_shape(a: Artefacts) -> str:

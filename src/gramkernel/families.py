@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, factorial, gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter
 
 
 class Record:
@@ -162,19 +162,6 @@ def _cleared(line: Sequence) -> tuple[list[int], int]:
     return [num * (d // den) for num, den in ratios], d
 
 
-def _matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact product of two rational matrices.  Each row of ``a`` and each
-    column of ``b`` is cleared over one denominator, so an entry costs one
-    integer dot product and one ``Fraction``.  A ``GradedMatrix`` ``a``
-    lends its cached cleared rows."""
-    cols = [_cleared(col) for col in zip(*b)]
-    rows = a.cleared_rows if isinstance(a, GradedMatrix) else map(_cleared, a)
-    return tuple(
-        tuple(Fraction(sum(map(mul, row, col)), d_row * d_col) for col, d_col in cols)
-        for row, d_row in rows
-    )
-
-
 @lru_cache(maxsize=None)
 def _coeff_row(family: Family, i: int) -> tuple[tuple[int, ...], int]:
     """Row i of A to its diagonal, in integers over one denominator.  With n = p_i
@@ -207,8 +194,8 @@ def coeff_rows(family: Family, n: int) -> list[tuple[tuple[int, ...], int]]:
 
 def coeff_matrix(family: Family, n: int) -> GradedMatrix:
     """A for the first ``n`` polynomials as ``Fraction``s, the view of
-    :func:`coeff_rows` that ``verify`` and the tests read: lower triangular,
-    with a diagonal that never vanishes."""
+    :func:`coeff_rows` that the package exports and the tests read: lower
+    triangular, with a diagonal that never vanishes."""
     zero = (Fraction(0),)
     return GradedMatrix(family, n, tuple(
         tuple(Fraction(c, d) for c in ints) + zero * (n - len(ints))

@@ -57,12 +57,12 @@ ALL_TARGETS = (SIN_PI, COS_PI, EXP_NEG)
 
 # f(x) = x on (-1, 1), a target outside TARGETS: integral x * y**k dy = 2/(k+2)
 # for odd k, and |f|^2 = 2/3.  It lies in the legendre-odd span at every size.
+# Its grid, exact at every precision, is the README's custom target's.
 IDENTITY = TargetFunction(
     "x", LEGENDRE_ODD, Fraction(2, 3),
     moments=lambda k_max: {k: Fraction(2, k + 2) for k in range(1, k_max + 1, 2)},
     taylor_term=lambda k: Fraction(1 if k == 0 else 0),
-    grid=lambda nums, den: ((num, num, den) for num in nums),
-    value=lambda x, w: (x.numerator, x.numerator, x.denominator),
+    grid=lambda nums, den, w: ((num, num, den) for num in nums),
 )
 
 
@@ -676,14 +676,14 @@ class TestGridEnclosures:
     def test_each_enclosure_holds_f_within_its_proved_width(self, case):
         target, xmin, xmax, samples = case
         nums, den = sample_grid(xmin, xmax, samples)
-        assert _enclosure_faults(target, nums, den, target.grid(nums, den)) == []
+        assert _enclosure_faults(target, nums, den, target.grid(nums, den, 128)) == []
 
     @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
     def test_an_enclosure_narrowed_or_widened_by_one_unit_fails(self, target):
         """Negative control of the check: one end moved one unit past f(x),
         or the width one unit over the proved bound, is reported."""
         nums, den = sample_grid(Fraction(-7, 3), Fraction(5, 2), 9)
-        good = list(target.grid(nums, den))
+        good = list(target.grid(nums, den, 128))
         lo, hi, q = good[4]
         with mp.workprec(4096):
             scaled = _exact(FUNCTIONS[target.name](mpf(nums[4]) / den)) * q
@@ -728,14 +728,51 @@ class TestValuesOffTheGrid:
            st.integers(2, 9))
     @settings(max_examples=30, deadline=None)
     def test_samples_the_grid_leaves_open_are_refined(self, target, xmin, xmax, samples):
-        """With every grid enclosure widened to [-2**200, 2**200], each f
-        decimal comes from ``target.value`` and is still the reference's."""
+        """With every enclosure of a grid of two or more samples widened to
+        [-2**200, 2**200], each f decimal comes from the grid of its x alone,
+        refined in Ziv's loop, and is still the reference's."""
         assume(xmin != xmax)
         xmin, xmax = min(xmin, xmax), max(xmin, xmax)
-        wide = target.replace(grid=lambda nums, den: ((-1 << 200, 1 << 200, 1) for _ in nums))
+
+        def wide_grid(nums, den, w):
+            if len(nums) == 1:
+                return target.grid(nums, den, w)
+            return ((-1 << 200, 1 << 200, 1) for _ in nums)
+
+        wide = target.replace(grid=wide_grid)
         nums, den = sample_grid(xmin, xmax, samples)
         assert target_value(wide, nums, den) == [_f_reference(target, Fraction(num, den))
                                                  for num in nums]
+
+
+    @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
+    @pytest.mark.parametrize("w", (256, 384, 576, 2048))
+    def test_the_grid_of_one_x_holds_f_and_narrows_with_w(self, target, w):
+        """The one route that refines f at one x: the grid of that x alone
+        at w bits holds f(x), by mpmath at 4096 bits, within a width below
+        1531 units of 2**-w (relative to lo for exp-neg), so Ziv's loop,
+        which raises w, ends.  The bound is the proofs' in ``approx``: one
+        trig sample at W = w + 1 bits is within 5K + 26 units of 2**-W, K
+        the series terms, and K <= 301 as 301! > 2**2049; exp-neg's width
+        is 8a units of its W-bit mantissa, a below 6."""
+        for x in (Fraction(0), Fraction(1, 3), Fraction(-7, 2), Fraction(20), Fraction(-20),
+                  Fraction(199, 10), Fraction(-123457, 10**6), Fraction(1, 10**30 + 1),
+                  Fraction(-10**29 + 1, 10**28)):
+            a, b = x.as_integer_ratio()
+            lo, hi, q = next(target.grid(range(a, a + 1), b, w))
+            with mp.workprec(4096):
+                value = _exact(FUNCTIONS[target.name](mpf(a) / b))
+            assert Fraction(lo, q) <= value <= Fraction(hi, q), x
+            assert (hi - lo) << w < 1531 * (lo if target is EXP_NEG else q), x
+
+    def test_the_readme_grid_only_record_prints_x(self):
+        """The README's custom target has a grid and no other rule for f.
+        At x = 0 zero lies in its exact enclosure, so the grid of x alone
+        decides it: ``0.0``; every other x prints its own decimal."""
+        nums, den = sample_grid(Fraction(-1), Fraction(1), 9)
+        got = target_value(IDENTITY, nums, den)
+        assert got[4] == "0.0"
+        assert got == [reference(Fraction(num, den)) for num in nums]
 
 
 class TestTargets:
