@@ -8,9 +8,9 @@ entry, 1-based: ``what (i, j): want W, got G`` for a matrix (``(k)`` for a
 vector), ``what: want W, got G`` for a scalar or a sqrt(pi) grade.  The CLI
 ``verify`` subcommand runs all of them over every family and size.
 
-Each family is one sweep to the largest size (:func:`sweep_artefacts`),
-its kernels included; only the kernel's entries, its leading minors and the
-checks themselves are computed per size.
+Each family is one sweep to the largest size (:func:`sweep_artefacts`);
+only the kernel, its leading minors and the checks themselves are computed
+per size.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import chain
 from math import prod
 from operator import mul
 
 from .approx import monomial_moment_vector, project
 from .families import ALL_FAMILIES, Family, GradedMatrix, Record, _cleared, coeff_rows, norm_vector
-from .kernelbuild import build_kernel, kernel_sweep
+from .kernelbuild import build_kernel
 from .oracle import gram_from_moments, leading_inverses, leading_principal_minors
 
 
@@ -94,21 +93,17 @@ def sweep_artefacts(family: Family, max_size: int) -> Iterator[Artefacts]:
     G, A and the norms are built once, at ``max_size``; size n reads their
     leading n-blocks, which are exactly G_n, A_n and the first n norms.  The
     inverses and determinants of every G_n come from one elimination of G
-    (:func:`~gramkernel.oracle.leading_inverses`), and the smaller kernels
-    from one :func:`~gramkernel.kernelbuild.kernel_sweep`.  A is lower
-    triangular, so the leading n-block of A_N G_N A_N^T is exactly A_n G_n
-    A_n^T: one product, in integers, serves every size.
+    (:func:`~gramkernel.oracle.leading_inverses`); each kernel is its own
+    :func:`~gramkernel.kernelbuild.build_kernel`.  A is lower triangular, so
+    the leading n-block of A_N G_N A_N^T is exactly A_n G_n A_n^T: one
+    product, in integers, serves every size.
     """
     gram = gram_from_moments(family, max_size)
     rows = coeff_rows(family, max_size)
     norms = norm_vector(family, max_size)
     agat = _congruence(rows, gram)
-    # the largest kernel from build_kernel, which the other commands print,
-    # so that both constructions are checked
-    kernels = chain(kernel_sweep(family, max_size - 1) if max_size > 1 else (),
-                    [build_kernel(family, max_size)])
-    for n, ((adjugate, pivot, scale), kernel) in enumerate(
-            zip(leading_inverses(gram.entries), kernels), start=1):
+    for n, (adjugate, pivot, scale) in enumerate(leading_inverses(gram.entries), start=1):
+        kernel = build_kernel(family, n)
         yield Artefacts(
             family, n, kernel, _leading(gram, n), adjugate, pivot, scale, -gram.sqrtpi_power,
             Fraction(pivot, scale**n),

@@ -15,9 +15,9 @@ once, under one column list: the CSV header and the keys of the JSON
 ``data`` objects.  ``--size`` and ``--max-size`` take 1 to a ceiling per
 subcommand, which ``--help`` gives (``MAX_SIZES``: kernel 200, cond 400,
 variance 100, project 100, plotdata 100, verify 24); at its ceiling no
-family or target takes more than about 6 s of CPU, but for ``plotdata``
-windows with ends near 10**6 over denominators near 10**30 (7.3 s for cos-pi
-at size 100).  ``plotdata --samples``
+family or target takes more than about 6 s of CPU (``kernel`` at 200 under
+1 s), but for ``plotdata`` windows with ends near 10**6 over denominators
+near 10**30 (7.3 s for cos-pi at size 100).  ``plotdata --samples``
 takes 2 to 65536 points, with ``--size`` times ``--samples`` at most
 ``MAX_PLOT_POINTS``, and its window ends ``--xmin``/``--xmax`` are at most
 10**6 in magnitude with a denominator below 10**30.

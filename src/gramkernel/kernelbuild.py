@@ -2,13 +2,9 @@
 
 The inverse of the monomial Gram matrix falls out of the orthogonal
 expansion: with A the lower-triangular coefficient matrix and lambda_k the
-true squared norms,
-
-    b_ij = sum_{k >= max(i,j)} a_ki * a_kj / lambda_k.
-
-:func:`build_kernel` sums it in integers for one size, and
-:func:`kernel_sweep` takes the same sums' prefix sums for every size to N:
-one construction.  The
+true squared norms, b_ij = sum_{k >= max(i,j)} a_ki * a_kj / lambda_k.
+:func:`build_kernel` gets that sum from rows n and n + 1 of A alone, by the
+Christoffel-Darboux identity.  The
 per-family closed forms are kept only as an independently typed cross-check:
 :func:`closed_form_kernel` is one sum ``b_ij = sum_k u_ik u_jk w_k`` over
 per-family factor tables, including the corrected Legendre factor placement.
@@ -16,70 +12,58 @@ per-family factor tables, including the corrected Legendre factor placement.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from fractions import Fraction
-from itertools import accumulate
-from math import comb, factorial, gcd, lcm
-from operator import mul
+from math import comb, factorial
 
 from .families import Family, GradedMatrix, coeff_rows, double_factorial, norm_vector
-
-
-def _terms(family: Family, n: int) -> tuple[int, list[int], list[list[int]], list[list[int]]]:
-    """B's terms to size n in integers: D (the lcm of the norms' numerators),
-    the column scales e_i, column i of A from row i down as ``c_ki`` over
-    e_i, and that column times ``D / lambda_k``."""
-    rows = coeff_rows(family, n)
-    lam = norm_vector(family, n)
-    d = lcm(*(q.numerator for q in lam))
-    cols = [[(row[i], e) for row, e in rows[i:]] for i in range(n)]  # column i from row i down
-    scales = [lcm(*(e // gcd(c, e) for c, e in col)) for col in cols]
-    ints = [[c * s // e for c, e in col] for col, s in zip(cols, scales)]
-    weights = [d // q.numerator * q.denominator for q in lam]
-    weighted = [list(map(mul, col, weights[i:])) for i, col in enumerate(ints)]
-    return d, scales, ints, weighted
 
 
 def build_kernel(family: Family, n: int) -> GradedMatrix:
     """Kernel matrix B = G**-1 of size n, exact.
 
-    B is the Christoffel-Darboux sum of the terms ``a_k a_k^T / lambda_k``
-    over the integer rows of A, in integers: with column i of A re-cleared by
-    e_i and the norms by D (lcms of denominators resp. numerators), b_ij is
-    ``sum_k c_ki c_kj D / lambda_k`` over ``D e_i e_j`` (see ``_terms``).  B is
-    symmetric positive definite with grade ``-family.moment_grade``; the kernel
-    polynomial is ``K(x, y) = sum_ij b_ij x**p_i y**p_j``, p_i the basis powers.
+    B is symmetric positive definite with grade ``-family.moment_grade``; the
+    kernel polynomial ``K(x, y) = sum_ij b_ij x**p_i y**p_j`` (p_i the basis
+    powers) is ``sum_{k <= n} p_k(x) p_k(y) / lambda_k``.
+
+    With t = x for Laguerre and t = x**2 for the even and odd families, and
+    q_k(t) = p_k(x), or p_k(x) / x for the odd ones, b_ij (0-based) is the
+    coefficient of t**i s**j in ``sum_{k <= n} q_k(t) q_k(s) / lambda_k``.
+    The q_k keep the norms: on [-a, a], t = x**2 turns
+    ``integral p_j p_k w dx`` into ``integral q_j q_k t**(-+1/2) w(sqrt t) dt``
+    (even -, odd +) over [0, a**2], so the q_k, of degree k - 1, are
+    orthogonal with the same lambda_k under a positive weight on [0, 1]
+    (Legendre) or [0, oo) (Hermite).  Hence the Christoffel-Darboux identity
+    (Szego, *Orthogonal Polynomials*, 1939, Thm 3.2.2; Chihara, 1978, Ch. I),
+    with k_j the leading coefficient of q_j and c = k_n / (k_(n+1) lambda_n):
+
+        (t - s) sum_{k <= n} q_k(t) q_k(s) / lambda_k
+            = c (q_(n+1)(t) q_n(s) - q_n(t) q_(n+1)(s)).
+
+    With rows n and n + 1 of A as u / d_u and v / d_v (``coeff_rows``), u
+    padded with one 0, the coefficients of t**i s**j give, b = 0 outside the
+    n x n matrix,
+
+        b_ij = b_(i-1),(j+1) + (u_i v_(j+1) - v_i u_(j+1)) c / (d_u d_v).
+
+    So along each anti-diagonal of the upper triangle, started just outside
+    the matrix, b_ij is one integer running sum times c / (d_u d_v): one
+    ``Fraction`` (one gcd) per entry.
     """
-    d, scales, ints, weighted = _terms(family, n)
-    b = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = sum(map(mul, weighted[i][j - i :], ints[j]))  # integer: one gcd per entry
-            b[i][j] = b[j][i] = Fraction(acc, d * scales[i] * scales[j])
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    *_, (u, d_u), (v, d_v) = coeff_rows(family, n + 1)
+    u += (0,)
+    c = Fraction(u[n - 1], d_u) / (Fraction(v[n], d_v) * norm_vector(family, n)[-1])
+    num, den = (c / (d_u * d_v)).as_integer_ratio()
+    b = [[None] * n for _ in range(n)]
+    for s in range(2 * n - 1):  # the anti-diagonal i + j = s, its upper half
+        acc = 0
+        for i in range(max(0, s - n + 1), s // 2 + 1):
+            j = s - i
+            acc += u[i] * v[j + 1] - v[i] * u[j + 1]
+            b[i][j] = b[j][i] = Fraction(acc * num, den)
     return GradedMatrix(family, n, tuple(map(tuple, b)), -family.moment_grade)
-
-
-def kernel_sweep(family: Family, max_size: int) -> Iterator[GradedMatrix]:
-    """The kernels of sizes 1..max_size, each equal to ``build_kernel(family, n)``.
-
-    Size n adds row n's term to every entry (the bordering B_n = B_(n-1) (+)
-    0 + a_n a_n^T / lambda_n), so with the column scales and D of
-    ``max_size``, b_ij at size n is the n-th prefix sum of the integer terms
-    ``build_kernel`` sums: one ``Fraction`` per upper-triangle entry per size.
-    """
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    d, scales, ints, weighted = _terms(family, max_size)
-    # sums[i][j - i][m] is b_ij at size j + m + 1, over d * scales[i] * scales[j]
-    sums = [[list(accumulate(map(mul, w_i[j - i :], ints[j]))) for j in range(i, max_size)]
-            for i, w_i in enumerate(weighted)]
-    for n in range(1, max_size + 1):
-        b = [[None] * n for _ in range(n)]
-        for i in range(n):
-            den = d * scales[i]
-            for j in range(i, n):
-                b[i][j] = b[j][i] = Fraction(sums[i][j - i][n - 1 - j], den * scales[j])
-        yield GradedMatrix(family, n, tuple(map(tuple, b)), -family.moment_grade)
 
 
 def _closed_form_factors(

@@ -20,18 +20,15 @@ from gramkernel.families import (
 )
 from gramkernel.oracle import bareiss_inverse, gram_from_moments
 
-# built once per family, at the largest size (the kernel sweep to the size
-# below it), and once per (family, size)
-PER_FAMILY = ("gram_from_moments", "leading_inverses", "coeff_rows", "norm_vector",
-              "kernel_sweep", "build_kernel")
-PER_SIZE = ("leading_principal_minors",)
+# built once per family, at the largest size, and once per (family, size)
+PER_FAMILY = ("gram_from_moments", "leading_inverses", "coeff_rows", "norm_vector")
+PER_SIZE = ("build_kernel", "leading_principal_minors")
 
 
 def test_artefacts_built_once_per_family_and_size(monkeypatch):
-    """Each family is one sweep: G, its elimination, A (as integer rows),
-    the norms and the largest kernel are built once, at
-    the largest size, and the smaller kernels by one ``kernel_sweep`` to the
-    size below it; the kernel's leading minors once per (family, size)."""
+    """Each family is one sweep: G, its elimination, A (as integer rows)
+    and the norms are built once, at the largest size; the kernel and its
+    leading minors once per (family, size)."""
     calls = {name: [] for name in PER_FAMILY + PER_SIZE}
     for name in calls:
         def counted(*args, _fn=getattr(checks, name), _name=name):
@@ -42,9 +39,9 @@ def test_artefacts_built_once_per_family_and_size(monkeypatch):
     results = checks.run_checks(3, families=(LAGUERRE, HERMITE_ODD))
     assert len(results) == 2 * 3 * 8
     assert all(r.passed for r in results)
-    for name in ("gram_from_moments", "coeff_rows", "norm_vector", "build_kernel"):
+    for name in ("gram_from_moments", "coeff_rows", "norm_vector"):
         assert calls[name] == [(LAGUERRE, 3), (HERMITE_ODD, 3)]
-    assert calls["kernel_sweep"] == [(LAGUERRE, 2), (HERMITE_ODD, 2)]
+    assert calls["build_kernel"] == [(f, n) for f in (LAGUERRE, HERMITE_ODD) for n in (1, 2, 3)]
     assert [len(entries) for entries, in calls["leading_inverses"]] == [3, 3]
     assert len(calls["leading_principal_minors"]) == 2 * 3
 

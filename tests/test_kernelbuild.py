@@ -2,9 +2,12 @@
 cross-checks including the machine-checked Legendre factor placement."""
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 
+from gramkernel.cli import MAX_SIZES
 from gramkernel.families import (
     ALL_FAMILIES,
     HERMITE_EVEN,
@@ -13,9 +16,10 @@ from gramkernel.families import (
     LEGENDRE_EVEN,
     LEGENDRE_ODD,
     coeff_matrix,
+    coeff_rows,
     norm_vector,
 )
-from gramkernel.kernelbuild import build_kernel, closed_form_kernel, kernel_sweep
+from gramkernel.kernelbuild import build_kernel, closed_form_kernel
 from gramkernel.oracle import gram_from_moments, invert_exact, leading_principal_minors
 
 
@@ -123,26 +127,44 @@ class TestKernelSweep:
             build_kernel(LAGUERRE, max_n)
 
 
-class TestKernelSweepPrefixSums:
-    """``kernel_sweep`` gives every size's kernel from one set of prefix sums,
-    with the column scales and the norm lcm of the largest size."""
+def _sigma_kernel(family, n):
+    """The upper triangle of B as ``b_ij = sum_{k >= j} a_ki a_kj / lambda_k``
+    over A's integer rows, i <= j: column i of A cleared by e_i and the norms
+    by D (the lcm of their numerators), one integer sum per entry over
+    ``D e_i e_j``."""
+    rows = coeff_rows(family, n)
+    lam = norm_vector(family, n)
+    d = lcm(*(q.numerator for q in lam))
+    weights = [d // q.numerator * q.denominator for q in lam]
+    cols = [[(row[i], e) for row, e in rows[i:]] for i in range(n)]  # column i from row i down
+    scales = [lcm(*(e // gcd(c, e) for c, e in col)) for col in cols]
+    ints = [[c * s // e for c, e in col] for col, s in zip(cols, scales)]
+    weighted = [list(map(mul, col, weights[i:])) for i, col in enumerate(ints)]
+    return [[Fraction(sum(map(mul, weighted[i][j - i:], ints[j])), d * scales[i] * scales[j])
+             for j in range(i, n)] for i in range(n)]
+
+
+def _assert_equals_sigma(family, n):
+    kernel = build_kernel(family, n)
+    assert (kernel.family, kernel.n, kernel.sqrtpi_power) == (family, n, -family.moment_grade)
+    assert all(type(q) is Fraction for row in kernel.entries for q in row)
+    assert [list(row[i:]) for i, row in enumerate(kernel.entries)] == _sigma_kernel(family, n)
+    assert all(row[j] == kernel.entries[j][i] for i, row in enumerate(kernel.entries)
+               for j in range(i))
+
+
+class TestSigmaReference:
+    """``build_kernel``'s two-row Christoffel-Darboux construction against
+    the sum of A's rank-one terms, taken test-locally in integers."""
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
-    def test_every_size_equals_build_kernel(self, family):
-        kernels = list(kernel_sweep(family, 24))
-        assert [k.n for k in kernels] == list(range(1, 25))
-        for n, kernel in enumerate(kernels, start=1):
-            single = build_kernel(family, n)
-            assert (kernel.family, kernel.n) == (family, n)
-            assert kernel.entries == single.entries
-            assert kernel.sqrtpi_power == single.sqrtpi_power
-            assert all(type(q) is Fraction for row in kernel.entries for q in row)
-        assert kernels[-1].entries == closed_form_kernel(family, 24).entries
+    def test_every_size_to_60_equals_the_sum(self, family):
+        for n in range(1, 61):
+            _assert_equals_sigma(family, n)
 
-    @pytest.mark.parametrize("max_size", (0, -3))
-    def test_rejects_empty(self, max_size):
-        with pytest.raises(ValueError):
-            next(kernel_sweep(LAGUERRE, max_size))
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_the_kernel_ceiling_equals_the_sum(self, family):
+        _assert_equals_sigma(family, MAX_SIZES["kernel"])
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
