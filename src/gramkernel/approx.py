@@ -412,9 +412,10 @@ def monomial_moment_vector(family: Family, n: int, power: int) -> MomentVector:
 
 
 def _dots(rows, values: Sequence[Exact]) -> list[Exact]:
-    """``sum_i ints[i] * values[i] / d`` for each cleared row ``(ints, d)``
-    of ``rows`` (see ``GradedMatrix.cleared_rows``), over the first
-    ``len(ints)`` values.
+    """``sum_i ints[i] * values[i] / d`` for each row ``(ints, d)`` of
+    ``rows``, integers over a positive denominator (a ``GradedMatrix`` row
+    over its ``den``, or a ``coeff_rows`` row), over the first ``len(ints)``
+    values.
 
     The values are split into integer rows over their pi exponents on one
     common denominator, so each result is integer dot products and one
@@ -424,7 +425,7 @@ def _dots(rows, values: Sequence[Exact]) -> list[Exact]:
     once and each result is one integer dot product.
     """
     if not any(isinstance(v, PiLaurent) for v in values):
-        ints, den = _cleared(values)
+        (ints,), den = _cleared([values])
         return [Fraction(sum(map(mul, row, ints)), d * den) for row, d in rows]
     triples = [_triple(v) for v in values]
     low = min([0] + [t[0] for t in triples])
@@ -451,8 +452,8 @@ def _dots(rows, values: Sequence[Exact]) -> list[Exact]:
 def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
     """Kernel estimate c = B m, the weighted least-squares projection.
 
-    One :func:`_dots` over the kernel's cached cleared rows.  Coefficients
-    are ``PiLaurent`` if any moment is, else ``Fraction``.
+    One :func:`_dots` over the kernel's integer rows and its ``den``.
+    Coefficients are ``PiLaurent`` if any moment is, else ``Fraction``.
     """
     if kernel.family != moments.family:
         raise ValueError(
@@ -462,7 +463,8 @@ def project(kernel: GradedMatrix, moments: MomentVector) -> ApproxPolynomial:
         raise ValueError(f"kernel size {kernel.n} != moment vector length {len(moments)}")
     if kernel.sqrtpi_power + moments.family.moment_grade != 0:
         raise ValueError("sqrt(pi) grades do not cancel under projection")
-    return ApproxPolynomial(kernel.family, tuple(_dots(kernel.cleared_rows, moments.entries)))
+    rows = [(row, kernel.den) for row in kernel.ints]
+    return ApproxPolynomial(kernel.family, tuple(_dots(rows, moments.entries)))
 
 
 def taylor_polynomial(target: TargetFunction, n: int) -> ApproxPolynomial:
@@ -500,15 +502,15 @@ def _prefix_variances(
     Adding term k to ``|f|^2 - 2 p.m + p^T G p`` adds ``p_k x_k`` with
     ``x_k = 2 sum_{l<k} p_l g_kl + p_k g_kk - 2 m_k``.  Every x_k is one
     :func:`_dots` row over ``p_0, m_0, p_1, m_1, ...`` built from the Gram
-    matrix's cleared rows, so each prefix costs two exact operations over
-    the one before.  ``moments`` and ``gram`` must be at least as long as
-    ``coefficients``.
+    matrix's integer rows over its ``den``, so each prefix costs two exact
+    operations over the one before.  ``moments`` and ``gram`` must be at
+    least as long as ``coefficients``.
     """
     if gram.sqrtpi_power != 0:
         raise AssertionError("built-in targets live on grade-0 Gram matrices")
     values = [v for pair in zip(coefficients, moments.entries) for v in pair]
-    rows = [([a for g in ints[:k] for a in (2 * g, 0)] + [ints[k], -2 * d], d)
-            for k, (ints, d) in enumerate(gram.cleared_rows[: len(coefficients)])]
+    rows = [([a for g in ints[:k] for a in (2 * g, 0)] + [ints[k], -2 * gram.den], gram.den)
+            for k, ints in enumerate(gram.ints[: len(coefficients)])]
     var = target.squared_integral
     for p_k, x_k in zip(coefficients, _dots(rows, values)):
         var = var + p_k * x_k

@@ -1,12 +1,15 @@
 """Self-verification suites: every structural identity the construction owes.
 
 Each check is one exact comparison (rational equality, no tolerances) that
-pits two independent routes against each other -- closed-form kernel vs.
-Bareiss inverse, expansion matrix vs. moment Gram, projection vs. identity.
-A check returns ``""`` when its two sides are equal, else the first differing
-entry, 1-based: ``what (i, j): want W, got G`` for a matrix (``(k)`` for a
-vector), ``what: want W, got G`` for a scalar or a sqrt(pi) grade.  The CLI
-``verify`` subcommand runs all of them over every family and size.
+pits two independent routes against each other -- the Christoffel-Darboux
+kernel of ``build_kernel`` vs. Bareiss inverse, expansion matrix vs. moment
+Gram, projection vs. identity.  A check returns ``""`` when its two sides
+are equal, else the first differing entry, 1-based: ``what (i, j): want W,
+got G`` for a matrix (``(k)`` for a vector), ``what: want W, got G`` for a
+scalar or a sqrt(pi) grade.  Matrices are compared as integers over their
+one denominator; their ``Fraction`` entries are read only to name a
+mismatch.  The CLI ``verify`` subcommand runs all of them over every family
+and size.
 
 Each family is one sweep to the largest size (:func:`sweep_artefacts`);
 only the kernel, its leading minors and the checks themselves are computed
@@ -22,7 +25,7 @@ from math import prod
 from operator import mul
 
 from .approx import monomial_moment_vector, project
-from .families import ALL_FAMILIES, Family, GradedMatrix, Record, _cleared, coeff_rows, norm_vector
+from .families import ALL_FAMILIES, Family, GradedMatrix, Record, coeff_rows, norm_vector
 from .kernelbuild import build_kernel
 from .oracle import gram_from_moments, leading_inverses, leading_principal_minors
 
@@ -67,22 +70,18 @@ def _block(rows, n: int) -> tuple[tuple, ...]:
     return tuple(row[:n] for row in rows[:n])
 
 
-def _leading(matrix: GradedMatrix, n: int) -> GradedMatrix:
-    return matrix.replace(n=n, entries=_block(matrix.entries, n))
-
-
 def _congruence(rows: list[tuple[tuple[int, ...], int]], gram: GradedMatrix):
     """A G A^T from A's integer rows (``coeff_rows``) and G's Hankel vector
-    (its first row and last column), cleared once over D_G: entry (k, l) is
-    ``sum_ij c_ki h_(i+j) c_lj`` over ``e_k e_l D_G``, one ``Fraction`` each.
-    It is A G A^T of G itself where G is Hankel, which ``gram-hankel`` checks."""
-    g = gram.entries
-    h, d_g = _cleared(g[0] + tuple(row[-1] for row in g[1:]))
-    n = len(g)
+    (its first row and last column), integers over G's ``den`` D_G: entry
+    (k, l) is ``sum_ij c_ki h_(i+j) c_lj`` over ``e_k e_l D_G``, one
+    ``Fraction`` each.  It is A G A^T of G itself where G is Hankel, which
+    ``gram-hankel`` checks."""
+    g, n = gram.ints, gram.n
+    h = g[0] + tuple(row[-1] for row in g[1:])
     # row k of A G, over e_k D_G; row k of A has k entries
     ag = [[sum(map(mul, c, h[j:j + len(c)])) for j in range(n)] for c, _ in rows]
     return tuple(
-        tuple(Fraction(sum(map(mul, ag_k, c_l)), e_k * e_l * d_g) for c_l, e_l in rows)
+        tuple(Fraction(sum(map(mul, ag_k, c_l)), e_k * e_l * gram.den) for c_l, e_l in rows)
         for ag_k, (_, e_k) in zip(ag, rows)
     )
 
@@ -104,11 +103,11 @@ def sweep_artefacts(family: Family, max_size: int) -> Iterator[Artefacts]:
     agat = _congruence(rows, gram)
     for n, (adjugate, pivot, scale) in enumerate(leading_inverses(gram.entries), start=1):
         kernel = build_kernel(family, n)
+        minors = leading_principal_minors(kernel.ints)  # of den * B
         yield Artefacts(
-            family, n, kernel, _leading(gram, n), adjugate, pivot, scale, -gram.sqrtpi_power,
-            Fraction(pivot, scale**n),
-            tuple(rows[:n]), norms[:n], _block(agat, n),
-            leading_principal_minors(kernel.entries),
+            family, n, kernel, gram.replace(n=n, ints=_block(gram.ints, n)), adjugate, pivot,
+            scale, -gram.sqrtpi_power, Fraction(pivot, scale**n), tuple(rows[:n]), norms[:n],
+            _block(agat, n), tuple(m / kernel.den**k for k, m in enumerate(minors, start=1)),
         )
 
 
@@ -141,34 +140,29 @@ def _diagonal(values: Sequence) -> tuple[tuple, ...]:
 
 
 def check_oracle_equivalence(a: Artefacts) -> str:
-    """Closed-form kernel == exact Bareiss inverse of the moment Gram.  With
-    row i of B cleared by e_i (the kernel's cached ``cleared_rows``), B
-    equals the inverse d T / p exactly when ``ints_i[j] * p == d * e_i *
-    T_ij`` for every entry; the ``Fraction`` inverse is built only to name
-    a mismatch."""
+    """The kernel of :func:`~gramkernel.kernelbuild.build_kernel` == exact
+    Bareiss inverse of the moment Gram.  B = ints / den equals the inverse
+    d T / p (d the scale, p the pivot) exactly when ``ints * p == d * den *
+    T``; the ``Fraction`` inverse is built only to name a mismatch."""
     detail = _diff("grade of B vs Bareiss inverse", a.inverse_grade, a.kernel.sqrtpi_power)
-    rows, p, d = a.kernel.cleared_rows, a.pivot, a.scale
-    if detail or len(rows) == len(a.adjugate) and (
-            [[b * p for b in ints] for ints, _ in rows]
-            == [[d * e * t for t in t_row] for (_, e), t_row in zip(rows, a.adjugate)]):
+    if detail or ([[b * a.pivot for b in row] for row in a.kernel.ints]
+                  == [[a.scale * a.kernel.den * t for t in row] for row in a.adjugate]):
         return detail
-    inverse = tuple(tuple(Fraction(d * t, p) for t in row) for row in a.adjugate)
+    inverse = tuple(tuple(Fraction(a.scale * t, a.pivot) for t in row) for row in a.adjugate)
     return _diff("B vs Bareiss inverse", inverse, a.kernel.entries)
 
 
 def check_gram_times_kernel(a: Artefacts) -> str:
-    """G * B == I exactly (the sqrt(pi) grades cancel).  With row i of G
-    cleared by d_i and column j of B by e_j, (G B)_ij is I's entry exactly
-    when the integer dot product is d_i e_j (i = j) or 0; the ``Fraction``
+    """G * B == I exactly (the sqrt(pi) grades cancel).  With G and B
+    integers over their ``den``, (G B)_ij is I's entry exactly when the
+    integer dot product is ``G.den * B.den`` (i = j) or 0; the ``Fraction``
     product is built only to name a mismatch."""
     detail = _diff("grade of G B", 0, a.gram.sqrtpi_power + a.kernel.sqrtpi_power)
-    cols = [_cleared(col) for col in zip(*a.kernel.entries)]
-    dots = [[(sum(map(mul, row, col)), d_row * d_col) for col, d_col in cols]
-            for row, d_row in a.gram.cleared_rows]
-    if detail or all(t == d * (i == j) for i, r in enumerate(dots) for j, (t, d) in enumerate(r)):
+    cols, d = tuple(zip(*a.kernel.ints)), a.gram.den * a.kernel.den
+    dots = [[sum(map(mul, row, col)) for col in cols] for row in a.gram.ints]
+    if detail or all(t == d * (i == j) for i, r in enumerate(dots) for j, t in enumerate(r)):
         return detail
-    gb = tuple(tuple(Fraction(t, d) for t, d in r) for r in dots)
-    return _diff("G B vs I", _diagonal((1,) * a.n), gb)
+    return _diff("G B vs I", _diagonal((1,) * a.n), GradedMatrix(a.family, a.n, dots, d).entries)
 
 
 def check_orthogonality(a: Artefacts) -> str:
@@ -197,10 +191,11 @@ def check_determinant_formula(a: Artefacts) -> str:
 
 
 def check_kernel_shape(a: Artefacts) -> str:
-    """Kernel symmetry plus exact positive definiteness (all minors > 0)."""
-    entries = a.kernel.entries
-    signs = tuple((m > 0) - (m < 0) for m in a.kernel_minors)
-    return (_diff("B vs B^T", tuple(zip(*entries)), entries)
+    """Kernel symmetry plus exact positive definiteness (all minors > 0).
+    Symmetry is decided on B's integers; its entries only name a mismatch."""
+    b, signs = a.kernel, tuple((m > 0) - (m < 0) for m in a.kernel_minors)
+    return (_diff("B vs B^T", tuple(zip(*b.ints)), b.ints)
+            and _diff("B vs B^T", tuple(zip(*b.entries)), b.entries)
             or _diff("sign of B's leading principal minor", (1,) * a.n, signs))
 
 
@@ -244,9 +239,9 @@ CHECKS = {
 
 
 def _corrupted(kernel: GradedMatrix) -> GradedMatrix:
-    rows = [list(r) for r in kernel.entries]
-    rows[0][0] += Fraction(1, 7)
-    return kernel.replace(entries=tuple(tuple(r) for r in rows))
+    ints = [[7 * a for a in row] for row in kernel.ints]
+    ints[0][0] += kernel.den
+    return kernel.replace(ints=ints, den=7 * kernel.den)
 
 
 def run_checks(

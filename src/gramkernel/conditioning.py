@@ -12,7 +12,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
-from .families import Family, _cleared, coeff_rows, norm_vector
+from .families import Family, coeff_rows, norm_vector
 from .kernelbuild import build_kernel
 from .oracle import gram_from_moments
 
@@ -46,18 +46,18 @@ def condition_table(family: Family, max_size: int) -> tuple[Fraction, ...]:
     |g_in| (G is symmetric) plus one new row to the row sums of |G_n|;
     kappa_n is the product of their maxima.
 
-    Both vectors are integer numerators.  ``r`` is over D_G, the lcm of the
-    denominators of G's Hankel vector.  With row n of A the integers c_n over
-    e_n and lambda_n = p_n / q_n, the term is ``|c_n| * t_n / u_n`` for
-    t_n = ||c_n||_1 q_n and u_n = e_n**2 p_n, so ``s`` is over the running
-    U_n = lcm(U_(n-1), u_n), rescaled by U_n / U_(n-1) at each size.  kappa_n
-    is one ``Fraction(max(r) * max(s), D_G * U_n)``: one gcd per size.
+    Both vectors are integer numerators.  ``r`` is over D_G, G's ``den``.
+    With row n of A the integers c_n over e_n and lambda_n = p_n / q_n, the
+    term is ``|c_n| * t_n / u_n`` for t_n = ||c_n||_1 q_n and u_n = e_n**2
+    p_n, so ``s`` is over the running U_n = lcm(U_(n-1), u_n), rescaled by
+    U_n / U_(n-1) at each size.  kappa_n is one
+    ``Fraction(max(r) * max(s), D_G * U_n)``: one gcd per size.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    gram = gram_from_moments(family, max_size).entries
+    gram = gram_from_moments(family, max_size)
     # G's Hankel vector, g_ij = h[i + j - 2] > 0: moments of even powers or on the half-line
-    h, d_g = _cleared(gram[0] + tuple(row[-1] for row in gram[1:]))
+    h, d_g = gram.ints[0] + tuple(row[-1] for row in gram.ints[1:]), gram.den
     r, s, u, kappas = [], [], 1, []
     rows = zip(norm_vector(family, max_size), coeff_rows(family, max_size))
     for n, (lam_n, (c_n, e_n)) in enumerate(rows, start=1):

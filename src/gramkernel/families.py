@@ -7,7 +7,7 @@ half-line keeps the full basis.  For every family this module produces, in
 exact arithmetic:
 
 * ``coeff_rows`` -- A, the family's orthogonal polynomials in ascending
-  monomial powers, as integer rows (``coeff_matrix`` is its rational view),
+  monomial powers, as integer rows (``coeff_matrix`` is its matrix view),
 * ``norm_vector``  -- the true squared weighted L2 norms of those
   polynomials,
 * ``monomial_moment`` -- the weighted moments that define the Gram matrix.
@@ -15,6 +15,9 @@ exact arithmetic:
 Norms and moments are returned as rational cores: each true value is the
 core times ``sqrt(pi)**family.moment_grade``.  Rows of A and the moments
 do not depend on the matrix size, so each is computed once per process.
+
+Every exact matrix of the package is one :class:`GradedMatrix`: integers
+over one denominator, reduced, with one sqrt(pi) grade.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, factorial, gcd, lcm
 from operator import attrgetter
 
@@ -33,7 +36,7 @@ class Record:
     annotations, in order; a default is the class attribute of that name.  A record is built by
     position or keyword, refuses assignment, and has the dataclass ``==``,
     ``repr`` and ``hash`` (computed once).  Caches in ``__dict__`` (the hash,
-    ``cleared_rows``) are no fields, and :meth:`replace` drops them."""
+    ``GradedMatrix.entries``) are no fields, and :meth:`replace` drops them."""
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
@@ -138,28 +141,46 @@ def double_factorial(m: int) -> int:
 class GradedMatrix(Record):
     """An exact n x n matrix over a family's basis, with one sqrt(pi) grade.
 
-    ``entries`` holds the rational core; every entry is that rational times
-    ``sqrt(pi)**sqrtpi_power``.  The same type carries the coefficient
-    matrix A (grade 0), the moment Gram matrix G (the family's moment grade)
-    and the kernel B = G**-1 (its negative).
+    Entry (i, j) is ``ints[i][j] / den`` times ``sqrt(pi)**sqrtpi_power``:
+    integers over one denominator.  The constructor reduces the fields to
+    ``den > 0`` and ``gcd(den, *ints) == 1``, so equal matrices have equal
+    fields.  The same type carries the coefficient matrix A (grade 0), the
+    moment Gram matrix G (the family's moment grade) and the kernel
+    B = G**-1 (its negative).
     """
 
     family: Family
     n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    ints: tuple[tuple[int, ...], ...]
+    den: int
     sqrtpi_power: int = 0
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        den = self.den
+        # each distinct entry once: a symmetric B has about half of them, a Hankel G 2n - 1
+        g = gcd(den, *set(chain.from_iterable(self.ints)))
+        g *= (den > 0) - (den < 0)  # den's sign, or 0 (a ZeroDivisionError) for den 0
+        ints = self.ints if g == 1 else [[a // g for a in row] for row in self.ints]
+        self.__dict__.update(ints=tuple(map(tuple, ints)), den=den // g)
+
+    @classmethod
+    def of(cls, family: Family, entries: Sequence[Sequence], sqrtpi_power: int = 0):
+        """The square matrix of rational ``entries``, cleared by ``_cleared``."""
+        return cls(family, len(entries), *_cleared(entries), sqrtpi_power)
+
     @cached_property
-    def cleared_rows(self) -> list[tuple[list[int], int]]:
-        """Each row of ``entries`` cleared (see ``_cleared``), once per matrix."""
-        return [_cleared(row) for row in self.entries]
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The ``Fraction`` view, built once per matrix, with one ``Fraction``
+        per distinct integer: a symmetric B or a Hankel G shares them."""
+        view = {a: Fraction(a, self.den) for a in set(chain.from_iterable(self.ints))}
+        return tuple(tuple(map(view.__getitem__, row)) for row in self.ints)
 
 
-def _cleared(line: Sequence) -> tuple[list[int], int]:
-    """``line`` as integers over one denominator d, the lcm of its own."""
-    ratios = [q.as_integer_ratio() for q in line]
-    d = lcm(*[den for _, den in ratios])
-    return [num * (d // den) for num, den in ratios], d
+def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Rational ``rows`` as integers over one denominator d, the lcm of their own."""
+    d = lcm(*[q.denominator for row in rows for q in row])
+    return [[q.numerator * (d // q.denominator) for q in row] for row in rows], d
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +189,7 @@ def _coeff_row(family: Family, i: int) -> tuple[tuple[int, ...], int]:
     and k = p_j, a_i,j+1 / a_ij is -(n-k)/(k+1)**2 (Laguerre), -(n-k)(n+k+1) /
     ((k+1)(k+2)) (Legendre) or -2(n-k)/((k+1)(k+2)) (Hermite), each step exact over
     n!, 2**n or 1 (multiples of the row's denominators).  One gcd then leaves
-    ``_cleared`` of the row, the only form sharing no factor with its denominator."""
+    ``_cleared([row])``, the only form sharing no factor with its denominator."""
     n, off = family.basis_power(i), family.offset
     if family.measure == "laguerre":
         d = first = factorial(n)
@@ -193,13 +214,14 @@ def coeff_rows(family: Family, n: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def coeff_matrix(family: Family, n: int) -> GradedMatrix:
-    """A for the first ``n`` polynomials as ``Fraction``s, the view of
-    :func:`coeff_rows` that the package exports and the tests read: lower
-    triangular, with a diagonal that never vanishes."""
-    zero = (Fraction(0),)
-    return GradedMatrix(family, n, tuple(
-        tuple(Fraction(c, d) for c in ints) + zero * (n - len(ints))
-        for ints, d in coeff_rows(family, n)))
+    """A for the first ``n`` polynomials as one matrix, the view of
+    :func:`coeff_rows` that the package exports and the tests read: its rows
+    scaled to the lcm of their denominators, lower triangular, with a
+    diagonal that never vanishes."""
+    rows = coeff_rows(family, n)
+    den = lcm(*[d for _, d in rows])
+    return GradedMatrix(family, n, [[c * (den // d) for c in ints] + [0] * (n - len(ints))
+                                    for ints, d in rows], den)
 
 
 def norm_vector(family: Family, n: int) -> tuple[Fraction, ...]:

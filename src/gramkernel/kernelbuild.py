@@ -4,7 +4,8 @@ The inverse of the monomial Gram matrix falls out of the orthogonal
 expansion: with A the lower-triangular coefficient matrix and lambda_k the
 true squared norms, b_ij = sum_{k >= max(i,j)} a_ki * a_kj / lambda_k.
 :func:`build_kernel` gets that sum from rows n and n + 1 of A alone, by the
-Christoffel-Darboux identity.  The
+Christoffel-Darboux identity, as integer running sums over one denominator,
+the form every :class:`~gramkernel.families.GradedMatrix` keeps.  The
 per-family closed forms are kept only as an independently typed cross-check:
 :func:`closed_form_kernel` is one sum ``b_ij = sum_k u_ik u_jk w_k`` over
 per-family factor tables, including the corrected Legendre factor placement.
@@ -47,23 +48,23 @@ def build_kernel(family: Family, n: int) -> GradedMatrix:
         b_ij = b_(i-1),(j+1) + (u_i v_(j+1) - v_i u_(j+1)) c / (d_u d_v).
 
     So along each anti-diagonal of the upper triangle, started just outside
-    the matrix, b_ij is one integer running sum times c / (d_u d_v): one
-    ``Fraction`` (one gcd) per entry.
+    the matrix, b_ij is one integer running sum times c / (d_u d_v) = num /
+    den: B is those sums times num over den, and no entry is a ``Fraction``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     *_, (u, d_u), (v, d_v) = coeff_rows(family, n + 1)
     u += (0,)
-    c = Fraction(u[n - 1], d_u) / (Fraction(v[n], d_v) * norm_vector(family, n)[-1])
-    num, den = (c / (d_u * d_v)).as_integer_ratio()
-    b = [[None] * n for _ in range(n)]
+    # c / (d_u d_v), with c = (u_(n-1) / d_u) / ((v_n / d_v) lambda_n)
+    num, den = Fraction(u[n - 1], d_u * d_u * v[n] * norm_vector(family, n)[-1]).as_integer_ratio()
+    b = [[0] * n for _ in range(n)]
     for s in range(2 * n - 1):  # the anti-diagonal i + j = s, its upper half
         acc = 0
         for i in range(max(0, s - n + 1), s // 2 + 1):
             j = s - i
             acc += u[i] * v[j + 1] - v[i] * u[j + 1]
-            b[i][j] = b[j][i] = Fraction(acc * num, den)
-    return GradedMatrix(family, n, tuple(map(tuple, b)), -family.moment_grade)
+            b[i][j] = b[j][i] = acc * num
+    return GradedMatrix(family, n, b, den, -family.moment_grade)
 
 
 def _closed_form_factors(
@@ -121,15 +122,11 @@ def closed_form_kernel(
         raise ValueError("n must be >= 1")
     u_of, w_of = _closed_form_factors(family, legendre_printed)
     w = [w_of(k) for k in range(1, n + 1)]
-    u = [
-        [u_of(i, k) if k >= i else Fraction(0) for k in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    entries = tuple(
-        tuple(
-            sum((u[i][k] * u[j][k] * w[k] for k in range(max(i, j), n)), Fraction(0))
-            for j in range(n)
-        )
+    u = [[u_of(i, k) if k >= i else Fraction(0) for k in range(1, n + 1)]
+         for i in range(1, n + 1)]
+    entries = [
+        [sum((u[i][k] * u[j][k] * w[k] for k in range(max(i, j), n)), Fraction(0))
+         for j in range(n)]
         for i in range(n)
-    )
-    return GradedMatrix(family, n, entries, -family.moment_grade)
+    ]
+    return GradedMatrix.of(family, entries, -family.moment_grade)

@@ -45,13 +45,14 @@ def gram_from_moments(family: Family, n: int) -> GradedMatrix:
     """Entry (i, j) = moment of x**(p_i + p_j) under the family weight.
 
     Positive definite, of the family's moment grade, and Hankel: p_i + p_j
-    depends only on i + j, so the rows are windows of one vector of 2n - 1 moments.
+    depends only on i + j, so the rows are windows of one vector of 2n - 1
+    moments, cleared once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    hankel = tuple(monomial_moment(family, family.basis_power(k) + family.offset)
-                   for k in range(1, 2 * n))
-    return GradedMatrix(family, n, tuple(hankel[i:i + n] for i in range(n)), family.moment_grade)
+    (hankel,), d = _cleared([[monomial_moment(family, family.basis_power(k) + family.offset)
+                              for k in range(1, 2 * n)]])
+    return GradedMatrix(family, n, [hankel[i:i + n] for i in range(n)], d, family.moment_grade)
 
 
 # not families._cleared: the oracle shares no code with the construction
@@ -137,7 +138,7 @@ def invert_exact(gram: GradedMatrix) -> tuple[GradedMatrix, Fraction]:
     ``n * gram.sqrtpi_power``.
     """
     inverse, det = bareiss_inverse(gram.entries)
-    return GradedMatrix(gram.family, gram.n, inverse, -gram.sqrtpi_power), det
+    return GradedMatrix.of(gram.family, inverse, -gram.sqrtpi_power), det
 
 
 def leading_inverses(entries: Matrix) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:

@@ -18,7 +18,7 @@ from mpmath import cos, exp, mp, mpf, pi, quad, sin
 from mpmath.libmp import mpf_cos, mpf_mul, mpf_pi, mpf_sin, round_nearest
 from refdecimal import FUNCTIONS, decimal_render, function_reference, reference
 
-from gramkernel import approx, checks, exactscalar, families
+from gramkernel import approx, checks, exactscalar
 from gramkernel.approx import (
     COS_PI,
     EXP_NEG,
@@ -232,7 +232,7 @@ def kernels_and_moments(draw):
     """A random rational kernel and moment vector, Fraction-only or mixed."""
     family, n = draw(st.sampled_from(ALL_FAMILIES)), draw(st.integers(1, 6))
     entries = tuple(tuple(draw(rationals) for _ in range(n)) for _ in range(n))
-    kernel = GradedMatrix(family, n, entries, -family.moment_grade)
+    kernel = GradedMatrix.of(family, entries, -family.moment_grade)
     scalars = draw(st.sampled_from((rationals, st.one_of(rationals, pi_laurents), pi_laurents)))
     return kernel, MomentVector(family, tuple(draw(scalars) for _ in range(n)))
 
@@ -248,14 +248,16 @@ class TestProjectMatchesFractionSums:
     @given(kernels_and_moments(), st.data())
     @settings(max_examples=50, deadline=None)
     def test_replaced_entries_are_cleared_afresh(self, case, data):
-        """The kernel's cleared rows are cached; a kernel replaced with
-        other entries projects with its own."""
+        """A kernel replaced with other integers over another denominator,
+        of either sign, is reduced afresh and projects with its own entries."""
         kernel, moments = case
         project(kernel, moments)
-        assert "cleared_rows" in vars(kernel)
-        entries = tuple(tuple(data.draw(rationals) for _ in range(kernel.n))
-                        for _ in range(kernel.n))
-        _assert_projects_like_sums(kernel.replace(entries=entries), moments)
+        ints = tuple(tuple(data.draw(st.integers(-60, 60)) for _ in range(kernel.n))
+                     for _ in range(kernel.n))
+        den = data.draw(st.integers(-30, 30).filter(bool))
+        replaced = kernel.replace(ints=ints, den=den)
+        assert replaced.entries == tuple(tuple(Fraction(a, den) for a in row) for row in ints)
+        _assert_projects_like_sums(replaced, moments)
 
     @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
     def test_built_in_targets(self, target):
@@ -264,25 +266,35 @@ class TestProjectMatchesFractionSums:
             _assert_projects_like_sums(kernel, function_moments(target, n))
 
 
+# integer rows over a positive denominator, which need not be the rows' lowest
+def integer_rows(max_len):
+    return st.lists(st.tuples(st.lists(st.integers(-60, 60), max_size=max_len),
+                              st.integers(1, 30)), max_size=4)
+
+
+def _row_sums(rows, values):
+    return [sum((Fraction(a, d) * v for a, v in zip(ints, values)), Fraction(0))
+            for ints, d in rows]
+
+
 @st.composite
 def rows_and_values(draw):
-    """Rational rows of any length up to one past the values, and values
-    that are Fraction-only, mixed or PiLaurent-only."""
+    """Integer rows (over their denominators) of any length up to one past
+    the values, and values that are Fraction-only, mixed or PiLaurent-only."""
     n = draw(st.integers(0, 6))
     scalars = draw(st.sampled_from((rationals, st.one_of(rationals, pi_laurents), pi_laurents)))
-    rows = draw(st.lists(st.lists(rationals, max_size=n + 1), max_size=4))
-    return rows, [draw(scalars) for _ in range(n)]
+    return draw(integer_rows(n + 1)), [draw(scalars) for _ in range(n)]
 
 
 class TestClearedDots:
     @given(rows_and_values())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_exact_sums_in_value_and_type(self, case):
-        """Each cleared row's result is the sum of its products with the
-        values it reads: a Fraction exactly when none of them is a PiLaurent."""
+        """Each row's result is the sum of its products with the values it
+        reads: a Fraction exactly when none of them is a PiLaurent."""
         rows, values = case
-        got = approx._dots([families._cleared(row) for row in rows], values)
-        want = [sum(map(mul, row, values), Fraction(0)) for row in rows]
+        got = approx._dots(rows, values)
+        want = _row_sums(rows, values)
         assert got == want
         assert [type(v) for v in got] == [type(v) for v in want]
 
@@ -294,11 +306,10 @@ class TestClearedDots:
         cleared-once path returns what the pi-exponent path returns when a
         PiLaurent no row reads is appended: equal values, all Fractions."""
         values = data.draw(st.lists(st.one_of(rationals, st.integers(-9, 9)), max_size=6))
-        rows = data.draw(st.lists(st.lists(rationals, max_size=len(values)), max_size=4))
-        cleared = [families._cleared(row) for row in rows]
-        got = approx._dots(cleared, values)
-        want = approx._dots(cleared, values + [PiLaurent({1: 1})])
-        assert got == want == [sum(map(mul, row, values), Fraction(0)) for row in rows]
+        rows = data.draw(integer_rows(len(values)))
+        got = approx._dots(rows, values)
+        want = approx._dots(rows, values + [PiLaurent({1: 1})])
+        assert got == want == _row_sums(rows, values)
         assert all(type(v) is Fraction for v in got + want)
 
 

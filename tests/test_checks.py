@@ -133,8 +133,8 @@ def test_integer_gram_times_kernel_matches_fraction_product(pair):
     ``Fraction`` product, for any G and B, symmetric or not."""
     g, b = pair
     base = checks.build_artefacts(LAGUERRE, 1)
-    arts = base.replace(n=len(g), gram=GradedMatrix(LAGUERRE, len(g), g),
-                   kernel=GradedMatrix(LAGUERRE, len(b), b))
+    arts = base.replace(n=len(g), gram=GradedMatrix.of(LAGUERRE, g),
+                   kernel=GradedMatrix.of(LAGUERRE, b))
     want = checks._diff("G B vs I", checks._diagonal((1,) * len(g)), _naive_matmul(g, b))
     assert checks.check_gram_times_kernel(arts) == want
     if not want:  # a pass is decided in integers alone
@@ -179,7 +179,7 @@ def test_integer_oracle_equivalence_matches_fraction_comparison(case):
     b, adjugate, pivot, scale = case
     n = len(adjugate)
     base = checks.build_artefacts(LAGUERRE, 1)
-    arts = base.replace(n=n, kernel=GradedMatrix(LAGUERRE, len(b), b),
+    arts = base.replace(n=n, kernel=GradedMatrix.of(LAGUERRE, b),
                    adjugate=adjugate, pivot=pivot, scale=scale)
     want = checks._diff("B vs Bareiss inverse", _oracle_inverse(arts), b)
     assert checks.check_oracle_equivalence(arts) == want
@@ -277,7 +277,7 @@ SEVENTH = Fraction(1, 7)
 def _with_entry(matrix, i, j, value):
     rows = [list(row) for row in matrix.entries]
     rows[i][j] = value
-    return matrix.replace(entries=tuple(map(tuple, rows)))
+    return GradedMatrix.of(matrix.family, rows, matrix.sqrtpi_power)
 
 
 def _bump_kernel(a, i, j):

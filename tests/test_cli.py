@@ -887,6 +887,8 @@ SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
 SNAPSHOT_ARGV = {
     "kernel_hermite-odd_3": ["kernel", "--family", "hermite-odd", "--size", "3"],
     "kernel_hermite-even_12": ["kernel", "--family", "hermite-even", "--size", "12"],
+    "kernel_laguerre_12": ["kernel", "--family", "laguerre", "--size", "12"],
+    "kernel_legendre-odd_12": ["kernel", "--family", "legendre-odd", "--size", "12"],
     "cond_legendre-odd_4": ["cond", "--family", "legendre-odd", "--max-size", "4"],
     "variance_exp-neg_4": ["variance", "--target", "exp-neg", "--max-size", "4"],
     "variance_sin-pi_3": ["variance", "--target", "sin-pi", "--max-size", "3"],

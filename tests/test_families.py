@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import exp, inf, mp, mpf, quad
 
 from gramkernel.approx import SIN_PI, ApproxPolynomial, MomentVector, function_moments, project
@@ -102,7 +103,7 @@ def _coeff_entry(family: Family, i: int, j: int) -> Fraction:
 
 def _closed_form_row(family: Family, i: int) -> tuple[tuple[int, ...], int]:
     """Row i of A from the closed form, cleared over the lcm of its denominators."""
-    ints, d = _cleared([_coeff_entry(family, i, j) for j in range(1, i + 1)])
+    (ints,), d = _cleared([[_coeff_entry(family, i, j) for j in range(1, i + 1)]])
     return tuple(ints), d
 
 
@@ -187,25 +188,89 @@ class TestCoeffMatrixAgainstRecurrence:
         assert all(a.entries[i][i] != 0 for i in range(20))
 
 
-class TestGradedMatrixClearedRows:
-    def test_fields_are_unchanged(self):
-        assert list(GradedMatrix._fields) == ["family", "n", "entries", "sqrtpi_power"]
+class TestGradedMatrixForm:
+    def test_fields_are_integers_over_one_denominator(self):
+        assert list(GradedMatrix._fields) == ["family", "n", "ints", "den", "sqrtpi_power"]
 
     def test_rows_are_integers_over_the_lcm_of_their_denominators(self):
         a = coeff_matrix(HERMITE_EVEN, 6)
-        for row, (ints, d) in zip(a.entries, a.cleared_rows):
-            assert d == lcm(*(q.denominator for q in row))
-            assert [Fraction(x, d) for x in ints] == list(row)
+        rows = coeff_rows(HERMITE_EVEN, 6)
+        assert a.den == lcm(*(d for _, d in rows)) == lcm(*(q.denominator for row in a.entries
+                                                             for q in row))
+        for row, ints, (c, d) in zip(a.entries, a.ints, rows):
+            assert [Fraction(x, a.den) for x in ints] == list(row)
+            assert list(row) == [Fraction(x, d) for x in c] + [0] * (6 - len(c))
 
     def test_cache_does_not_change_equality_hash_or_repr(self):
-        """The rows and the hash are cached per instance, outside the
-        record's fields; a replaced matrix starts without them."""
+        """The ``Fraction`` view and the hash are cached per instance,
+        outside the record's fields; a replaced matrix starts without them."""
         cached = coeff_matrix(HERMITE_ODD, 5)
-        fresh = GradedMatrix(HERMITE_ODD, 5, cached.entries)
-        assert cached.cleared_rows
-        assert "cleared_rows" in vars(cached) and "cleared_rows" not in vars(fresh)
+        fresh = GradedMatrix(HERMITE_ODD, 5, cached.ints, cached.den)
+        assert cached.entries is cached.entries
+        assert "entries" in vars(cached) and "entries" not in vars(fresh)
         assert cached == fresh and hash(cached) == hash(fresh) and repr(cached) == repr(fresh)
-        assert not {"cleared_rows", "_hash"} & vars(cached.replace()).keys()
+        assert not {"entries", "_hash"} & vars(cached.replace()).keys()
+
+    def test_the_view_builds_one_fraction_per_distinct_integer(self):
+        b = build_kernel(LAGUERRE, 6).entries
+        assert all(b[i][j] is b[j][i] for i in range(6) for j in range(i))
+
+    def test_a_zero_denominator_is_refused(self):
+        with pytest.raises(ZeroDivisionError):
+            GradedMatrix(LAGUERRE, 1, ((0,),), 0)
+
+
+# zeros, negative entries and mixed denominators, with a common factor
+matrix_rationals = st.one_of(st.just(Fraction(0)), st.fractions(-20, 20, max_denominator=30))
+
+
+@st.composite
+def fraction_matrices(draw):
+    """A small square ``Fraction`` matrix, all zero or with zeros and
+    negatives, its entries sharing a drawn factor."""
+    n = draw(st.integers(0, 4))
+    factor = draw(st.sampled_from((0, 1, 6, Fraction(1, 6), Fraction(-35, 4), Fraction(2**70))))
+    return [[draw(matrix_rationals) * factor for _ in range(n)] for _ in range(n)]
+
+
+def _reduced_fields(m):
+    ints = [a for row in m.ints for a in row]
+    return m.den > 0 and gcd(m.den, *ints) == 1
+
+
+class TestCanonicalForm:
+    """The constructor reduces every matrix to integers over one positive
+    denominator sharing no factor with them, so equal matrices have equal
+    fields, hashes and reprs."""
+
+    @given(fraction_matrices(), st.integers(-2, 2))
+    def test_of_round_trips_entries(self, entries, grade):
+        m = GradedMatrix.of(HERMITE_EVEN, entries, grade)
+        assert m.entries == tuple(map(tuple, entries))
+        assert (m.family, m.n, m.sqrtpi_power) == (HERMITE_EVEN, len(entries), grade)
+        assert _reduced_fields(m)
+        assert all(type(a) is int for row in m.ints for a in row)
+
+    @given(fraction_matrices(), st.integers(1, 10**30), st.sampled_from((1, -1)))
+    def test_scaled_fields_give_an_equal_matrix(self, entries, k, sign):
+        m = GradedMatrix.of(LAGUERRE, entries)
+        scaled = GradedMatrix(LAGUERRE, m.n, [[sign * k * a for a in row] for row in m.ints],
+                              sign * k * m.den)
+        assert scaled == m and hash(scaled) == hash(m) and repr(scaled) == repr(m)
+        assert (scaled.ints, scaled.den) == (m.ints, m.den)
+
+    @given(fraction_matrices(), st.integers(2, 50), st.integers(-50, 50).filter(bool))
+    def test_replace_reduces_again(self, entries, k, den):
+        m = GradedMatrix.of(LAGUERRE, entries)
+        assert m.replace(ints=[[k * a for a in row] for row in m.ints], den=k * m.den) == m
+        other = m.replace(ints=[[k * a for a in row] for row in m.ints], den=den)
+        assert _reduced_fields(other)
+        assert other.entries == tuple(tuple(Fraction(k * a, den) for a in row) for row in m.ints)
+
+    @given(st.integers(0, 5), st.integers(-10**20, 10**20).filter(bool))
+    def test_the_zero_matrix_has_den_one(self, n, den):
+        zero = GradedMatrix(LAGUERRE, n, [[0] * n for _ in range(n)], den)
+        assert zero.den == 1 and zero == GradedMatrix.of(LAGUERRE, [[Fraction(0)] * n] * n)
 
 
 def _records():

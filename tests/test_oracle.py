@@ -94,7 +94,7 @@ class TestBareissInverse:
             (((F(0), F(1, 2)), (F(1, 2), F(3))), 1),
         ):
             message = f"^zero pivot at elimination step {step}$"
-            gram = GradedMatrix(LAGUERRE, len(entries), entries)
+            gram = GradedMatrix.of(LAGUERRE, entries)
             for route in (bareiss_inverse, leading_principal_minors,
                           lambda e: next(leading_inverses(e))):
                 with pytest.raises(SingularMatrixError, match=message):
@@ -197,7 +197,7 @@ def test_one_elimination_gives_every_leading_inverse(family):
         dets.append(det)
     assert tuple(dets) == leading_principal_minors(gram_12.entries)
     assert invert_exact(gram_12) == (
-        GradedMatrix(family, 12, inverse, -gram_12.sqrtpi_power), det)
+        GradedMatrix.of(family, inverse, -gram_12.sqrtpi_power), det)
 
 
 def _leibniz_det(rows):
