@@ -12,8 +12,12 @@ mismatch.  The CLI ``verify`` subcommand runs all of them over every family
 and size.
 
 Each family is one sweep to the largest size (:func:`sweep_artefacts`);
-only the kernel, its leading minors and the checks themselves are computed
-per size.
+only the kernel and the checks themselves are computed per size.  B's
+positive definiteness and det B come from the oracle (:func:`_certified`):
+when G's Bareiss pivots are all positive, G is positive definite
+(Sylvester's criterion), and when B also equals the oracle's inverse
+d T / p, B = G**-1 is positive definite too, with det B = d**n / p_n.  Only
+a B that is not certified so is eliminated itself, for its leading minors.
 """
 
 from __future__ import annotations
@@ -21,13 +25,15 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from operator import mul
 
-from .approx import monomial_moment_vector, project
+from .approx import monomial_moment_vector
 from .families import ALL_FAMILIES, Family, GradedMatrix, Record, coeff_rows, norm_vector
 from .kernelbuild import build_kernel
-from .oracle import gram_from_moments, leading_inverses, leading_principal_minors
+from .oracle import (SingularMatrixError, gram_from_moments, leading_inverses,
+                     leading_principal_minors)
 
 
 class CheckResult(Record):
@@ -48,7 +54,7 @@ class Artefacts(Record):
     ``n * gram.sqrtpi_power``.  ``coeffs`` are the first n integer rows of
     A (``coeff_rows``), exactly A_n; ``norms`` are cores of grade
     ``family.moment_grade``; ``agat`` is A G A^T of ``coeffs`` and ``gram``;
-    ``kernel_minors`` are the leading principal minors of ``kernel``.
+    ``pivots`` are the elimination's p_1..p_n, the last one ``pivot``.
     """
 
     family: Family
@@ -63,7 +69,16 @@ class Artefacts(Record):
     coeffs: tuple[tuple[tuple[int, ...], int], ...]
     norms: tuple[Fraction, ...]
     agat: tuple[tuple[Fraction, ...], ...]
-    kernel_minors: tuple[Fraction, ...]
+    pivots: tuple[int, ...]
+
+    @cached_property
+    def matches_oracle(self) -> bool:
+        """B = ints / den equals the Bareiss inverse d T / p (d the scale, p
+        the pivot) exactly when ``ints * p == d * den * T``.  A cache, not a
+        field: computed at the first check that reads it, and dropped by
+        :meth:`replace`, so a replaced kernel is compared afresh."""
+        return ([[b * self.pivot for b in row] for row in self.kernel.ints]
+                == [[self.scale * self.kernel.den * t for t in row] for row in self.adjugate])
 
 
 def _block(rows, n: int) -> tuple[tuple, ...]:
@@ -100,14 +115,13 @@ def sweep_artefacts(family: Family, max_size: int) -> Iterator[Artefacts]:
     gram = gram_from_moments(family, max_size)
     rows = coeff_rows(family, max_size)
     norms = norm_vector(family, max_size)
-    agat = _congruence(rows, gram)
+    agat, pivots = _congruence(rows, gram), ()
     for n, (adjugate, pivot, scale) in enumerate(leading_inverses(gram.entries), start=1):
-        kernel = build_kernel(family, n)
-        minors = leading_principal_minors(kernel.ints)  # of den * B
+        pivots += (pivot,)
         yield Artefacts(
-            family, n, kernel, gram.replace(n=n, ints=_block(gram.ints, n)), adjugate, pivot,
-            scale, -gram.sqrtpi_power, Fraction(pivot, scale**n), tuple(rows[:n]), norms[:n],
-            _block(agat, n), tuple(m / kernel.den**k for k, m in enumerate(minors, start=1)),
+            family, n, build_kernel(family, n), gram.replace(n=n, ints=_block(gram.ints, n)),
+            adjugate, pivot, scale, -gram.sqrtpi_power, Fraction(pivot, scale**n),
+            tuple(rows[:n]), norms[:n], _block(agat, n), pivots,
         )
 
 
@@ -139,14 +153,30 @@ def _diagonal(values: Sequence) -> tuple[tuple, ...]:
                  for i, v in enumerate(values))
 
 
+def _product_is_identity(what: str, rows, cols, d: int) -> str:
+    """``""`` if the integer dot products of ``rows`` with ``cols`` are d
+    times I, else ``what``'s first entry of the products over d that is not
+    I's; the ``Fraction`` product is built only to name it."""
+    dots = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    if all(t == d * (i == j) for i, r in enumerate(dots) for j, t in enumerate(r)):
+        return ""
+    return _diff(what, _diagonal((1,) * len(dots)), [[Fraction(t, d) for t in r] for r in dots])
+
+
+def _certified(a: Artefacts) -> bool:
+    """B is positive definite with det B = d**n / p_n, by the oracle: every
+    pivot of G is positive, so G is positive definite (Sylvester's
+    criterion), and B equals its inverse d T / p."""
+    return min(a.pivots) > 0 and a.matches_oracle
+
+
 def check_oracle_equivalence(a: Artefacts) -> str:
     """The kernel of :func:`~gramkernel.kernelbuild.build_kernel` == exact
-    Bareiss inverse of the moment Gram.  B = ints / den equals the inverse
-    d T / p (d the scale, p the pivot) exactly when ``ints * p == d * den *
-    T``; the ``Fraction`` inverse is built only to name a mismatch."""
+    Bareiss inverse of the moment Gram, compared in integers
+    (``Artefacts.matches_oracle``); the ``Fraction`` inverse is built only
+    to name a mismatch."""
     detail = _diff("grade of B vs Bareiss inverse", a.inverse_grade, a.kernel.sqrtpi_power)
-    if detail or ([[b * a.pivot for b in row] for row in a.kernel.ints]
-                  == [[a.scale * a.kernel.den * t for t in row] for row in a.adjugate]):
+    if detail or a.matches_oracle:
         return detail
     inverse = tuple(tuple(Fraction(a.scale * t, a.pivot) for t in row) for row in a.adjugate)
     return _diff("B vs Bareiss inverse", inverse, a.kernel.entries)
@@ -155,14 +185,10 @@ def check_oracle_equivalence(a: Artefacts) -> str:
 def check_gram_times_kernel(a: Artefacts) -> str:
     """G * B == I exactly (the sqrt(pi) grades cancel).  With G and B
     integers over their ``den``, (G B)_ij is I's entry exactly when the
-    integer dot product is ``G.den * B.den`` (i = j) or 0; the ``Fraction``
-    product is built only to name a mismatch."""
-    detail = _diff("grade of G B", 0, a.gram.sqrtpi_power + a.kernel.sqrtpi_power)
-    cols, d = tuple(zip(*a.kernel.ints)), a.gram.den * a.kernel.den
-    dots = [[sum(map(mul, row, col)) for col in cols] for row in a.gram.ints]
-    if detail or all(t == d * (i == j) for i, r in enumerate(dots) for j, t in enumerate(r)):
-        return detail
-    return _diff("G B vs I", _diagonal((1,) * a.n), GradedMatrix(a.family, a.n, dots, d).entries)
+    integer dot product is ``G.den * B.den`` (i = j) or 0."""
+    return (_diff("grade of G B", 0, a.gram.sqrtpi_power + a.kernel.sqrtpi_power)
+            or _product_is_identity("G B vs I", a.gram.ints, tuple(zip(*a.kernel.ints)),
+                                    a.gram.den * a.kernel.den))
 
 
 def check_orthogonality(a: Artefacts) -> str:
@@ -191,39 +217,64 @@ def check_determinant_formula(a: Artefacts) -> str:
 
 
 def check_kernel_shape(a: Artefacts) -> str:
-    """Kernel symmetry plus exact positive definiteness (all minors > 0).
-    Symmetry is decided on B's integers; its entries only name a mismatch."""
-    b, signs = a.kernel, tuple((m > 0) - (m < 0) for m in a.kernel_minors)
-    return (_diff("B vs B^T", tuple(zip(*b.ints)), b.ints)
-            and _diff("B vs B^T", tuple(zip(*b.entries)), b.entries)
-            or _diff("sign of B's leading principal minor", (1,) * a.n, signs))
+    """Kernel symmetry plus exact positive definiteness (all leading minors
+    > 0).  Symmetry is decided on B's integers; its entries only name a
+    mismatch.  A certified B (:func:`_certified`) has every minor positive.
+    Any other B's minors are those of den * B, which have B's signs, from
+    the oracle's elimination; it stops at the first minor that is 0, the
+    last one compared."""
+    b = a.kernel
+    detail = (_diff("B vs B^T", tuple(zip(*b.ints)), b.ints)
+              and _diff("B vs B^T", tuple(zip(*b.entries)), b.entries))
+    if detail or _certified(a):
+        return detail
+    try:
+        minors = leading_principal_minors(b.ints)
+    except SingularMatrixError as zero:
+        minors = leading_principal_minors(_block(b.ints, zero.step - 1)) + (0,)
+    signs = tuple((m > 0) - (m < 0) for m in minors)
+    return _diff("sign of B's leading principal minor", (1,) * len(signs), signs)
 
 
 def check_gram_hankel(a: Artefacts) -> str:
     """Gram entries are constant along anti-diagonals: each equals its
-    anti-diagonal's entry in the first row or the last column."""
-    g, n = a.gram.entries, a.n
-    hankel = tuple(tuple(g[max(0, i + j - n + 1)][min(i + j, n - 1)] for j in range(n))
+    anti-diagonal's entry in the first row or the last column.  Decided on
+    G's integers; its entries only name a mismatch."""
+    what, g, n = "G vs Hankel of its first row and last column", a.gram, a.n
+    hankel = tuple(tuple(g.ints[max(0, i + j - n + 1)][min(i + j, n - 1)] for j in range(n))
                    for i in range(n))
-    return _diff("G vs Hankel of its first row and last column", hankel, g)
+    return _diff(what, hankel, g.ints) and _diff(what, g.replace(ints=hankel).entries, g.entries)
+
+
+def _kernel_det(a: Artefacts) -> Fraction:
+    """det B: d**n / p_n for a certified B (:func:`_certified`); for any
+    other B its last leading minor, by the oracle's elimination of den * B,
+    which raises :class:`~gramkernel.oracle.SingularMatrixError` if a
+    leading minor of B is 0."""
+    return (Fraction(a.scale**a.n, a.pivot) if _certified(a)
+            else leading_principal_minors(a.kernel.ints)[-1] / a.kernel.den**a.n)
 
 
 def check_det_product(a: Artefacts) -> str:
     """det(G) * det(B) == 1 with grades cancelling."""
     return (_diff("grade of det(G) det(B)", 0, (a.gram.sqrtpi_power + a.kernel.sqrtpi_power) * a.n)
-            or _diff("det(G) det(B)", 1, a.det_gram * a.kernel_minors[-1]))
+            or _diff("det(G) det(B)", 1, a.det_gram * _kernel_det(a)))
 
 
 def check_reproducing(a: Artefacts) -> str:
     """Projecting each in-span monomial returns exactly that monomial: the
-    estimate of basis monomial k has coefficient 1 at k and 0 elsewhere."""
+    estimate B m_k of basis monomial k has coefficient 1 at k and 0
+    elsewhere.  The moment vectors m_k (``monomial_moment_vector``) are
+    cleared once, to integers over D, so estimate k is B's integer rows
+    times m_k's integers, compared with ``B.den * D`` times I."""
     if a.kernel.sqrtpi_power + a.family.moment_grade != 0:
         return (f"kernel grade {a.kernel.sqrtpi_power} does not cancel "
                 f"moment grade {a.family.moment_grade}")
-    powers = [a.family.basis_power(k) for k in range(1, a.n + 1)]
-    estimates = tuple(project(a.kernel, monomial_moment_vector(a.family, a.n, p)).coefficients
-                      for p in powers)
-    return _diff("estimate of monomial k, coefficient i", _diagonal((1,) * a.n), estimates)
+    moments = GradedMatrix.of(a.family, [
+        monomial_moment_vector(a.family, a.n, a.family.basis_power(k)).entries
+        for k in range(1, a.n + 1)])
+    return _product_is_identity("estimate of monomial k, coefficient i", moments.ints,
+                                a.kernel.ints, moments.den * a.kernel.den)
 
 
 CHECKS = {

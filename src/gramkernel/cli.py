@@ -49,7 +49,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 from types import SimpleNamespace
 
 from .approx import (
@@ -216,8 +216,11 @@ def _write_out(path: str, text: str) -> None:
 def cmd_kernel(args) -> int:
     family = family_by_name(args.family)
     kernel = build_kernel(family, args.size)
-    grade = kernel.sqrtpi_power
-    cells = [[str(x) for x in row] for row in kernel.entries]
+    grade, den = kernel.sqrtpi_power, kernel.den
+    # str(Fraction(a, den)) once per distinct integer a of B, without the Fraction
+    text = {a: f"{a // g}" if (g := gcd(a, den)) == den else f"{a // g}/{den // g}"
+            for a in set().union(*kernel.ints)}
+    cells = [[text[a] for a in row] for row in kernel.ints]
     width = max(len(c) for row in cells for c in row)
     _emit(
         args,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .families import Family, GradedMatrix, coeff_rows, double_factorial, norm_vector
 
@@ -50,13 +50,18 @@ def build_kernel(family: Family, n: int) -> GradedMatrix:
     So along each anti-diagonal of the upper triangle, started just outside
     the matrix, b_ij is one integer running sum times c / (d_u d_v) = num /
     den: B is those sums times num over den, and no entry is a ``Fraction``.
+    The rows' contents g_u = gcd(u) and g_v = gcd(v) are taken out of the
+    sums into num, so that the constructor of ``GradedMatrix`` need not
+    divide them out of every entry.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     *_, (u, d_u), (v, d_v) = coeff_rows(family, n + 1)
-    u += (0,)
-    # c / (d_u d_v), with c = (u_(n-1) / d_u) / ((v_n / d_v) lambda_n)
-    num, den = Fraction(u[n - 1], d_u * d_u * v[n] * norm_vector(family, n)[-1]).as_integer_ratio()
+    g_u, g_v = gcd(*u), gcd(*v)
+    u, v = [c // g_u for c in u] + [0], [c // g_v for c in v]
+    # g_u g_v c / (d_u d_v), with c = (g_u u_(n-1) / d_u) / ((g_v v_n / d_v) lambda_n)
+    num, den = Fraction(u[n - 1] * g_u * g_u,
+                        d_u * d_u * v[n] * norm_vector(family, n)[-1]).as_integer_ratio()
     b = [[0] * n for _ in range(n)]
     for s in range(2 * n - 1):  # the anti-diagonal i + j = s, its upper half
         acc = 0

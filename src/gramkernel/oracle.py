@@ -38,7 +38,13 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 class SingularMatrixError(ArithmeticError):
-    """A zero pivot appeared; the input cannot be a valid Gram matrix."""
+    """A zero pivot appeared at elimination ``step``: the leading principal
+    minor of that size is the first that is 0, so the input cannot be a
+    valid Gram matrix."""
+
+    def __init__(self, step: int) -> None:
+        super().__init__(f"zero pivot at elimination step {step}")
+        self.step = step
 
 
 def gram_from_moments(family: Family, n: int) -> GradedMatrix:
@@ -78,7 +84,7 @@ def _forward_eliminate(rows: list[list[int]], width: int) -> list[int]:
         row_k = rows[k]
         pivot = row_k[k]
         if pivot == 0:
-            raise SingularMatrixError(f"zero pivot at elimination step {k + 1}")
+            raise SingularMatrixError(k + 1)
         for r in range(k + 1, n):
             row = rows[r]
             factor = row[k]

@@ -863,18 +863,20 @@ class TestRationalsStayFractions:
             assert constructions[0] > before
 
     def test_check_reproducing(self, monkeypatch, constructions):
-        coefficients = []
+        """The check reads every basis monomial's moments as ``Fraction``s,
+        and builds no PiLaurent on its way to the integer products."""
+        moments = []
 
-        def recorded(*args, _project=checks.project):
-            estimate = _project(*args)
-            coefficients.extend(estimate.coefficients)
-            return estimate
+        def recorded(*args, _vector=checks.monomial_moment_vector):
+            vector = _vector(*args)
+            moments.extend(vector.entries)
+            return vector
 
-        monkeypatch.setattr(checks, "project", recorded)
+        monkeypatch.setattr(checks, "monomial_moment_vector", recorded)
         for family in ALL_FAMILIES:
             assert not checks.check_reproducing(checks.build_artefacts(family, 4))
-        assert len(coefficients) == len(ALL_FAMILIES) * 4 * 4
-        assert all(type(c) is Fraction for c in coefficients)
+        assert len(moments) == len(ALL_FAMILIES) * 4 * 4
+        assert all(type(m) is Fraction for m in moments)
         assert constructions[0] == 0
 
     def test_project(self, constructions):

@@ -1,6 +1,7 @@
 """run_checks: one sweep of artefacts per family, and the negative controls."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import prod
 from unittest import mock
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gramkernel import checks
+from gramkernel.approx import monomial_moment_vector, project
 from gramkernel.families import (
     ALL_FAMILIES,
     HERMITE_EVEN,
@@ -18,17 +20,24 @@ from gramkernel.families import (
     coeff_rows,
     norm_vector,
 )
-from gramkernel.oracle import bareiss_inverse, gram_from_moments
+from gramkernel.oracle import (
+    SingularMatrixError,
+    bareiss_inverse,
+    gram_from_moments,
+    leading_principal_minors,
+)
 
-# built once per family, at the largest size, and once per (family, size)
+# built once per family, at the largest size, and once per (family, size);
+# B's leading minors only for a B that the oracle does not certify
 PER_FAMILY = ("gram_from_moments", "leading_inverses", "coeff_rows", "norm_vector")
 PER_SIZE = ("build_kernel", "leading_principal_minors")
 
 
 def test_artefacts_built_once_per_family_and_size(monkeypatch):
     """Each family is one sweep: G, its elimination, A (as integer rows)
-    and the norms are built once, at the largest size; the kernel and its
-    leading minors once per (family, size)."""
+    and the norms are built once, at the largest size; the kernel once per
+    (family, size).  On a pass, every B is certified by the oracle, so no
+    check eliminates B for its leading minors."""
     calls = {name: [] for name in PER_FAMILY + PER_SIZE}
     for name in calls:
         def counted(*args, _fn=getattr(checks, name), _name=name):
@@ -43,7 +52,7 @@ def test_artefacts_built_once_per_family_and_size(monkeypatch):
         assert calls[name] == [(LAGUERRE, 3), (HERMITE_ODD, 3)]
     assert calls["build_kernel"] == [(f, n) for f in (LAGUERRE, HERMITE_ODD) for n in (1, 2, 3)]
     assert [len(entries) for entries, in calls["leading_inverses"]] == [3, 3]
-    assert len(calls["leading_principal_minors"]) == 2 * 3
+    assert calls["leading_principal_minors"] == []
 
 
 def _oracle_inverse(a):
@@ -71,10 +80,15 @@ def test_sweep_views_equal_per_size_builds(family):
         assert all(type(t) is int for row in a.adjugate for t in row)
         assert (_oracle_inverse(a), a.inverse_grade, a.det_gram) == (
             inverse, -gram.sqrtpi_power, det)
+        # the pivots are the leading minors of scale * G, the last one the pivot
+        assert a.pivots[-1] == a.pivot and len(a.pivots) == a.n
+        assert [Fraction(p, a.scale**k) for k, p in enumerate(a.pivots, start=1)] == list(
+            leading_principal_minors(gram.entries))
         transposed = tuple(zip(*coeffs.entries))
         assert a.agat == _naive_matmul(_naive_matmul(coeffs.entries, gram.entries), transposed)
         # the integer form of the inverse depends on the sweep's largest G
-        built, form = checks.build_artefacts(family, a.n), dict(adjugate=(), pivot=1, scale=1)
+        built = checks.build_artefacts(family, a.n)
+        form = dict(adjugate=(), pivot=1, scale=1, pivots=(1,))
         assert _oracle_inverse(built) == _oracle_inverse(a)
         assert built.replace(**form) == a.replace(**form)
 
@@ -234,6 +248,86 @@ def test_integer_determinant_identity_matches_fraction_comparison(case):
             assert checks.check_determinant_formula(arts) == ""
 
 
+def _leibniz_det(rows):
+    n = len(rows)
+    return sum((prod(rows[i][perm[i]] for i in range(n))
+                * (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                for perm in permutations(range(n))), Fraction(0))
+
+
+def _leading_minors(rows):
+    return [_leibniz_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+@st.composite
+def corrupted_kernels(draw):
+    """The artefacts of any family and size 1-5, with B left as built, or
+    one entry of B, alone or with its mirror, set to 0, to a random
+    rational, bumped, or set to the value that makes the leading minor
+    through it vanish (with its mirror)."""
+    family, n = draw(st.sampled_from(ALL_FAMILIES)), draw(st.integers(1, 5))
+    a = checks.build_artefacts(family, n)
+    rows = [list(row) for row in a.kernel.entries]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(("built", "zero", "random", "bumped", "vanish")))
+    if kind == "built":
+        return a
+    mirror = draw(st.booleans())
+    if kind == "vanish":  # the minor is affine in b_ii, with slope the minor before it
+        j, mirror = i, True
+        *before, last = _leading_minors(rows)[:i + 1]
+        value = rows[i][i] - last / (before[-1] if before else 1)
+    elif kind == "zero":
+        value = Fraction(0)
+    elif kind == "random":
+        value = draw(rationals)
+    else:
+        value = rows[i][j] + draw(st.fractions(-3, 3, max_denominator=9).filter(bool))
+    rows[i][j] = value
+    if mirror:
+        rows[j][i] = value
+    return a.replace(kernel=GradedMatrix.of(family, rows, a.kernel.sqrtpi_power))
+
+
+@given(corrupted_kernels())
+@settings(max_examples=300, deadline=None)
+def test_pd_and_det_checks_match_the_minors_route(a):
+    """kernel-symmetry-pd and det-product give the verdict and detail of B's
+    own leading minors (Leibniz determinants here), whether the oracle
+    certifies B or not.  Where a leading minor of B is 0, the positive
+    definiteness check names the first minor that is not positive, and
+    det-product raises, as the oracle's elimination of B does."""
+    b = a.kernel.entries
+    minors = _leading_minors(b)
+    signs = tuple((m > 0) - (m < 0) for m in minors)
+    assert checks.check_kernel_shape(a) == (
+        checks._diff("B vs B^T", tuple(zip(*b)), b)
+        or checks._diff("sign of B's leading principal minor", (1,) * a.n, signs))
+    if 0 in minors:
+        with pytest.raises(SingularMatrixError):
+            checks.check_det_product(a)
+    else:
+        assert checks.check_det_product(a) == checks._diff(
+            "det(G) det(B)", 1, a.det_gram * minors[-1])
+
+
+@given(corrupted_kernels())
+@settings(max_examples=200, deadline=None)
+def test_integer_reproducing_check_matches_the_project_route(a):
+    """The integer reproducing check gives the verdict and detail of
+    projecting each basis monomial through ``approx.project``, and a pass
+    builds no ``Fraction``."""
+    estimates = tuple(
+        project(a.kernel, monomial_moment_vector(a.family, a.n, a.family.basis_power(k)))
+        .coefficients for k in range(1, a.n + 1))
+    want = checks._diff("estimate of monomial k, coefficient i",
+                        checks._diagonal((1,) * a.n), estimates)
+    assert checks.check_reproducing(a) == want
+    if not want:
+        with mock.patch.object(checks, "Fraction", side_effect=AssertionError("built a Fraction")):
+            assert checks.check_reproducing(a) == ""
+
+
 def test_corruption_reaches_only_the_oracle_equivalence_check():
     results = checks.run_checks(3, inject_corruption=True)
     assert {r.name for r in results if not r.passed} == {"oracle-equivalence"}
@@ -350,7 +444,9 @@ NEGATIVE_CONTROLS = [
     ),
     pytest.param(
         "kernel-symmetry-pd",
-        lambda a: a.replace(kernel_minors=a.kernel_minors[:1] + (0,) + a.kernel_minors[2:]),
+        # b22 = b12**2 / b11 keeps B symmetric and makes its second minor 0
+        lambda a: a.replace(kernel=_with_entry(
+            a.kernel, 1, 1, a.kernel.entries[0][1] ** 2 / a.kernel.entries[0][0])),
         lambda a: "sign of B's leading principal minor (2): want 1, got 0",
         id="kernel-symmetry-pd-minor2",
     ),
